@@ -16,9 +16,10 @@
 //! * [`runner`] — the deterministic parallel experiment engine: batched
 //!   [`Scenario`](runner::Scenario) evaluation across worker threads with
 //!   work stealing, fingerprint caching, deterministic sharding (in
-//!   process or across child processes via [`runner::sharded`]), and
-//!   byte-identical serial / parallel / sharded outcomes (the golden-run
-//!   conformance contract),
+//!   process, or across worker processes through the shard
+//!   [`manifest`](runner::manifest) wire format that `mns-dist` ships),
+//!   and byte-identical serial / parallel / sharded outcomes (the
+//!   golden-run conformance contract),
 //! * [`report`] — the experiment table type shared by the examples and
 //!   the `mns-bench` reproduction harness.
 //!

@@ -36,12 +36,13 @@
 //! and returns a [`BatchReport`] (outcomes, merged stats, optional
 //! per-shard breakdown). With `shards > 1` in [`RunnerConfig`], the batch
 //! is partitioned by a deterministic [`ShardPlan`] and each shard runs on
-//! a fresh sub-engine — observationally identical to a child process, so
-//! 1 shard, N in-process shards and N [`sharded::run_sharded`] worker
-//! processes all produce byte-identical per-scenario digests and the same
-//! merged [`BatchStats::totals`]. The manifest wire format lives in
-//! [`manifest`]; the multi-process driver (timeouts, crash detection,
-//! requeue-on-failure) in [`sharded`].
+//! a fresh sub-engine through [`Runner::run_shard`] — the evaluation a
+//! worker process performs on its shard — so 1 shard, N in-process shards
+//! and N worker processes all produce byte-identical per-scenario digests
+//! and the same merged [`BatchStats::totals`]. The manifest wire format
+//! lives in [`manifest`]; shipping shards to worker processes (deadlines,
+//! crash detection, requeue-on-failure) is the `mns-dist` cluster
+//! scheduler's job, configured by [`ClusterConfig`].
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -69,7 +70,6 @@ use crate::labchip::{LabChipPipeline, PipelineConfig};
 pub use mns_fluidics::assay::AssayKind;
 
 pub mod manifest;
-pub mod sharded;
 
 /// A 64-bit digest of a scenario outcome, stable across runs, worker
 /// counts and processes (the golden corpus commits these values).
@@ -1045,16 +1045,13 @@ pub struct RunnerConfig {
     pub workers: usize,
     /// Whether outcomes are memoized by scenario fingerprint.
     pub cache: bool,
-    /// In-process shard count for [`Runner::run`]; 1 (the default)
-    /// disables sharding.
+    /// Shard count for [`Runner::run`], which evaluates each shard in
+    /// this process on a fresh sub-engine; 1 (the default) disables
+    /// sharding. The `mns-dist` cluster reads it from
+    /// [`ClusterConfig::runner`] to plan the shards it ships to workers.
     pub shards: usize,
     /// How scenarios are partitioned when `shards > 1`.
     pub strategy: ShardStrategy,
-    /// Per-shard wall-clock deadline for out-of-process execution: a
-    /// worker past it is killed and its shard requeued. The in-process
-    /// paths ignore it; [`sharded::run_sharded`] and the cluster
-    /// scheduler (`mns-dist`) enforce it.
-    pub shard_deadline: Duration,
 }
 
 impl Default for RunnerConfig {
@@ -1064,7 +1061,6 @@ impl Default for RunnerConfig {
             cache: true,
             shards: 1,
             strategy: ShardStrategy::RoundRobin,
-            shard_deadline: Duration::from_secs(120),
         }
     }
 }
@@ -1103,15 +1099,6 @@ impl RunnerConfig {
         self
     }
 
-    /// Sets the per-shard deadline enforced by the out-of-process
-    /// drivers ([`sharded::run_sharded`] and the `mns-dist` cluster
-    /// scheduler). Default: 120 s.
-    #[must_use]
-    pub fn shard_deadline(mut self, deadline: Duration) -> RunnerConfig {
-        self.shard_deadline = deadline;
-        self
-    }
-
     /// Finishes the builder into a ready [`Runner`].
     pub fn build(self) -> Runner {
         Runner::new(self)
@@ -1120,9 +1107,10 @@ impl RunnerConfig {
 
 /// Cluster-level parameters layered on [`RunnerConfig`] by the
 /// `mns-dist` scheduler. Everything a single worker needs (threads,
-/// cache, shard plan, per-shard deadline) lives in [`ClusterConfig::runner`];
-/// this struct adds only what a *fleet* of workers needs: how many
-/// endpoints, how liveness is judged, and how retries back off.
+/// cache, shard plan) lives in [`ClusterConfig::runner`]; this struct
+/// adds only what a *fleet* of workers needs: how many endpoints, how
+/// long a shard may take, how liveness is judged, and how retries back
+/// off.
 ///
 /// ```
 /// use std::time::Duration;
@@ -1138,12 +1126,14 @@ impl RunnerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Per-worker engine parameters: `runner.workers` is the thread
-    /// count *inside each* cluster worker, `runner.shards`/`strategy`
-    /// drive the [`ShardPlan`], and `runner.shard_deadline` is reused as
-    /// the per-shard cluster deadline.
+    /// count *inside each* cluster worker, and `runner.shards`/`strategy`
+    /// drive the [`ShardPlan`].
     pub runner: RunnerConfig,
     /// Cluster worker endpoints to launch (clamped to at least 1).
     pub workers: usize,
+    /// Per-shard wall-clock deadline: a worker still holding a shard past
+    /// it is declared dead and the shard requeued.
+    pub shard_deadline: Duration,
     /// How often workers emit heartbeats.
     pub heartbeat_interval: Duration,
     /// A busy worker silent for longer than this is declared dead and
@@ -1175,6 +1165,7 @@ impl Default for ClusterConfig {
                 ..RunnerConfig::default()
             },
             workers: 2,
+            shard_deadline: Duration::from_secs(120),
             heartbeat_interval: Duration::from_millis(50),
             liveness_window: Duration::from_secs(2),
             registration_window: Duration::from_secs(10),
@@ -1221,10 +1212,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the per-shard deadline (see [`RunnerConfig::shard_deadline`]).
+    /// Sets the per-shard deadline (default 120 s).
     #[must_use]
     pub fn shard_deadline(mut self, deadline: Duration) -> ClusterConfig {
-        self.runner = self.runner.shard_deadline(deadline);
+        self.shard_deadline = deadline;
         self
     }
 
@@ -1310,7 +1301,7 @@ pub struct WorkerBatchStats {
 
 /// Shard- and worker-layout-independent batch counters: the unit of
 /// cross-mode stats comparison. Serial, in-process-sharded and
-/// child-process runs of the same batch must agree on these even though
+/// cluster runs of the same batch must agree on these even though
 /// their `per_worker` layouts reflect different topologies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTotals {
@@ -1393,7 +1384,7 @@ impl BatchStats {
     /// rows are unioned on the `(shard, worker)` key (duplicate keys sum
     /// field-wise) and stored sorted by that key — so any merge tree over
     /// the same set of shard stats yields the same value.
-    /// `tests/sharded_conformance.rs` proptests this.
+    /// `tests/conformance.rs` proptests this.
     pub fn merge(&mut self, other: &BatchStats) {
         self.shard = self.shard.min(other.shard);
         self.scenarios += other.scenarios;
@@ -1560,15 +1551,15 @@ impl Runner {
     ///
     /// With `shards > 1`, the batch is partitioned by a [`ShardPlan`] and
     /// each shard runs on a *fresh* sub-engine whose cache and dedup scope
-    /// is the shard itself — exactly what a child process would see — so
+    /// is the shard itself — exactly what a worker process would see — so
     /// outcomes and merged [`BatchStats::totals`] are identical whether
-    /// the shards run in this process or via [`sharded::run_sharded`].
+    /// the shards run in this process or on `mns-dist` cluster workers.
     /// Sub-engine caches and counters fold back into this runner.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         if self.shards <= 1 {
             let indices: Vec<usize> = (0..scenarios.len()).collect();
-            let (pairs, stats) = self.run_indices(scenarios, &indices, ShardId(0));
+            let (pairs, stats) = self.run_shard(scenarios, &indices, ShardId(0));
             BatchReport {
                 outcomes: Self::assemble(scenarios.len(), pairs),
                 stats,
@@ -1585,9 +1576,8 @@ impl Runner {
                     cache: self.cache_enabled,
                     shards: 1,
                     strategy: self.strategy,
-                    ..RunnerConfig::default()
                 });
-                let (shard_pairs, stats) = sub.run_indices(scenarios, indices, shard);
+                let (shard_pairs, stats) = sub.run_shard(scenarios, indices, shard);
                 self.stats.executed += sub.stats.executed;
                 self.stats.cache_hits += sub.stats.cache_hits;
                 self.stats.steals += sub.stats.steals;
@@ -1617,33 +1607,19 @@ impl Runner {
     /// `< scenarios.len()`, typically from [`ShardPlan::indices`]) runs
     /// through cache, dedup and the worker pool, and the resulting stats
     /// are tagged with `shard`. Returns one `(global index, outcome)`
-    /// pair per entry of `indices`, in arbitrary order.
+    /// pair per entry of `indices`, in arbitrary order. Keeping indices
+    /// global keeps telemetry task tracks and outcome slots batch-wide,
+    /// whichever shard (or process) evaluates them.
     ///
-    /// This is the primitive out-of-process drivers build on: a
-    /// `shard_worker`/`dist_worker` process (or the `mns-dist` scheduler
-    /// recovering a lost shard in-process) evaluates its manifest through
-    /// a fresh `Runner` so the cache/dedup scope is the shard itself, and
-    /// the pairs merge back into submission order batch-wide.
+    /// [`Runner::run`] evaluates every batch through this primitive, and
+    /// the `mns-dist` scheduler calls it on a fresh `Runner` to recover a
+    /// lost shard in-process, so the cache/dedup scope is the shard
+    /// itself and the pairs merge back into submission order batch-wide.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds for `scenarios`.
     pub fn run_shard(
-        &mut self,
-        scenarios: &[Scenario],
-        indices: &[usize],
-        shard: ShardId,
-    ) -> (Vec<(usize, ScenarioOutcome)>, BatchStats) {
-        self.run_indices(scenarios, indices, shard)
-    }
-
-    /// Runs the sub-batch `indices` (global submission indices into
-    /// `scenarios`) through cache, dedup and the worker pool, tagging the
-    /// resulting stats with `shard`. Returns one `(index, outcome)` pair
-    /// per entry of `indices`, in arbitrary order. Keeping indices global
-    /// keeps telemetry task tracks and outcome slots batch-wide, whichever
-    /// shard (or process) evaluates them.
-    pub(crate) fn run_indices(
         &mut self,
         scenarios: &[Scenario],
         indices: &[usize],
@@ -2158,20 +2134,6 @@ mod tests {
     }
 
     #[test]
-    fn runner_config_builder_sets_shard_deadline() {
-        let config = RunnerConfig::new()
-            .workers(2)
-            .shards(3)
-            .shard_deadline(Duration::from_secs(7));
-        assert_eq!(config.shard_deadline, Duration::from_secs(7));
-        // The default stays at the historical hard-coded value.
-        assert_eq!(
-            RunnerConfig::default().shard_deadline,
-            Duration::from_secs(120)
-        );
-    }
-
-    #[test]
     fn cluster_config_builder_delegates_into_runner() {
         let cfg = ClusterConfig::new()
             .workers(0) // clamped
@@ -2190,7 +2152,11 @@ mod tests {
         assert_eq!(cfg.runner.workers, 3);
         assert_eq!(cfg.runner.shards, 5);
         assert_eq!(cfg.runner.strategy, ShardStrategy::ByFamily);
-        assert_eq!(cfg.runner.shard_deadline, Duration::from_secs(9));
+        assert_eq!(cfg.shard_deadline, Duration::from_secs(9));
+        assert_eq!(
+            ClusterConfig::default().shard_deadline,
+            Duration::from_secs(120)
+        );
         assert_eq!(cfg.max_attempts, 1);
         assert_eq!(cfg.backoff_base, Duration::from_millis(5));
         assert_eq!(cfg.backoff_cap, Duration::from_millis(80));

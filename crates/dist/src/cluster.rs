@@ -18,8 +18,8 @@
 //! Completion is unconditional: a shard that exhausts its attempts (or
 //! outlives every worker) is recovered in-process through the public
 //! [`Runner::run_shard`](mns_core::runner::Runner::run_shard) primitive
-//! and listed in [`ClusterReport::recovered`], mirroring
-//! `runner::sharded`'s degradation path.
+//! and listed in [`ClusterReport::recovered`]. A fleet that cannot be
+//! launched at all (no worker binary) degrades the whole sweep this way.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -199,8 +199,8 @@ impl Cluster {
         let mut metrics = config.collect_metrics.then(MetricsSnapshot::default);
 
         // Empty shards resolve immediately (a stats row per planned
-        // shard, exactly like `run_sharded`); manifests are rendered
-        // once up front — identical across attempts.
+        // shard); manifests are rendered once up front — identical
+        // across attempts.
         for (shard, indices) in plan.iter() {
             let entries: Vec<(usize, &Scenario)> =
                 indices.iter().map(|&i| (i, &scenarios[i])).collect();
@@ -397,7 +397,7 @@ impl Cluster {
                             let track = &mut tracks[sid];
                             track.attempts = attempt;
                             track.state = ShardState::Assigned;
-                            track.deadline = now + config.runner.shard_deadline;
+                            track.deadline = now + config.shard_deadline;
                             if let Some(w) = workers.get_mut(&worker) {
                                 w.busy = Some(shard);
                                 w.last_heartbeat = now;
@@ -511,14 +511,12 @@ fn local_eval(
         cache: true,
         shards: 1,
         strategy: config.runner.strategy,
-        ..RunnerConfig::default()
     });
     sub.run_shard(scenarios, plan.indices(shard), shard)
 }
 
-/// Validates a worker's outcome payload exactly like
-/// `runner::sharded::collect_shard`: parse, shard-id match, full record
-/// coverage, indices in range. `None` sends the shard to requeue.
+/// Validates a worker's outcome payload: parse, shard-id match, full
+/// record coverage, indices in range. `None` sends the shard to requeue.
 fn validate_outcomes(
     text: &str,
     shard: ShardId,

@@ -1,7 +1,7 @@
 //! # mns-dist — transport-agnostic cluster scheduler
 //!
-//! Scales the deterministic experiment engine from one machine's
-//! process pool ([`mns_core::runner::sharded`]) to a cluster of workers
+//! Ships the deterministic experiment engine's shards to workers —
+//! loopback threads, local `dist_worker` processes, or a cluster —
 //! behind a pluggable [`Transport`]:
 //!
 //! | transport | medium | use |

@@ -13,7 +13,6 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mns_core::runner::sharded::locate_named_worker;
 use mns_core::runner::ShardId;
 
 /// Worker identity on the wire (see
@@ -134,6 +133,27 @@ impl LaunchOpts {
 /// [`TransportEvent::Gone`] even if it never completed its handshake.
 pub fn worker_name(index: usize) -> WorkerId {
     format!("w{index}")
+}
+
+/// Searches for a worker binary named `base` next to the current
+/// executable: its own directory, parent directories up to the target
+/// root, and their `deps`/`examples` subdirectories. Returns the first
+/// existing candidate.
+fn locate_named_worker(base: &str) -> Option<PathBuf> {
+    let exe = std::env::current_exe().ok()?;
+    let name = format!("{base}{}", std::env::consts::EXE_SUFFIX);
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    let mut cursor = exe.parent();
+    for _ in 0..3 {
+        let Some(dir) = cursor else { break };
+        dirs.push(dir.to_path_buf());
+        dirs.push(dir.join("deps"));
+        dirs.push(dir.join("examples"));
+        cursor = dir.parent();
+    }
+    dirs.into_iter()
+        .map(|d| d.join(&name))
+        .find(|p| p.is_file())
 }
 
 /// Resolves the `dist_worker` binary for process-backed transports:

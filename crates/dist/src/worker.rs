@@ -5,10 +5,11 @@
 //! on an interval, and answer each
 //! [`Assign`](crate::protocol::Message::Assign) with a
 //! [`Result`](crate::protocol::Message::Result) whose outcome payload is
-//! the exact wire text a `shard_worker` child would have written — a
-//! fresh [`Runner`](mns_core::runner::Runner) per shard so the
-//! cache/dedup scope is the shard, stats restamped with the global shard
-//! id. Evaluation happens on a helper thread so heartbeats keep flowing
+//! the shard's outcome file in the
+//! [`manifest`](mns_core::runner::manifest) wire format — a fresh
+//! [`Runner`](mns_core::runner::Runner) per shard so the cache/dedup
+//! scope is the shard, stats restamped with the global shard id.
+//! Evaluation happens on a helper thread so heartbeats keep flowing
 //! during long shards.
 
 use std::path::Path;
@@ -33,9 +34,9 @@ const STALL_CAP: Duration = Duration::from_secs(600);
 /// the scheduler's outcome parser must reject.
 pub(crate) const CORRUPT_PAYLOAD: &str = "# not an outcome file\ngarbage\n";
 
-/// Evaluates one manifest exactly like a `shard_worker` child process:
-/// parse, run on a fresh engine with `threads` workers, restamp the
-/// stats with the manifest's shard id, and render the outcome file.
+/// Evaluates one shard manifest: parse, run on a fresh engine with
+/// `threads` workers, restamp the stats with the manifest's shard id,
+/// and render the outcome file.
 /// When `collect_metrics` is set, global telemetry is reset + enabled
 /// around the run and the drained snapshot's wire text is returned —
 /// only meaningful in a dedicated worker process, where this worker is
@@ -87,7 +88,8 @@ pub(crate) fn fault_from_env() -> Option<FaultMode> {
 
 /// Runs [`evaluate_manifest`] on a helper thread, invoking `beat` every
 /// `interval` while it runs, so heartbeats keep flowing through a slow
-/// shard.
+/// shard. Returns as soon as the evaluation finishes, not on the next
+/// heartbeat tick.
 pub(crate) fn evaluate_with_heartbeats(
     manifest: String,
     threads: usize,
@@ -95,14 +97,22 @@ pub(crate) fn evaluate_with_heartbeats(
     interval: Duration,
     beat: &mut dyn FnMut(),
 ) -> Result<(String, Option<String>), String> {
-    let handle = thread::spawn(move || evaluate_manifest(&manifest, threads, collect_metrics));
-    while !handle.is_finished() {
-        thread::sleep(interval);
-        beat();
+    let (done_tx, done) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        let _ = done_tx.send(evaluate_manifest(&manifest, threads, collect_metrics));
+    });
+    let result = loop {
+        match done.recv_timeout(interval) {
+            Ok(result) => break Some(result),
+            Err(mpsc::RecvTimeoutError::Timeout) => beat(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => break None,
+        }
+    };
+    match (handle.join(), result) {
+        (Ok(()), Some(result)) => result,
+        // The helper panicked before it could send its result.
+        _ => Err("evaluation panicked".to_owned()),
     }
-    handle
-        .join()
-        .map_err(|_| "evaluation panicked".to_owned())?
 }
 
 /// What one assignment turned into.
@@ -381,7 +391,7 @@ mod tests {
     use mns_core::runner::{conformance_corpus, Runner};
 
     #[test]
-    fn evaluate_manifest_matches_the_shard_worker_contract() {
+    fn evaluate_manifest_matches_a_serial_run_with_restamped_stats() {
         let corpus: Vec<Scenario> = conformance_corpus(42)
             .into_iter()
             .filter(|s| matches!(s, Scenario::Knockout(_) | Scenario::Harvest(_)))
@@ -409,5 +419,28 @@ mod tests {
     #[test]
     fn evaluate_manifest_rejects_garbage() {
         assert!(evaluate_manifest("not a manifest", 1, false).is_err());
+    }
+
+    #[test]
+    fn finished_shard_returns_without_waiting_for_a_heartbeat_tick() {
+        let corpus: Vec<Scenario> = conformance_corpus(42)
+            .into_iter()
+            .filter(|s| matches!(s, Scenario::Knockout(_)))
+            .take(2)
+            .collect();
+        assert_eq!(corpus.len(), 2);
+        let entries: Vec<(usize, &Scenario)> = corpus.iter().enumerate().collect();
+        let manifest = write_manifest(ShardId(0), &entries);
+        let mut beats = 0u32;
+        let started = std::time::Instant::now();
+        let (outcomes, _) =
+            evaluate_with_heartbeats(manifest, 1, false, Duration::from_secs(10), &mut || {
+                beats += 1
+            })
+            .expect("manifest evaluates");
+        let elapsed = started.elapsed();
+        assert!(parse_outcomes(&outcomes).is_ok());
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+        assert_eq!(beats, 0, "a quick shard must not wait out a heartbeat");
     }
 }

@@ -1,7 +1,6 @@
 //! Cluster worker: the long-lived endpoint half of `mns-dist`.
 //!
-//! Where `shard_worker` evaluates exactly one manifest and exits, a
-//! `dist_worker` registers with a [`Cluster`](micronano::dist::Cluster)
+//! A `dist_worker` registers with a [`Cluster`](micronano::dist::Cluster)
 //! scheduler, heartbeats on an interval, and evaluates every shard it is
 //! assigned until told to shut down. Usage (normally spawned by a
 //! transport, not by hand):

@@ -6,14 +6,18 @@
 //!
 //! 1. **Transport matrix**: serial == in-process sharded == in-process
 //!    cluster == TCP cluster == spool cluster, for N ∈ {1, 2, 4}
-//!    workers and both shard strategies.
+//!    workers and both shard strategies, and over the full corpus at one
+//!    TCP worker process per shard for 1, 2 and 4 shards. Beyond the
+//!    totals, every cluster report carries the in-process sharded run's
+//!    exact stats layout: the same per-shard and per-worker rows.
 //! 2. **Failure recovery**: a TCP worker killed mid-shard, a TCP worker
 //!    whose heartbeats stall past the liveness window, and a spool
 //!    worker that commits a corrupt result file all requeue onto
 //!    survivors — merged digests unchanged, `dist.requeue` nonzero.
 //! 3. **Telemetry**: merged worker metric *counters* are identical
-//!    across the process-backed transports (histograms carry wall-clock
-//!    timings and are excluded by design).
+//!    across the process-backed transports and agree with the merged
+//!    stats (histograms carry wall-clock timings and are excluded by
+//!    design).
 //! 4. **Degradation**: a cluster whose fleet cannot launch still
 //!    completes every shard in-process with golden digests.
 //!
@@ -28,7 +32,8 @@ use std::sync::Once;
 use std::time::Duration;
 
 use micronano::core::runner::{
-    conformance_corpus, ClusterConfig, Runner, Scenario, ScenarioOutcome, ShardStrategy,
+    conformance_corpus, ClusterConfig, Runner, RunnerConfig, Scenario, ScenarioOutcome,
+    ShardStrategy,
 };
 use micronano::dist::{
     Cluster, ClusterReport, DistFault, FaultMode, InProcess, SpoolTransport, TcpTransport,
@@ -138,6 +143,54 @@ fn assert_matches_serial(corpus: &[Scenario], report: &ClusterReport, context: &
     assert_golden(corpus, &report.outcomes);
 }
 
+/// Asserts a cluster report carries the same stats as the in-process
+/// sharded run at one thread per shard: not just the same totals, but
+/// the same merged stats, per-shard rows and per-worker rows.
+fn assert_in_process_stats_layout(
+    corpus: &[Scenario],
+    report: &ClusterReport,
+    shards: usize,
+    strategy: ShardStrategy,
+    context: &str,
+) {
+    let in_process = RunnerConfig::new()
+        .workers(1)
+        .shards(shards)
+        .strategy(strategy)
+        .build()
+        .run(corpus);
+    assert_eq!(in_process.stats, report.stats, "stats drift: {context}");
+    // The unsharded (shards = 1) in-process path reports no per-shard
+    // rows; a cluster always reports one per planned shard.
+    assert_eq!(report.shards.len(), shards, "{context}");
+    if shards > 1 {
+        assert_eq!(
+            in_process.shards, report.shards,
+            "per-shard stats drift: {context}"
+        );
+    }
+}
+
+/// Serial == cluster over a fresh `transport()` for N ∈ {1, 2, 4}
+/// workers and both strategies on the cheap subset, with the in-process
+/// sharded stats layout and no requeues.
+fn assert_matrix_matches_serial<T: Transport + 'static>(name: &str, transport: impl Fn() -> T) {
+    let corpus = cheap_corpus();
+    for workers in [1usize, 2, 4] {
+        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
+            let config = ClusterConfig::new()
+                .workers(workers)
+                .shards(4)
+                .strategy(strategy);
+            let report = run_cluster(transport(), config, &corpus, None);
+            let context = format!("{name}, {workers} workers, {strategy:?}");
+            assert_matches_serial(&corpus, &report, &context);
+            assert_in_process_stats_layout(&corpus, &report, 4, strategy, &context);
+            assert_eq!(report.requeues, 0, "{context}");
+        }
+    }
+}
+
 #[test]
 fn in_process_cluster_matches_serial_on_full_corpus() {
     let corpus = conformance_corpus(CORPUS_SEED);
@@ -181,62 +234,33 @@ fn spool_cluster_matches_serial_on_full_corpus() {
 
 #[test]
 fn in_process_matrix_matches_serial() {
-    let corpus = cheap_corpus();
-    for workers in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let config = ClusterConfig::new()
-                .workers(workers)
-                .shards(4)
-                .strategy(strategy);
-            let report = Cluster::new(InProcess::new(), config).run(&corpus);
-            assert_matches_serial(
-                &corpus,
-                &report,
-                &format!("in-process, {workers} workers, {strategy:?}"),
-            );
-        }
-    }
+    assert_matrix_matches_serial("in-process", InProcess::new);
 }
 
 #[test]
 fn tcp_matrix_matches_serial() {
-    let corpus = cheap_corpus();
-    for workers in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let config = ClusterConfig::new()
-                .workers(workers)
-                .shards(4)
-                .strategy(strategy);
-            let transport = TcpTransport::bind().expect("loopback listener");
-            let report = run_cluster(transport, config, &corpus, None);
-            assert_matches_serial(
-                &corpus,
-                &report,
-                &format!("tcp, {workers} workers, {strategy:?}"),
-            );
-            assert_eq!(report.requeues, 0, "tcp {workers}w {strategy:?}");
-        }
-    }
+    assert_matrix_matches_serial("tcp", || TcpTransport::bind().expect("loopback listener"));
 }
 
 #[test]
 fn spool_matrix_matches_serial() {
-    let corpus = cheap_corpus();
-    for workers in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let config = ClusterConfig::new()
-                .workers(workers)
-                .shards(4)
-                .strategy(strategy);
-            let transport = SpoolTransport::ephemeral().expect("spool dir");
-            let report = run_cluster(transport, config, &corpus, None);
-            assert_matches_serial(
-                &corpus,
-                &report,
-                &format!("spool, {workers} workers, {strategy:?}"),
-            );
-            assert_eq!(report.requeues, 0, "spool {workers}w {strategy:?}");
-        }
+    assert_matrix_matches_serial("spool", || SpoolTransport::ephemeral().expect("spool dir"));
+}
+
+#[test]
+fn child_process_shards_match_serial_and_golden() {
+    // One worker process per shard over the full corpus: the stats
+    // layout holds at every shard count, not only the matrix's four.
+    let corpus = conformance_corpus(CORPUS_SEED);
+    for shards in [1usize, 2, 4] {
+        let config = ClusterConfig::new().workers(shards).shards(shards);
+        let transport = TcpTransport::bind().expect("loopback listener");
+        let report = run_cluster(transport, config, &corpus, None);
+        let context = format!("{shards} worker processes, full corpus");
+        assert!(report.recovered.is_empty(), "{context}");
+        assert_matches_serial(&corpus, &report, &context);
+        let strategy = ShardStrategy::RoundRobin;
+        assert_in_process_stats_layout(&corpus, &report, shards, strategy, &context);
     }
 }
 
@@ -274,16 +298,17 @@ fn metrics_counters_identical_across_process_transports() {
     assert_matches_serial(&corpus, &tcp, "tcp with metrics");
     assert_matches_serial(&corpus, &spool, "spool with metrics");
 
-    let tcp_counters = &tcp
-        .metrics
-        .as_ref()
-        .expect("tcp metrics collected")
-        .counters;
-    let spool_counters = &spool
-        .metrics
-        .as_ref()
-        .expect("spool metrics collected")
-        .counters;
+    let tcp_metrics = tcp.metrics.as_ref().expect("tcp metrics collected");
+    let spool_metrics = spool.metrics.as_ref().expect("spool metrics collected");
+    for (metrics, report) in [(tcp_metrics, &tcp), (spool_metrics, &spool)] {
+        assert_eq!(
+            metrics.counter("runner.executed"),
+            report.stats.executed,
+            "merged worker telemetry must agree with the merged stats"
+        );
+    }
+    let tcp_counters = &tcp_metrics.counters;
+    let spool_counters = &spool_metrics.counters;
     assert!(
         !tcp_counters.is_empty(),
         "worker runners emit at least one counter"
@@ -291,6 +316,30 @@ fn metrics_counters_identical_across_process_transports() {
     assert_eq!(
         tcp_counters, spool_counters,
         "merged worker counters must not depend on the transport"
+    );
+}
+
+#[test]
+fn child_metrics_are_collected_and_merged() {
+    // Every family but lab-chip pipelines, so the merged counters span
+    // more families than the cheap subset.
+    let batch: Vec<Scenario> = conformance_corpus(CORPUS_SEED)
+        .into_iter()
+        .filter(|s| !matches!(s, Scenario::LabChip(_)))
+        .take(8)
+        .collect();
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(2)
+        .collect_metrics(true);
+    let transport = TcpTransport::bind().expect("loopback listener");
+    let report = run_cluster(transport, config, &batch, None);
+    assert!(report.recovered.is_empty());
+    let metrics = report.metrics.expect("collect_metrics fills the snapshot");
+    assert_eq!(
+        metrics.counter("runner.executed"),
+        report.stats.executed,
+        "merged child telemetry must agree with the merged stats"
     );
 }
 
@@ -345,9 +394,9 @@ fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
 
 #[test]
 fn stalled_worker_trips_the_shard_deadline_when_liveness_is_lenient() {
-    // Satellite contract: the configurable RunnerConfig::shard_deadline
-    // is the cluster's per-shard deadline. With a liveness window too
-    // lenient to notice the stall, the deadline alone must requeue.
+    // ClusterConfig::shard_deadline is the cluster's per-shard deadline.
+    // With a liveness window too lenient to notice the stall, the
+    // deadline alone must requeue.
     let corpus = cheap_corpus();
     let config = ClusterConfig::new()
         .workers(2)

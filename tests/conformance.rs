@@ -1,6 +1,6 @@
 //! Golden-run conformance: the scenario engine's output is pinned.
 //!
-//! Three contracts, in increasing strength:
+//! Five contracts, in increasing strength:
 //!
 //! 1. **Golden**: the serial digests of `conformance_corpus(42)` match
 //!    the committed `tests/golden/corpus.txt` exactly. A mismatch means a
@@ -10,14 +10,21 @@
 //! 2. **Parallel = serial**: 1-, 2- and 8-worker runs of the corpus are
 //!    byte-identical to the serial reference (outcome equality is exact,
 //!    floats by bit pattern).
-//! 3. **Differential (property)**: the same holds for *random* scenario
+//! 3. **In-process shards = serial**: `RunnerConfig::new().shards(n)`
+//!    for n ∈ {1, 2, 4} and both strategies gives the same outcomes,
+//!    [`BatchTotals`] and golden digests.
+//! 4. **Differential (property)**: the same holds for *random* scenario
 //!    batches with duplicates, for random worker counts.
+//! 5. **Merge algebra (property)**: [`BatchStats::merge`] is associative
+//!    and order-insensitive on random stats, so a merged report cannot
+//!    depend on the order in which shards finish.
 
 use std::collections::BTreeMap;
 
 use micronano::core::runner::{
-    conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
-    NocScenario, Runner, RunnerConfig, Scenario, WsnScenario,
+    conformance_corpus, AssayKind, BatchStats, FluidicsScenario, GrnModel, HarvestScenario,
+    KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, ShardId,
+    ShardStrategy, WorkerBatchStats, WsnScenario,
 };
 use micronano::noc::graph::CommGraph;
 use micronano::policy::{PolicyAssignment, PolicyExpr};
@@ -39,6 +46,24 @@ fn golden_digests() -> BTreeMap<String, String> {
             (label.to_owned(), digest.to_owned())
         })
         .collect()
+}
+
+/// Asserts every outcome digest matches the committed golden file.
+fn assert_golden(corpus: &[Scenario], outcomes: &[ScenarioOutcome]) {
+    let golden = golden_digests();
+    assert_eq!(golden.len(), corpus.len());
+    assert_eq!(outcomes.len(), corpus.len());
+    for (scenario, outcome) in corpus.iter().zip(outcomes) {
+        let label = scenario.label();
+        let expected = golden
+            .get(&label)
+            .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
+        assert_eq!(
+            *expected,
+            outcome.digest().to_string(),
+            "golden drift on `{label}`"
+        );
+    }
 }
 
 #[test]
@@ -161,6 +186,33 @@ fn cached_replay_is_byte_identical_to_fresh_run() {
         "a full replay must be served entirely from the cache"
     );
     assert_eq!(runner.stats().cache_hits, corpus.len() as u64);
+}
+
+#[test]
+fn in_process_shards_match_serial_and_golden() {
+    let corpus = conformance_corpus(CORPUS_SEED);
+    let reference = Runner::serial().run(&corpus);
+    for shards in [1usize, 2, 4] {
+        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
+            let report = RunnerConfig::new()
+                .workers(1)
+                .shards(shards)
+                .strategy(strategy)
+                .cache(false)
+                .build()
+                .run(&corpus);
+            assert_eq!(
+                reference.outcomes, report.outcomes,
+                "outcome drift at {shards} in-process shards ({strategy:?})"
+            );
+            assert_eq!(
+                reference.stats.totals(),
+                report.stats.totals(),
+                "stats drift at {shards} in-process shards ({strategy:?})"
+            );
+            assert_golden(&corpus, &report.outcomes);
+        }
+    }
 }
 
 /// Draws a random (always-valid) policy expression: primitives at any
@@ -319,5 +371,68 @@ proptest! {
         let cached = runner.run(&batch).outcomes;
         prop_assert_eq!(&uncached, &warm);
         prop_assert_eq!(&warm, &cached);
+    }
+}
+
+/// A random-but-plausible `BatchStats`, derived deterministically from
+/// `seed` (the vendored proptest has no composite strategies, so the
+/// properties draw seeds and expand them here).
+fn random_stats(seed: u64) -> BatchStats {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let shard = ShardId(rng.gen_range(0..4u32));
+    let per_worker = (0..rng.gen_range(0..4usize))
+        .map(|_| WorkerBatchStats {
+            shard,
+            worker: rng.gen_range(0..4u32),
+            executed: rng.gen_range(0..40),
+            steals: rng.gen_range(0..10),
+            cache_hits: rng.gen_range(0..10),
+        })
+        .collect();
+    BatchStats {
+        shard,
+        scenarios: rng.gen_range(0..100),
+        executed: rng.gen_range(0..100),
+        cache_hits: rng.gen_range(0..50),
+        deduped: rng.gen_range(0..50),
+        steals: rng.gen_range(0..20),
+        per_worker,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c): a scheduler may merge shard results in
+    // any grouping as workers finish.
+    #[test]
+    fn merge_is_associative(
+        sa in 0u64..1_000_000,
+        sb in 0u64..1_000_000,
+        sc in 0u64..1_000_000,
+    ) {
+        let (a, b, c) = (random_stats(sa), random_stats(sb), random_stats(sc));
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut right = a.clone();
+        right.merge(&bc);
+        prop_assert_eq!(left, right);
+    }
+
+    // Merging a permutation of the same parts yields the same report.
+    #[test]
+    fn merge_is_order_insensitive(
+        seeds in collection::vec(0u64..1_000_000, 1..5),
+        i in 0usize..4,
+        j in 0usize..4,
+    ) {
+        let parts: Vec<BatchStats> = seeds.iter().map(|&s| random_stats(s)).collect();
+        let forward = BatchStats::merged(&parts);
+        let mut shuffled: Vec<BatchStats> = parts.iter().rev().cloned().collect();
+        shuffled.swap(i % parts.len(), j % parts.len());
+        prop_assert_eq!(forward, BatchStats::merged(&shuffled));
     }
 }
