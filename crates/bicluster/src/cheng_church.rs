@@ -17,7 +17,7 @@
 //!
 //! The textbook formulation recomputes row means, column means, the grand
 //! mean and the full residue matrix from scratch on every deletion step —
-//! roughly seven O(|I|·|J|) sweeps per iteration. [`find_one`] instead
+//! roughly seven O(|I|·|J|) sweeps per iteration. `find_one` instead
 //! maintains the row/column sums and the squared-entry accumulator of the
 //! live submatrix, updating them in O(|J|) per deleted row and O(|I|) per
 //! deleted column, which makes `H` an O(|I|+|J|) evaluation via the
@@ -25,8 +25,8 @@
 //! sweep per deletion step derives the per-row/per-column residues
 //! (multiple deletion rebuilds the sums once per sweep), counted by the
 //! `bicluster.cc_recomputes` telemetry counter. The textbook
-//! implementation survives in [`reference`] as the differential-test
-//! oracle; both report the same biclusters per seed.
+//! implementation survives in [`reference`](mod@reference) as the
+//! differential-test oracle; both report the same biclusters per seed.
 
 use rand::Rng;
 use rand::SeedableRng;

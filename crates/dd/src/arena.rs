@@ -108,7 +108,7 @@ fn cache_hash(op: u32, a: Ref, b: Ref, c: Ref) -> u64 {
 
 /// The arena: node storage, free list, unique table, computed cache and
 /// protection registry. Shared by the BDD and ZDD managers — only the
-/// reduction rule (applied before [`intern`](DdArena::intern) by the
+/// reduction rule (applied before `DdArena::intern` by the
 /// caller) differs between the flavours.
 #[derive(Debug)]
 pub struct DdArena {

@@ -1,16 +1,14 @@
 //! The transport-agnostic cluster scheduler.
 //!
 //! [`Cluster::run`] turns one scenario batch into a fault-tolerant
-//! distributed sweep: split with the engine's own
-//! [`ShardPlan`](mns_core::runner::ShardPlan), assign shards to
-//! registered workers, watch per-shard deadlines and heartbeat liveness,
-//! retry with capped exponential backoff (deterministic, seed-derived
-//! jitter), and requeue work from dead, hung or corrupt workers onto
-//! survivors. Results merge through the associative
-//! [`BatchStats`](mns_core::runner::BatchStats) /
-//! [`MetricsSnapshot`](mns_telemetry::MetricsSnapshot) merge, so the
-//! final report is **byte-identical to a serial run** at any worker
-//! count, over any transport, under any injected failure — the same
+//! distributed sweep: split with the engine's own [`ShardPlan`], assign
+//! shards to registered workers, watch per-shard deadlines and heartbeat
+//! liveness, retry with capped exponential backoff (deterministic,
+//! seed-derived jitter), and requeue work from dead, hung or corrupt
+//! workers onto survivors. Results merge through the associative
+//! [`BatchStats`] / [`MetricsSnapshot`] merge, so the final report is
+//! **byte-identical to a serial run** at any worker count, over any
+//! transport, under any injected failure — the same
 //! detect-requeue-converge discipline the fault-tolerant biochip
 //! literature applies to electrode failures, applied to the experiment
 //! engine itself.

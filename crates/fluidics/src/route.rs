@@ -23,8 +23,30 @@
 //! else is *hard*. The `best`/`parent` maps of the search itself are dense
 //! epoch-tagged slabs indexed by `(cell, tick)`, so the priority-rotation
 //! retries of [`route_with_environment`] reuse one allocation without
-//! clearing. The pre-index planner survives unchanged in [`reference`] as
-//! the differential-test oracle; both produce byte-identical routes.
+//! clearing. The pre-index planner survives unchanged in
+//! [`reference`](mod@reference) as the differential-test oracle; both
+//! produce byte-identical routes.
+//!
+//! ## The cost of one search step
+//!
+//! Three choices keep each A\* step cheap without changing a route:
+//!
+//! - **Check order.** A successor is rejected first by the horizon, then
+//!   by the `best` slab (a known arrival with no more moves), and only
+//!   then by obstacles, reservations and pending emergence seeds. All
+//!   these checks are pure, so the order changes only which one rejects.
+//! - **Packed heap key.** An open-list node is one `u128` whose integer
+//!   order is the node order `(f, moves, t, cell)`. Its cell part is the
+//!   column-major `x·height + y`, matching [`Cell`]'s derived `(x, y)`
+//!   order; the slabs' row-major index would break ties differently.
+//! - **Sorted pending seeds.** The not-yet-planned droplets' emergence
+//!   seeds are sorted by departure, so a successor check reads only the
+//!   seeds departing within a tick of its arrival.
+//!
+//! The rotation loop also stops at once when a request fails at position
+//! 0 of the planning order: the rotation would leave the order unchanged,
+//! and an attempt depends on nothing else, so every remaining rotation
+//! would repeat the same failure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -442,7 +464,11 @@ fn route_environment_inner(
             }
             Err(failed_pos) => {
                 rotations += 1;
-                if rotations > config.max_priority_rotations {
+                // A request failing at position 0 is already in front, so
+                // the rotation would leave `order` unchanged, and
+                // `try_order` is a pure function of `order`: every
+                // remaining rotation would repeat this exact failure.
+                if failed_pos == 0 || rotations > config.max_priority_rotations {
                     return Err(RouteError::Unroutable(requests[order[failed_pos]].id));
                 }
                 // Move the failed request to the front and retry.
@@ -819,6 +845,26 @@ impl SearchSlab {
     }
 }
 
+/// Packs an A\* node into one open-list key whose integer order is the
+/// lexicographic order of `(f, moves, t, cell)`, with cells in
+/// [`Cell`]'s derived `(x, y)` order. The cell part is therefore the
+/// column-major index `x·height + y`; the slabs' row-major `y·width + x`
+/// would reorder ties and change routes. Like
+/// [`SearchSlot::parent_cell`], the index must fit a `u32`.
+#[inline]
+fn node_key(f: u32, moves: u32, t: u32, cell: Cell, height: i32) -> u128 {
+    let column_major = (cell.x * height + cell.y) as u32;
+    u128::from(f) << 96 | u128::from(moves) << 64 | u128::from(t) << 32 | u128::from(column_major)
+}
+
+/// Unpacks a [`node_key`] into `(moves, t, cell)`.
+#[inline]
+fn node_of(key: u128, height: i32) -> (u32, u32, Cell) {
+    let column_major = key as u32 as i32;
+    let cell = Cell::new(column_major / height, column_major % height);
+    ((key >> 64) as u32, (key >> 32) as u32, cell)
+}
+
 /// Attempts to plan every request in the given order. On failure returns
 /// the *position in `order`* of the request that could not be planned.
 #[allow(clippy::too_many_arguments)]
@@ -838,7 +884,7 @@ fn try_order(
     let mut by_index: Vec<Option<Route>> = vec![None; requests.len()];
     for (pos, &idx) in order.iter().enumerate() {
         let req = &requests[idx];
-        let pending: Vec<PendingSeed> = order[pos + 1..]
+        let mut pending: Vec<PendingSeed> = order[pos + 1..]
             .iter()
             .map(|&j| PendingSeed {
                 cell: requests[j].start,
@@ -846,6 +892,7 @@ fn try_order(
                 merge_group: requests[j].merge_group,
             })
             .collect();
+        pending.sort_by_key(|p| p.depart);
         match astar(
             grid,
             req,
@@ -880,6 +927,9 @@ fn try_order(
 /// tick — and violating it (or, under the dynamic rule, the ticks
 /// adjacent to it) makes the rest of the priority order unroutable no
 /// matter how it is planned.
+///
+/// `pending` is sorted by `depart`, so only the seeds departing within a
+/// tick of `tau` (exactly at `tau` under lookahead 0) are read.
 #[inline]
 fn pending_ok(
     next: Cell,
@@ -888,20 +938,19 @@ fn pending_ok(
     my_group: Option<u32>,
     lookahead: u32,
 ) -> bool {
-    for p in pending {
-        if my_group.is_some() && p.merge_group == my_group {
-            continue;
-        }
-        let near = if lookahead == 0 {
-            tau == p.depart
-        } else {
-            tau + 1 >= p.depart && tau <= p.depart + 1
-        };
-        if near && next.chebyshev(p.cell) < MIN_SEPARATION {
-            return false;
-        }
-    }
-    true
+    let (lo, hi) = if lookahead == 0 {
+        (tau, tau)
+    } else {
+        (tau.saturating_sub(1), tau + 1)
+    };
+    let first = pending.partition_point(|p| p.depart < lo);
+    pending[first..]
+        .iter()
+        .take_while(|p| p.depart <= hi)
+        .all(|p| {
+            (my_group.is_some() && p.merge_group == my_group)
+                || next.chebyshev(p.cell) >= MIN_SEPARATION
+        })
 }
 
 /// Space-time A\* for one droplet against the reservation index.
@@ -922,29 +971,7 @@ fn astar(
     slab: &mut SearchSlab,
     expansions: &mut u64,
 ) -> Option<Route> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        f: u32,
-        moves: u32,
-        cell: Cell,
-        t: u32,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .f
-                .cmp(&self.f)
-                .then_with(|| other.moves.cmp(&self.moves))
-                .then_with(|| other.t.cmp(&self.t))
-                .then_with(|| other.cell.cmp(&self.cell))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
+    let height = grid.height();
     let relative_cap = req.depart.saturating_add(config.max_time);
     let horizon = req.deadline.unwrap_or(relative_cap).min(relative_cap);
     let h0 = req.start.manhattan(req.goal) as u32;
@@ -989,16 +1016,13 @@ fn astar(
             })
     };
     if emergence_legal {
-        open.push(Node {
-            f: req.depart + h0,
-            moves: 0,
-            cell: req.start,
-            t: req.depart,
-        });
+        let seed = node_key(req.depart + h0, 0, req.depart, req.start, height);
+        open.push(Reverse(seed));
         slab.visit(req.start, 0, 0, NO_PARENT, 0);
     }
 
-    while let Some(Node { cell, t, moves, .. }) = open.pop() {
+    while let Some(Reverse(key)) = open.pop() {
+        let (moves, t, cell) = node_of(key, height);
         if moves > slab.best(cell, t - req.depart) {
             continue; // stale heap entry
         }
@@ -1052,6 +1076,13 @@ fn astar(
             if t + dt + h > horizon {
                 continue; // cannot make the deadline from there
             }
+            // The checks below are pure, so testing the one-load `best`
+            // first changes only which check rejects a successor.
+            let new_moves = moves + u32::from(next != cell);
+            let t_next = t + dt;
+            if new_moves >= slab.best(next, t_next - req.depart) {
+                continue;
+            }
             if (1..=dt).any(|d| walls.blocked(next, t + d, &req.ignore_tags)) {
                 continue;
             }
@@ -1065,18 +1096,10 @@ fn astar(
             }) {
                 continue;
             }
-            let new_moves = moves + u32::from(next != cell);
-            let t_next = t + dt;
-            if new_moves < slab.best(next, t_next - req.depart) {
-                let parent_cell = (cell.y * grid.width() + cell.x) as u32;
-                slab.visit(next, t_next - req.depart, new_moves, parent_cell, t);
-                open.push(Node {
-                    f: t_next + h,
-                    moves: new_moves,
-                    cell: next,
-                    t: t_next,
-                });
-            }
+            let parent_cell = (cell.y * grid.width() + cell.x) as u32;
+            slab.visit(next, t_next - req.depart, new_moves, parent_cell, t);
+            let successor = node_key(t_next + h, new_moves, t_next, next, height);
+            open.push(Reverse(successor));
         }
     }
     None
@@ -1650,6 +1673,129 @@ mod tests {
         };
         assert_eq!(cfg, literal);
         assert_eq!(RoutingConfig::new(), RoutingConfig::default());
+    }
+
+    #[test]
+    fn node_key_orders_like_the_node_tuple() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6e0d_e4e7);
+        for (w, h) in [(7, 19), (19, 7), (16, 16), (1, 9), (9, 1)] {
+            let corners = [
+                Cell::new(0, 0),
+                Cell::new(w - 1, 0),
+                Cell::new(0, h - 1),
+                Cell::new(w - 1, h - 1),
+            ];
+            let draw = |rng: &mut ChaCha8Rng| {
+                let mut field = || match rng.gen_range(0..8) {
+                    0 => u32::MAX,
+                    1 => u32::MAX - 1,
+                    _ => rng.gen_range(0..4),
+                };
+                let (f, moves, t) = (field(), field(), field());
+                let cell = if rng.gen_bool(0.3) {
+                    corners[rng.gen_range(0..4)]
+                } else {
+                    Cell::new(rng.gen_range(0..w), rng.gen_range(0..h))
+                };
+                (f, moves, t, cell)
+            };
+            let key = |(f, moves, t, c): (u32, u32, u32, Cell)| node_key(f, moves, t, c, h);
+            let tuple = |(f, moves, t, c): (u32, u32, u32, Cell)| (f, moves, t, c.x, c.y);
+            let row_major = |(f, moves, t, c): (u32, u32, u32, Cell)| {
+                node_key(f, moves, t, Cell::new(0, 0), h) | u128::from((c.y * w + c.x) as u32)
+            };
+            let mut row_major_misorders = 0;
+            for _ in 0..5_000 {
+                let a = draw(&mut rng);
+                let mut b = draw(&mut rng);
+                // Share a prefix of 0–3 fields so the later fields decide.
+                let shared = rng.gen_range(0..4);
+                if shared >= 1 {
+                    b.0 = a.0;
+                }
+                if shared >= 2 {
+                    b.1 = a.1;
+                }
+                if shared >= 3 {
+                    b.2 = a.2;
+                }
+                let order = tuple(a).cmp(&tuple(b));
+                assert_eq!(key(a).cmp(&key(b)), order, "{w}×{h}: {a:?} vs {b:?}");
+                assert_eq!(node_of(key(a), h), (a.1, a.2, a.3));
+                if row_major(a).cmp(&row_major(b)) != order {
+                    row_major_misorders += 1;
+                }
+            }
+            // The sample can tell the encodings apart wherever they differ.
+            assert_eq!(row_major_misorders > 0, w > 1 && h > 1, "{w}×{h}");
+        }
+    }
+
+    #[test]
+    fn position_zero_failure_skips_the_repeated_rotations() {
+        // A ring-less wall across the array until tick 20 holds the
+        // droplet back. The deadline fits the Manhattan bound, so the
+        // up-front check passes, but no route arrives in time. A lone
+        // request fails at position 0, so 32 allowed rotations must cost
+        // no more search than none.
+        let g = grid(8, 8);
+        let wall = Obstacle {
+            min: Cell::new(3, 0),
+            max: Cell::new(3, 7),
+            from: 0,
+            until: 20,
+            tag: 0,
+            ring: false,
+        };
+        let req = RoutingRequest::new(5, Cell::new(0, 0), Cell::new(7, 0)).with_deadline(9);
+        let run = |cfg: &RoutingConfig| {
+            let mut expansions = 0;
+            let reqs = std::slice::from_ref(&req);
+            let out = route_environment_inner(&g, reqs, &[wall], &[], cfg, &mut expansions);
+            (out, expansions)
+        };
+        let (out, expansions) = run(&RoutingConfig::default());
+        let (out_none, expansions_none) = run(&RoutingConfig::new().max_priority_rotations(0));
+        assert_eq!(out, Err(RouteError::Unroutable(5)));
+        assert_eq!(out_none, out);
+        assert!(expansions_none > 0);
+        assert_eq!(expansions, expansions_none);
+        let oracle =
+            reference::route_with_environment(&g, &[req], &[wall], &[], &RoutingConfig::default());
+        assert_eq!(out, oracle);
+    }
+
+    #[test]
+    fn corpus_wash_batch_fails_at_position_zero_on_its_second_attempt() {
+        // The transport plan of the golden corpus's wash2x1 assay at its
+        // base latency. The first attempt fails further down the order;
+        // the rotation moves that request to the front, where it fails
+        // again, and the search stops there: any budget of one rotation
+        // or more does exactly the same work.
+        use crate::assay::AssayKind;
+        use crate::compiler::{transport_plan, CompilerConfig};
+        use crate::schedule::schedule_with_keepout;
+
+        let cfg = CompilerConfig::default();
+        let g = grid(16, 16);
+        let assay = AssayKind::Washing { wash_steps: 1 }.instantiate(2);
+        let sched = schedule_with_keepout(&assay, &g, &cfg.library, &cfg.schedule, &[]).unwrap();
+        let (reqs, walls) = transport_plan(&assay, &sched);
+        let run = |rotations: u32| {
+            let mut expansions = 0;
+            let routing = cfg.routing.max_priority_rotations(rotations);
+            let out = route_environment_inner(&g, &reqs, &walls, &[], &routing, &mut expansions);
+            (out, expansions)
+        };
+        let (out, expansions) = run(cfg.routing.max_priority_rotations);
+        assert!(matches!(out, Err(RouteError::Unroutable(_))), "{out:?}");
+        assert_eq!(run(1), (out.clone(), expansions));
+        let (out_none, expansions_none) = run(0);
+        assert_eq!(out_none, out);
+        assert!(expansions_none < expansions);
     }
 
     #[test]

@@ -432,8 +432,9 @@ impl PolicyAssignment {
     ///
     /// # Panics
     ///
-    /// Panics if a `RoundRobin` assignment is empty — [`validate`]
-    /// (PolicyAssignment::validate) rejects that at construction.
+    /// Panics if a `RoundRobin` assignment is empty —
+    /// [`validate`](PolicyAssignment::validate) rejects that at
+    /// construction.
     pub fn policy_for(&self, node: usize) -> &PolicyExpr {
         match self {
             PolicyAssignment::Uniform(p) => p,

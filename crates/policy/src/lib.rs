@@ -22,10 +22,11 @@
 //!   once per slot by the simulators in `mns-wsn`.
 //! * [`PolicyAssignment`] — per-node heterogeneous policies for
 //!   multi-node fleets (uniform, or a round-robin mix).
-//! * [`reference`] — the retained historical [`reference::DutyPolicy`]
-//!   enum. `mns_wsn::harvest::simulate_harvesting` still evaluates it
-//!   with the original inline match; differential proptests pin the new
-//!   engine's primitives byte-identical to it.
+//! * [`reference`](mod@reference) — the retained historical
+//!   [`reference::DutyPolicy`] enum.
+//!   `mns_wsn::harvest::simulate_harvesting` still evaluates it with the
+//!   original inline match; differential proptests pin the new engine's
+//!   primitives byte-identical to it.
 //!
 //! Construction is validated ([`PolicyError`]): NaN parameters, duties
 //! outside `[0, 1]` and non-positive EWMA smoothing factors are typed

@@ -4,12 +4,10 @@
 //! that `mns_wsn::harvest::simulate_harvesting` evaluates inline, slot
 //! by slot, exactly as it always has. It stays as the **reference
 //! evaluator**: the expression engine's primitives
-//! ([`PolicyExpr::Fixed`](crate::PolicyExpr::Fixed),
-//! [`PolicyExpr::Greedy`](crate::PolicyExpr::Greedy),
-//! [`PolicyExpr::EnergyNeutral`](crate::PolicyExpr::EnergyNeutral))
-//! are pinned byte-identical to it by differential proptests
-//! (`tests/policy_properties.rs`), the same oracle pattern the droplet
-//! router and Cheng–Church engines use.
+//! ([`PolicyExpr::Fixed`], [`PolicyExpr::Greedy`],
+//! [`PolicyExpr::EnergyNeutral`]) are pinned byte-identical to it by
+//! differential proptests (`tests/policy_properties.rs`), the same oracle
+//! pattern the droplet router and Cheng–Church engines use.
 
 use crate::PolicyExpr;
 

@@ -132,7 +132,7 @@ thread_local! {
 /// Completed root spans awaiting [`take_trace`](crate::take_trace).
 static FINISHED: Mutex<Vec<SpanNode>> = Mutex::new(Vec::new());
 
-/// RAII guard for one span. Created by [`span`](crate::span) /
+/// RAII guard for one span. Created by [`span`](fn@crate::span) /
 /// [`task_span`](crate::task_span); closing happens on drop. Guards
 /// must drop in LIFO order (guaranteed by lexical scoping).
 #[must_use = "a span measures the scope it lives in"]

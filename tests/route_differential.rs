@@ -4,15 +4,18 @@
 //! deadlines, merge groups, obstacles and degraded electrodes, and the
 //! transport batches real `random_protocol` compilations hand the router —
 //! both planners must return byte-identical results: the same `Route`
-//! sequences, the same `RoutingOutcome` stats, or the same error.
+//! sequences, the same `RoutingOutcome` stats, or the same error. Every
+//! batch a fault-free compile of the golden corpus routes is pinned too,
+//! failures included.
 //!
 //! All randomness is seed-derived through the vendored deterministic
 //! proptest, so the exact same cases replay in CI.
 
-use micronano::fluidics::compiler::transport_plan;
+use micronano::core::runner::{conformance_corpus, Scenario};
+use micronano::fluidics::compiler::{transport_plan, CompilerConfig};
 use micronano::fluidics::geometry::{Cell, Grid};
 use micronano::fluidics::modules::ModuleLibrary;
-use micronano::fluidics::route::{self, Obstacle, RoutingConfig};
+use micronano::fluidics::route::{self, Obstacle, RouteError, RoutingConfig};
 use micronano::fluidics::schedule::{schedule_with_keepout, ScheduleConfig};
 use micronano::fluidics::workload::{random_protocol, random_routing_instance, RoutingWorkload};
 use proptest::prelude::*;
@@ -124,4 +127,50 @@ proptest! {
             route::reference::route_with_environment(&grid, &requests, &obstacles, &[], &cfg);
         prop_assert_eq!(fast, oracle);
     }
+}
+
+/// Every batch a fault-free compile of the golden corpus can hand the
+/// router: each fluidics scenario's transport plan at each transport
+/// latency the compiler tries (×1, ×2, ×4, ×8). Both planners must agree
+/// exactly, errors included. `wash2x1` at its base latency ends in
+/// `Unroutable` after its failing request has moved to the front of the
+/// order, the case the rotation loop cuts short (see the unit tests in
+/// `route.rs`).
+#[test]
+fn matches_oracle_on_corpus_compile_batches() {
+    let cfg = CompilerConfig::default();
+    let mut unroutable = Vec::new();
+    for scenario in conformance_corpus(42) {
+        let Scenario::FluidicsCompile(s) = &scenario else {
+            continue;
+        };
+        if s.dead_fraction > 0.0 {
+            continue;
+        }
+        let assay = s.assay.instantiate(s.plex);
+        let grid = Grid::new(s.grid_side, s.grid_side).expect("valid grid");
+        let mut sched_cfg = cfg.schedule;
+        for retry in 0..=cfg.max_latency_retries {
+            let sched = schedule_with_keepout(&assay, &grid, &cfg.library, &sched_cfg, &[])
+                .expect("corpus assays schedule on a clean array");
+            let (requests, obstacles) = transport_plan(&assay, &sched);
+            let fast =
+                route::route_with_environment(&grid, &requests, &obstacles, &[], &cfg.routing);
+            let oracle = route::reference::route_with_environment(
+                &grid,
+                &requests,
+                &obstacles,
+                &[],
+                &cfg.routing,
+            );
+            let batch = format!("{} at latency ×{}", scenario.label(), 1 << retry);
+            assert_eq!(fast, oracle, "{batch}");
+            if matches!(fast, Err(RouteError::Unroutable(_))) {
+                unroutable.push(batch);
+            }
+            sched_cfg.transport_latency *= 2;
+        }
+    }
+    let wash = "fluidics/wash2x1-g16-dead0pm-s0 at latency ×1".to_owned();
+    assert!(unroutable.contains(&wash), "{unroutable:?}");
 }
