@@ -37,7 +37,6 @@ fn bench_parallel_sweep(c: &mut Criterion) {
                 b.iter(|| {
                     RunnerConfig::new()
                         .workers(workers)
-                        .cache(false)
                         .build()
                         .run(&scenarios)
                         .outcomes

@@ -62,12 +62,7 @@ fn mixed_batch() -> Vec<Scenario> {
 }
 
 fn run_plain(batch: &[Scenario]) -> Vec<ScenarioOutcome> {
-    RunnerConfig::new()
-        .workers(2)
-        .cache(false)
-        .build()
-        .run(batch)
-        .outcomes
+    RunnerConfig::new().workers(2).build().run(batch).outcomes
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

@@ -545,7 +545,7 @@ pub fn e7_noc_synthesis(seed: u64) -> Vec<Table> {
         &app,
         &[2, 3, 4, 8],
         &[0, 2, 4, 8],
-        RunnerConfig::new().workers(0).cache(false),
+        RunnerConfig::new().workers(0),
     );
     let mut p = Table::new(
         "E7b",
@@ -897,7 +897,6 @@ pub fn a5_parallel_runner(seed: u64) -> Vec<Table> {
     let sweep = |workers: usize| {
         RunnerConfig::new()
             .workers(workers)
-            .cache(false)
             .build()
             .run(&scenarios)
             .outcomes
@@ -925,22 +924,23 @@ pub fn a5_parallel_runner(seed: u64) -> Vec<Table> {
 
     let mut c = Table::new(
         "A5b",
-        "fingerprint cache across repeated sweeps",
+        "outcome cache across repeated sweeps",
         &["pass", "time ms", "executed", "cache hits"],
     );
     let mut runner = Runner::with_workers(cores);
     for pass in 1..=2 {
-        let before = runner.stats();
         let start = Instant::now();
-        let out = runner.run(&scenarios).outcomes;
+        let report = runner.run(&scenarios);
         let elapsed = ms(start);
-        assert_eq!(out, reference, "cached pass must match the reference");
-        let after = runner.stats();
+        assert_eq!(
+            report.outcomes, reference,
+            "cached pass must match the reference"
+        );
         c.row_owned(vec![
             pass.to_string(),
             fmt_f64(elapsed),
-            (after.executed - before.executed).to_string(),
-            (after.cache_hits - before.cache_hits).to_string(),
+            report.stats.executed.to_string(),
+            report.stats.cache_hits.to_string(),
         ]);
     }
     vec![t, c]

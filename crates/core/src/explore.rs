@@ -80,7 +80,7 @@ pub struct NocDesignPoint {
 /// Sweeps topology-synthesis parameters for one application and returns
 /// every evaluated point plus the indices of the latency/energy/area
 /// Pareto front. Serial shorthand for [`explore_noc_with`] with one
-/// worker and no cache.
+/// worker.
 pub fn explore_noc(
     app: &CommGraph,
     cluster_sizes: &[usize],
@@ -90,14 +90,14 @@ pub fn explore_noc(
         app,
         cluster_sizes,
         shortcut_budgets,
-        RunnerConfig::new().workers(1).cache(false),
+        RunnerConfig::new().workers(1),
     )
 }
 
 /// [`explore_noc`] on the scenario engine: every `(cluster, shortcuts)`
 /// design point becomes a [`Scenario::NocPoint`] evaluated by a
-/// [`Runner`](crate::runner::Runner) built from `config` — any worker,
-/// shard or cache configuration. The conformance contract guarantees the
+/// [`Runner`](crate::runner::Runner) built from `config` — any worker
+/// or shard configuration. The conformance contract guarantees the
 /// result is byte-identical for every worker and shard count; infeasible
 /// points (no route set) are dropped, matching the serial sweep.
 pub fn explore_noc_with(
@@ -247,7 +247,7 @@ mod tests {
         let app = CommGraph::hotspot(16, 1.0);
         let serial = explore_noc(&app, &[2, 4, 8], &[0, 4]);
         for workers in [2, 4, 0] {
-            let config = RunnerConfig::new().workers(workers).cache(false);
+            let config = RunnerConfig::new().workers(workers);
             let par = explore_noc_with(&app, &[2, 4, 8], &[0, 4], config);
             assert_eq!(serial, par, "divergence at workers={workers}");
         }
@@ -256,7 +256,7 @@ mod tests {
             &app,
             &[2, 4, 8],
             &[0, 4],
-            RunnerConfig::new().workers(2).shards(3).cache(false),
+            RunnerConfig::new().workers(2).shards(3),
         );
         assert_eq!(serial, sharded, "divergence under sharding");
     }

@@ -15,7 +15,7 @@
 //!   filtering, applied to NoC topology synthesis (`mns-noc`),
 //! * [`runner`] — the deterministic parallel experiment engine: batched
 //!   [`Scenario`](runner::Scenario) evaluation across worker threads with
-//!   work stealing, fingerprint caching, deterministic sharding (in
+//!   work stealing, exact outcome caching, deterministic sharding (in
 //!   process, or across worker processes through the shard
 //!   [`manifest`](runner::manifest) wire format that `mns-dist` ships),
 //!   and byte-identical serial / parallel / sharded outcomes (the

@@ -23,12 +23,13 @@
 //!
 //! ## Caching
 //!
-//! Every scenario has a stable [`fingerprint`](Scenario::fingerprint)
-//! (FNV-1a over a canonical field encoding; floats hashed via IEEE bits).
-//! The runner memoizes outcomes by fingerprint, so a repeated sweep —
-//! common when an exploration loop re-visits design points — skips
-//! already-evaluated scenarios, and duplicates inside one batch are
-//! evaluated once.
+//! The runner memoizes outcomes under each scenario's wire record
+//! ([`manifest::encode_scenario`]), which carries every parameter and
+//! every float bit, so two scenarios share a key only if they are equal.
+//! A repeated sweep — common when an exploration loop re-visits design
+//! points — skips already-evaluated scenarios, and duplicates inside one
+//! batch are evaluated once. Keys are compared in full; a hash value
+//! never decides a hit.
 //!
 //! ## Sharding
 //!
@@ -44,7 +45,8 @@
 //! crash detection, requeue-on-failure) is the `mns-dist` cluster
 //! scheduler's job, configured by [`ClusterConfig`].
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 use std::thread;
@@ -82,9 +84,10 @@ impl fmt::Display for Digest {
     }
 }
 
-/// FNV-1a accumulator over a canonical field encoding. Every value is
-/// framed (tag or length first) so distinct field sequences cannot
-/// collide by concatenation.
+/// FNV-1a-64 accumulator. [`ScenarioOutcome::digest`] feeds it a
+/// canonical field encoding in which every value is framed (tag or length
+/// first), so distinct field sequences cannot collide by concatenation;
+/// [`Scenario::fingerprint`] feeds it the raw bytes of a wire record.
 #[derive(Debug, Clone)]
 struct Canon(u64);
 
@@ -108,10 +111,6 @@ impl Canon {
         self.u64(v as u64);
     }
 
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
     /// Floats hash by IEEE-754 bit pattern: byte-identical is the
     /// conformance contract, not approximate equality.
     fn f64(&mut self, v: f64) {
@@ -131,99 +130,6 @@ impl Canon {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// Canonical encoding of an [`AssayKind`] into a fingerprint: one tag
-/// byte per variant, then any shape knobs.
-fn canon_assay(c: &mut Canon, kind: AssayKind) {
-    match kind {
-        AssayKind::Multiplex => c.byte(0),
-        AssayKind::SerialDilution => c.byte(1),
-        AssayKind::Washing { wash_steps } => {
-            c.byte(2);
-            c.usize(wash_steps);
-        }
-        AssayKind::MixingTree { fanin } => {
-            c.byte(3);
-            c.usize(fanin);
-        }
-        AssayKind::DilutionGradient => c.byte(4),
-    }
-}
-
-/// Canonical encoding of a [`PolicyExpr`] into a fingerprint: one tag
-/// byte per variant, children recursively. The primitive tags (0–2) and
-/// payloads are byte-identical to the historical `DutyPolicy` encoding,
-/// so every pre-engine Harvest fingerprint is preserved.
-fn canon_policy(c: &mut Canon, p: &PolicyExpr) {
-    match p {
-        PolicyExpr::Fixed(d) => {
-            c.byte(0);
-            c.f64(*d);
-        }
-        PolicyExpr::Greedy {
-            threshold,
-            duty_high,
-            duty_low,
-        } => {
-            c.byte(1);
-            c.f64(*threshold);
-            c.f64(*duty_high);
-            c.f64(*duty_low);
-        }
-        PolicyExpr::EnergyNeutral { alpha } => {
-            c.byte(2);
-            c.f64(*alpha);
-        }
-        PolicyExpr::Forecast { alpha } => {
-            c.byte(3);
-            c.f64(*alpha);
-        }
-        PolicyExpr::Derate { inner, fade, floor } => {
-            c.byte(4);
-            c.f64(*fade);
-            c.f64(*floor);
-            canon_policy(c, inner);
-        }
-        PolicyExpr::Hysteresis { low, high, on, off } => {
-            c.byte(5);
-            c.f64(*low);
-            c.f64(*high);
-            canon_policy(c, on);
-            canon_policy(c, off);
-        }
-        PolicyExpr::Scheduled { pieces } => {
-            c.byte(6);
-            c.usize(pieces.len());
-            for (start, piece) in pieces {
-                c.u64(*start);
-                canon_policy(c, piece);
-            }
-        }
-        PolicyExpr::Clamp { inner, lo, hi } => {
-            c.byte(7);
-            c.f64(*lo);
-            c.f64(*hi);
-            canon_policy(c, inner);
-        }
-    }
-}
-
-/// Canonical encoding of a [`PolicyAssignment`].
-fn canon_assignment(c: &mut Canon, a: &PolicyAssignment) {
-    match a {
-        PolicyAssignment::Uniform(p) => {
-            c.byte(1);
-            canon_policy(c, p);
-        }
-        PolicyAssignment::RoundRobin(ps) => {
-            c.byte(2);
-            c.usize(ps.len());
-            for p in ps {
-                canon_policy(c, p);
-            }
-        }
     }
 }
 
@@ -358,92 +264,15 @@ impl Scenario {
         }
     }
 
-    /// Stable cache key: FNV-1a over a canonical encoding of every
-    /// parameter (tag first, floats by bit pattern).
+    /// FNV-1a-64 over the scenario's wire record
+    /// ([`manifest::encode_scenario`]), stable across runs and processes.
+    /// Distinct scenarios can share a 64-bit value, so no cache hit or
+    /// dedup decision rests on it: the [`Runner`] keys both on the full
+    /// record. It deals [`ShardPlan`] shards.
     pub fn fingerprint(&self) -> u64 {
         let mut c = Canon::new();
-        match self {
-            Scenario::FluidicsCompile(s) => {
-                c.byte(1);
-                canon_assay(&mut c, s.assay);
-                c.usize(s.plex);
-                c.i64(i64::from(s.grid_side));
-                c.f64(s.dead_fraction);
-                c.u64(s.fault_seed);
-            }
-            Scenario::LabChip(s) => {
-                c.byte(2);
-                canon_assay(&mut c, s.assay);
-                c.u64(s.seed);
-                c.usize(s.samples_per_run);
-                c.f64(s.dead_fraction);
-                c.u64(s.fault_seed);
-            }
-            Scenario::NocPoint(s) => {
-                c.byte(3);
-                c.usize(s.app.cores());
-                c.usize(s.app.flows().len());
-                for f in s.app.flows() {
-                    c.usize(f.src);
-                    c.usize(f.dst);
-                    c.f64(f.rate);
-                }
-                c.usize(s.max_cluster);
-                c.usize(s.shortcuts);
-            }
-            Scenario::WsnLifetime(s) => {
-                c.byte(4);
-                c.usize(s.nodes);
-                c.f64(s.side);
-                match s.protocol {
-                    Protocol::Direct => c.byte(0),
-                    Protocol::Tree {
-                        radio_range,
-                        aggregate,
-                    } => {
-                        c.byte(1);
-                        c.f64(radio_range);
-                        c.bool(aggregate);
-                    }
-                    Protocol::Cluster { p, aggregate } => {
-                        c.byte(2);
-                        c.f64(p);
-                        c.bool(aggregate);
-                    }
-                }
-                c.f64(s.failure_rate);
-                c.u64(s.max_rounds);
-                c.u64(s.seed);
-                // Appended only when present: `None` keeps the exact
-                // historical encoding (and therefore fingerprint).
-                if let Some(assignment) = &s.policies {
-                    canon_assignment(&mut c, assignment);
-                }
-            }
-            Scenario::Harvest(s) => {
-                c.byte(5);
-                canon_policy(&mut c, &s.policy);
-                c.u64(u64::from(s.days));
-                c.f64(s.cloudiness);
-                c.u64(s.seed);
-            }
-            Scenario::Knockout(s) => {
-                c.byte(6);
-                match s.model {
-                    GrnModel::THelper => c.byte(0),
-                    GrnModel::Arabidopsis { whorl } => {
-                        c.byte(1);
-                        c.usize(whorl);
-                    }
-                }
-                match &s.knockout {
-                    None => c.byte(0),
-                    Some(g) => {
-                        c.byte(1);
-                        c.str(g);
-                    }
-                }
-            }
+        for b in manifest::encode_scenario(self).bytes() {
+            c.byte(b);
         }
         c.finish()
     }
@@ -929,23 +758,6 @@ impl fmt::Display for ShardId {
     }
 }
 
-/// How [`ShardPlan::split_with`] partitions a batch across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Fingerprint-stable round-robin: scenarios are dealt to shards in
-    /// `(fingerprint, submission index)` order, so the scenario→shard
-    /// assignment depends only on the batch *contents* — reordering the
-    /// batch cannot move a scenario to a different shard.
-    #[default]
-    RoundRobin,
-    /// Keep each scenario family on a single shard; distinct families are
-    /// assigned to shards round-robin in lexicographic family order.
-    /// Useful when per-family locality (caches, telemetry aggregation)
-    /// matters more than balance; with more shards than families the
-    /// surplus shards stay empty.
-    ByFamily,
-}
-
 /// A deterministic partition of a batch into shards.
 ///
 /// Each shard holds the *global submission indices* of its scenarios,
@@ -958,41 +770,22 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Splits `scenarios` into `shards` shards (at least 1) with the
-    /// default [`ShardStrategy::RoundRobin`] strategy.
+    /// Splits `scenarios` into `shards` shards (at least 1) by a
+    /// fingerprint-stable round-robin: scenarios are dealt to shards in
+    /// `(fingerprint, submission index)` order, so the scenario→shard
+    /// assignment depends only on the batch *contents* — reordering the
+    /// batch cannot move a scenario to a different shard.
     pub fn split(scenarios: &[Scenario], shards: usize) -> ShardPlan {
-        ShardPlan::split_with(scenarios, shards, ShardStrategy::RoundRobin)
-    }
-
-    /// Splits `scenarios` into `shards` shards (at least 1) under the
-    /// given strategy.
-    pub fn split_with(scenarios: &[Scenario], shards: usize, strategy: ShardStrategy) -> ShardPlan {
         let shards = shards.max(1);
         let mut assignments = vec![Vec::new(); shards];
-        match strategy {
-            ShardStrategy::RoundRobin => {
-                let mut order: Vec<(u64, usize)> = scenarios
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.fingerprint(), i))
-                    .collect();
-                order.sort_unstable();
-                for (k, &(_, i)) in order.iter().enumerate() {
-                    assignments[k % shards].push(i);
-                }
-            }
-            ShardStrategy::ByFamily => {
-                let mut families: Vec<&'static str> =
-                    scenarios.iter().map(Scenario::family).collect();
-                families.sort_unstable();
-                families.dedup();
-                for (i, s) in scenarios.iter().enumerate() {
-                    let rank = families
-                        .binary_search(&s.family())
-                        .expect("every family is in the sorted index");
-                    assignments[rank % shards].push(i);
-                }
-            }
+        let mut order: Vec<(u64, usize)> = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.fingerprint(), i))
+            .collect();
+        order.sort_unstable();
+        for (k, &(_, i)) in order.iter().enumerate() {
+            assignments[k % shards].push(i);
         }
         // Submission order within a shard, whatever the deal order was.
         for shard in &mut assignments {
@@ -1035,7 +828,7 @@ impl ShardPlan {
 /// ```
 /// use mns_core::runner::RunnerConfig;
 ///
-/// let mut runner = RunnerConfig::new().workers(8).shards(4).cache(true).build();
+/// let mut runner = RunnerConfig::new().workers(8).shards(4).build();
 /// # let _ = runner.run(&[]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1043,30 +836,24 @@ pub struct RunnerConfig {
     /// Worker threads (per shard when sharded); 0 means one per available
     /// hardware thread.
     pub workers: usize,
-    /// Whether outcomes are memoized by scenario fingerprint.
-    pub cache: bool,
     /// Shard count for [`Runner::run`], which evaluates each shard in
     /// this process on a fresh sub-engine; 1 (the default) disables
     /// sharding. The `mns-dist` cluster reads it from
     /// [`ClusterConfig::runner`] to plan the shards it ships to workers.
     pub shards: usize,
-    /// How scenarios are partitioned when `shards > 1`.
-    pub strategy: ShardStrategy,
 }
 
 impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             workers: 0,
-            cache: true,
             shards: 1,
-            strategy: ShardStrategy::RoundRobin,
         }
     }
 }
 
 impl RunnerConfig {
-    /// The default configuration (hardware workers, cache on, unsharded).
+    /// The default configuration (hardware workers, unsharded).
     pub fn new() -> RunnerConfig {
         RunnerConfig::default()
     }
@@ -1078,24 +865,10 @@ impl RunnerConfig {
         self
     }
 
-    /// Turns fingerprint memoization on or off.
-    #[must_use]
-    pub fn cache(mut self, cache: bool) -> RunnerConfig {
-        self.cache = cache;
-        self
-    }
-
     /// Sets the in-process shard count (clamped to at least 1).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> RunnerConfig {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the shard-assignment strategy.
-    #[must_use]
-    pub fn strategy(mut self, strategy: ShardStrategy) -> RunnerConfig {
-        self.strategy = strategy;
         self
     }
 
@@ -1107,7 +880,7 @@ impl RunnerConfig {
 
 /// Cluster-level parameters layered on [`RunnerConfig`] by the
 /// `mns-dist` scheduler. Everything a single worker needs (threads,
-/// cache, shard plan) lives in [`ClusterConfig::runner`]; this struct
+/// shard count) lives in [`ClusterConfig::runner`]; this struct
 /// adds only what a *fleet* of workers needs: how many endpoints, how
 /// long a shard may take, how liveness is judged, and how retries back
 /// off.
@@ -1126,8 +899,8 @@ impl RunnerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Per-worker engine parameters: `runner.workers` is the thread
-    /// count *inside each* cluster worker, and `runner.shards`/`strategy`
-    /// drive the [`ShardPlan`].
+    /// count *inside each* cluster worker, and `runner.shards` sizes the
+    /// [`ShardPlan`].
     pub runner: RunnerConfig,
     /// Cluster worker endpoints to launch (clamped to at least 1).
     pub workers: usize,
@@ -1162,7 +935,6 @@ impl Default for ClusterConfig {
             runner: RunnerConfig {
                 workers: 1,
                 shards: 4,
-                ..RunnerConfig::default()
             },
             workers: 2,
             shard_deadline: Duration::from_secs(120),
@@ -1202,13 +974,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> ClusterConfig {
         self.runner = self.runner.shards(shards);
-        self
-    }
-
-    /// Sets the shard-assignment strategy.
-    #[must_use]
-    pub fn strategy(mut self, strategy: ShardStrategy) -> ClusterConfig {
-        self.runner = self.runner.strategy(strategy);
         self
     }
 
@@ -1271,17 +1036,6 @@ impl ClusterConfig {
     }
 }
 
-/// Execution counters for one runner's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunnerStats {
-    /// Scenarios actually evaluated.
-    pub executed: u64,
-    /// Outcomes served from the fingerprint cache.
-    pub cache_hits: u64,
-    /// Jobs a worker took from another worker's queue.
-    pub steals: u64,
-}
-
 /// Counters for one worker thread within a single batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerBatchStats {
@@ -1309,7 +1063,7 @@ pub struct BatchTotals {
     pub scenarios: u64,
     /// Scenarios actually evaluated.
     pub executed: u64,
-    /// Outcomes served from the fingerprint cache.
+    /// Outcomes served from the outcome cache.
     pub cache_hits: u64,
     /// Duplicate submissions collapsed in-batch.
     pub deduped: u64,
@@ -1329,7 +1083,7 @@ pub struct BatchStats {
     pub scenarios: u64,
     /// Scenarios actually evaluated (after cache and in-batch dedup).
     pub executed: u64,
-    /// Outcomes served from the cross-batch fingerprint cache.
+    /// Outcomes served from the cross-batch outcome cache.
     pub cache_hits: u64,
     /// Duplicate submissions collapsed inside this batch.
     pub deduped: u64,
@@ -1471,10 +1225,8 @@ pub fn default_workers() -> usize {
 pub struct Runner {
     workers: usize,
     shards: usize,
-    strategy: ShardStrategy,
-    cache_enabled: bool,
-    cache: HashMap<u64, ScenarioOutcome>,
-    stats: RunnerStats,
+    /// Outcomes keyed by the scenario's full wire record.
+    cache: HashMap<String, ScenarioOutcome>,
 }
 
 impl Runner {
@@ -1488,10 +1240,7 @@ impl Runner {
         Runner {
             workers,
             shards: config.shards.max(1),
-            strategy: config.strategy,
-            cache_enabled: config.cache,
             cache: HashMap::new(),
-            stats: RunnerStats::default(),
         }
     }
 
@@ -1515,35 +1264,18 @@ impl Runner {
         self.shards
     }
 
-    /// Lifetime execution counters.
-    pub fn stats(&self) -> RunnerStats {
-        self.stats
-    }
-
-    /// Distinct outcomes memoized so far.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Drops every memoized outcome.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-    }
-
-    /// Evaluates one scenario (through the cache).
-    pub fn run_one(&mut self, scenario: &Scenario) -> ScenarioOutcome {
-        self.run(std::slice::from_ref(scenario))
-            .outcomes
-            .pop()
-            .expect("one outcome per scenario")
     }
 
     /// Evaluates a batch behind the consolidated surface, returning a
     /// [`BatchReport`] with outcomes in submission order, merged stats
     /// and (when sharded) a per-shard breakdown.
     ///
-    /// Cached fingerprints are served without re-evaluation; duplicate
-    /// scenarios inside a shard are evaluated once. Remaining jobs are
+    /// Scenarios whose wire record is cached are served without
+    /// re-evaluation; duplicate scenarios inside a shard are evaluated
+    /// once. Remaining jobs are
     /// dealt round-robin to per-worker queues; an idle worker steals from
     /// the tail of a sibling's queue. Because every scenario is a pure
     /// function of its own fields, the schedule cannot affect the result
@@ -1554,7 +1286,8 @@ impl Runner {
     /// is the shard itself — exactly what a worker process would see — so
     /// outcomes and merged [`BatchStats::totals`] are identical whether
     /// the shards run in this process or on `mns-dist` cluster workers.
-    /// Sub-engine caches and counters fold back into this runner.
+    /// A sub-engine's cache ends with its shard, as a worker process's
+    /// would.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         if self.shards <= 1 {
@@ -1566,24 +1299,13 @@ impl Runner {
                 shards: Vec::new(),
             }
         } else {
-            let plan = ShardPlan::split_with(scenarios, self.shards, self.strategy);
+            let plan = ShardPlan::split(scenarios, self.shards);
             let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(scenarios.len());
             let mut shard_stats: Vec<BatchStats> = Vec::with_capacity(plan.shards());
             for (shard, indices) in plan.iter() {
                 let _shard_span = mns_telemetry::task_span("runner.shard", u64::from(shard.0));
-                let mut sub = Runner::new(RunnerConfig {
-                    workers: self.workers,
-                    cache: self.cache_enabled,
-                    shards: 1,
-                    strategy: self.strategy,
-                });
-                let (shard_pairs, stats) = sub.run_shard(scenarios, indices, shard);
-                self.stats.executed += sub.stats.executed;
-                self.stats.cache_hits += sub.stats.cache_hits;
-                self.stats.steals += sub.stats.steals;
-                if self.cache_enabled {
-                    self.cache.extend(sub.cache);
-                }
+                let (shard_pairs, stats) =
+                    Runner::with_workers(self.workers).run_shard(scenarios, indices, shard);
                 pairs.extend(shard_pairs);
                 shard_stats.push(stats);
             }
@@ -1626,36 +1348,37 @@ impl Runner {
         shard: ShardId,
     ) -> (Vec<(usize, ScenarioOutcome)>, BatchStats) {
         let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(indices.len());
-        // Resolve cache hits and pick one representative index per
-        // distinct uncached fingerprint.
-        let mut pending: HashSet<u64> = HashSet::new();
+        // Resolve cache hits and pick one representative index (its job)
+        // per distinct uncached record. Each scenario is encoded once.
+        let mut pending: HashMap<String, usize> = HashMap::new();
         let mut jobs: Vec<usize> = Vec::new();
-        let mut unresolved: Vec<(usize, u64)> = Vec::new();
+        let mut unresolved: Vec<(usize, usize)> = Vec::new();
         let mut batch = BatchStats {
             shard,
             scenarios: indices.len() as u64,
             ..BatchStats::default()
         };
         for &i in indices {
-            let fp = scenarios[i].fingerprint();
-            if self.cache_enabled {
-                if let Some(hit) = self.cache.get(&fp) {
-                    pairs.push((i, hit.clone()));
-                    self.stats.cache_hits += 1;
-                    batch.cache_hits += 1;
-                    continue;
+            let record = manifest::encode_scenario(&scenarios[i]);
+            if let Some(hit) = self.cache.get(&record) {
+                pairs.push((i, hit.clone()));
+                batch.cache_hits += 1;
+                continue;
+            }
+            let job = match pending.entry(record) {
+                Entry::Occupied(e) => {
+                    batch.deduped += 1;
+                    *e.get()
                 }
-            }
-            if pending.insert(fp) {
-                jobs.push(i);
-            } else {
-                batch.deduped += 1;
-            }
-            unresolved.push((i, fp));
+                Entry::Vacant(e) => {
+                    jobs.push(i);
+                    *e.insert(i)
+                }
+            };
+            unresolved.push((i, job));
         }
 
         let (fresh, per_worker) = self.execute(scenarios, &jobs);
-        self.stats.executed += fresh.len() as u64;
         batch.executed = fresh.len() as u64;
         batch.steals = per_worker.iter().map(|w| w.steals).sum();
         batch.per_worker = per_worker
@@ -1675,22 +1398,13 @@ impl Runner {
         mns_telemetry::counter_add("runner.cache_hits", batch.cache_hits);
         mns_telemetry::counter_add("runner.deduped", batch.deduped);
         mns_telemetry::counter_add("runner.steals", batch.steals);
-        let mut by_fp: HashMap<u64, ScenarioOutcome> = HashMap::with_capacity(fresh.len());
-        for (idx, outcome) in fresh {
-            let fp = scenarios[idx].fingerprint();
-            if self.cache_enabled {
-                self.cache.insert(fp, outcome.clone());
-            }
-            by_fp.insert(fp, outcome);
+        let mut fresh: HashMap<usize, ScenarioOutcome> = fresh.into_iter().collect();
+        for (i, job) in unresolved {
+            pairs.push((i, fresh[&job].clone()));
         }
-        for (i, fp) in unresolved {
-            pairs.push((
-                i,
-                by_fp
-                    .get(&fp)
-                    .expect("every pending fingerprint was evaluated")
-                    .clone(),
-            ));
+        for (record, job) in pending {
+            let outcome = fresh.remove(&job).expect("every job was evaluated");
+            self.cache.insert(record, outcome);
         }
         (pairs, batch)
     }
@@ -1714,7 +1428,7 @@ impl Runner {
     /// pool; returns `(index, outcome)` pairs in arbitrary order plus
     /// one [`WorkerBatchStats`] per worker actually used.
     fn execute(
-        &mut self,
+        &self,
         scenarios: &[Scenario],
         jobs: &[usize],
     ) -> (Vec<(usize, ScenarioOutcome)>, Vec<WorkerBatchStats>) {
@@ -1792,7 +1506,6 @@ impl Runner {
                 }
                 (all, stats)
             });
-        self.stats.steals += per_worker.iter().map(|w| w.steals).sum::<u64>();
         // Deterministic post-condition regardless of steal order.
         results.sort_unstable_by_key(|(i, _)| *i);
         (results, per_worker)
@@ -2139,7 +1852,6 @@ mod tests {
             .workers(0) // clamped
             .threads_per_worker(3)
             .shards(5)
-            .strategy(ShardStrategy::ByFamily)
             .shard_deadline(Duration::from_secs(9))
             .heartbeat_interval(Duration::from_millis(10))
             .liveness_window(Duration::from_millis(500))
@@ -2151,7 +1863,6 @@ mod tests {
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.runner.workers, 3);
         assert_eq!(cfg.runner.shards, 5);
-        assert_eq!(cfg.runner.strategy, ShardStrategy::ByFamily);
         assert_eq!(cfg.shard_deadline, Duration::from_secs(9));
         assert_eq!(
             ClusterConfig::default().shard_deadline,
@@ -2227,23 +1938,26 @@ mod tests {
     fn cache_serves_repeat_sweeps() {
         let batch = small_batch();
         let mut runner = Runner::with_workers(2);
-        let first = runner.run(&batch).outcomes;
-        assert_eq!(runner.stats().executed, batch.len() as u64);
-        let second = runner.run(&batch).outcomes;
-        assert_eq!(first, second);
-        assert_eq!(runner.stats().executed, batch.len() as u64, "no re-runs");
-        assert_eq!(runner.stats().cache_hits, batch.len() as u64);
+        let first = runner.run(&batch);
+        assert_eq!(first.stats.executed, batch.len() as u64);
+        let second = runner.run(&batch);
+        assert_eq!(first.outcomes, second.outcomes);
+        assert_eq!(second.stats.executed, 0, "no re-runs");
+        assert_eq!(second.stats.cache_hits, batch.len() as u64);
+        // A cleared cache evaluates everything again.
+        runner.clear_cache();
+        assert_eq!(runner.run(&batch).stats.executed, batch.len() as u64);
     }
 
     #[test]
     fn duplicates_inside_a_batch_run_once() {
         let one = small_batch().remove(0);
         let batch = vec![one.clone(), one.clone(), one];
-        let mut runner = Runner::serial();
-        let out = runner.run(&batch).outcomes;
+        let report = Runner::serial().run(&batch);
+        let out = report.outcomes;
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
-        assert_eq!(runner.stats().executed, 1);
+        assert_eq!(report.stats.executed, 1);
     }
 
     #[test]
@@ -2360,48 +2074,28 @@ mod tests {
     }
 
     #[test]
-    fn by_family_plan_keeps_families_together() {
-        let batch = small_batch(); // four distinct families
-        let plan = ShardPlan::split_with(&batch, 2, ShardStrategy::ByFamily);
-        for (_, indices) in plan.iter() {
-            for &i in indices {
-                let family = batch[i].family();
-                // Every other scenario of this family is in this shard.
-                for (j, s) in batch.iter().enumerate() {
-                    if s.family() == family {
-                        assert!(indices.contains(&j));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_run_matches_unsharded() {
         let batch = small_batch();
         let reference = Runner::serial().run(&batch);
         for shards in [1usize, 2, 3, 4, 7] {
-            for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-                let report = RunnerConfig::new()
-                    .workers(1)
-                    .shards(shards)
-                    .strategy(strategy)
-                    .build()
-                    .run(&batch);
-                assert_eq!(
-                    reference.outcomes, report.outcomes,
-                    "outcomes diverged at {shards} shards ({strategy:?})"
-                );
-                assert_eq!(
-                    reference.stats.totals(),
-                    report.stats.totals(),
-                    "totals diverged at {shards} shards ({strategy:?})"
-                );
-                if shards > 1 {
-                    assert_eq!(report.shards.len(), shards);
-                    let merged = BatchStats::merged(&report.shards);
-                    assert_eq!(merged, report.stats);
-                }
+            let report = RunnerConfig::new()
+                .workers(1)
+                .shards(shards)
+                .build()
+                .run(&batch);
+            assert_eq!(
+                reference.outcomes, report.outcomes,
+                "outcomes diverged at {shards} shards"
+            );
+            assert_eq!(
+                reference.stats.totals(),
+                report.stats.totals(),
+                "totals diverged at {shards} shards"
+            );
+            if shards > 1 {
+                assert_eq!(report.shards.len(), shards);
+                let merged = BatchStats::merged(&report.shards);
+                assert_eq!(merged, report.stats);
             }
         }
     }
@@ -2448,15 +2142,9 @@ mod tests {
 
     #[test]
     fn runner_config_builder_round_trips() {
-        let config = RunnerConfig::new()
-            .workers(3)
-            .shards(2)
-            .cache(false)
-            .strategy(ShardStrategy::ByFamily);
+        let config = RunnerConfig::new().workers(3).shards(2);
         assert_eq!(config.workers, 3);
         assert_eq!(config.shards, 2);
-        assert!(!config.cache);
-        assert_eq!(config.strategy, ShardStrategy::ByFamily);
         let runner = config.build();
         assert_eq!(runner.workers(), 3);
         assert_eq!(runner.shards(), 2);

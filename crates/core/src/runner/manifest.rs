@@ -16,9 +16,11 @@
 //!   `noc`, `wsn`, `harvest`, `grn`), making the format self-describing
 //!   and versioned by its header line.
 //!
-//! The conformance contract is digest preservation: for any scenario,
-//! `decode(encode(s))` fingerprints identically to `s`, and for any
-//! outcome, `decode(encode(o)).digest() == o.digest()`.
+//! The conformance contract is exact round-tripping: for any scenario,
+//! `decode(encode(s))` carries every field and float bit of `s` and
+//! re-encodes to the same bytes, and for any outcome,
+//! `decode(encode(o)).digest() == o.digest()`. Because the scenario record
+//! is exact, the runner also uses it as its outcome-cache key.
 //!
 //! Parsing is **total**: truncated, mutated or adversarial input returns
 //! an error, never panics — `tests/manifest_fuzz.rs` mutates valid wire
@@ -26,7 +28,7 @@
 //! additionally travel inside length-prefixed [`write_frame`] /
 //! [`read_frame`] frames.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 use mns_noc::graph::{CommGraph, Flow};
@@ -173,17 +175,29 @@ fn hex_digit(b: u8) -> Option<u8> {
 /// vector ever needs to grow past its real size.
 const DECODE_CAPACITY_CAP: usize = 4096;
 
-fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// A float token: the 16 hex digits of its IEEE-754 bit pattern.
+#[derive(Clone, Copy)]
+struct Bits(f64);
+
+impl fmt::Display for Bits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0.to_bits())
+    }
 }
 
 fn hex_str(s: &str) -> String {
     let mut out = String::with_capacity(1 + 2 * s.len());
+    encode_str(s, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes a string token: `x`, then two hex digits per byte.
+fn encode_str(s: &str, out: &mut String) -> fmt::Result {
     out.push('x');
     for b in s.bytes() {
-        out.push_str(&format!("{b:02x}"));
+        write!(out, "{b:02x}")?;
     }
-    out
+    Ok(())
 }
 
 fn flag(v: bool) -> &'static str {
@@ -195,13 +209,13 @@ fn flag(v: bool) -> &'static str {
 }
 
 /// Encodes an [`AssayKind`]: a kind token, then any shape knobs.
-fn encode_assay_kind(kind: AssayKind) -> String {
+fn encode_assay_kind(kind: AssayKind, out: &mut String) -> fmt::Result {
     match kind {
-        AssayKind::Multiplex => "multiplex".to_owned(),
-        AssayKind::SerialDilution => "dilution".to_owned(),
-        AssayKind::Washing { wash_steps } => format!("wash {wash_steps}"),
-        AssayKind::MixingTree { fanin } => format!("mixtree {fanin}"),
-        AssayKind::DilutionGradient => "gradient".to_owned(),
+        AssayKind::Multiplex => out.write_str("multiplex"),
+        AssayKind::SerialDilution => out.write_str("dilution"),
+        AssayKind::Washing { wash_steps } => write!(out, "wash {wash_steps}"),
+        AssayKind::MixingTree { fanin } => write!(out, "mixtree {fanin}"),
+        AssayKind::DilutionGradient => out.write_str("gradient"),
     }
 }
 
@@ -224,49 +238,43 @@ fn decode_assay_kind(t: &mut Tokens) -> Result<AssayKind, String> {
 /// byte-identical to the historical `DutyPolicy` encoding, so every
 /// pre-engine harvest record is reproduced exactly; combinators nest
 /// recursively after their scalar parameters.
-fn encode_policy(p: &PolicyExpr, out: &mut String) {
+fn encode_policy(p: &PolicyExpr, out: &mut String) -> fmt::Result {
     match p {
-        PolicyExpr::Fixed(d) => {
-            out.push_str(&format!("fixed {}", bits(*d)));
-        }
+        PolicyExpr::Fixed(d) => write!(out, "fixed {}", Bits(*d)),
         PolicyExpr::Greedy {
             threshold,
             duty_high,
             duty_low,
-        } => {
-            out.push_str(&format!(
-                "greedy {} {} {}",
-                bits(*threshold),
-                bits(*duty_high),
-                bits(*duty_low)
-            ));
-        }
-        PolicyExpr::EnergyNeutral { alpha } => {
-            out.push_str(&format!("neutral {}", bits(*alpha)));
-        }
-        PolicyExpr::Forecast { alpha } => {
-            out.push_str(&format!("forecast {}", bits(*alpha)));
-        }
+        } => write!(
+            out,
+            "greedy {} {} {}",
+            Bits(*threshold),
+            Bits(*duty_high),
+            Bits(*duty_low)
+        ),
+        PolicyExpr::EnergyNeutral { alpha } => write!(out, "neutral {}", Bits(*alpha)),
+        PolicyExpr::Forecast { alpha } => write!(out, "forecast {}", Bits(*alpha)),
         PolicyExpr::Derate { inner, fade, floor } => {
-            out.push_str(&format!("derate {} {} ", bits(*fade), bits(*floor)));
-            encode_policy(inner, out);
+            write!(out, "derate {} {} ", Bits(*fade), Bits(*floor))?;
+            encode_policy(inner, out)
         }
         PolicyExpr::Hysteresis { low, high, on, off } => {
-            out.push_str(&format!("hyst {} {} ", bits(*low), bits(*high)));
-            encode_policy(on, out);
+            write!(out, "hyst {} {} ", Bits(*low), Bits(*high))?;
+            encode_policy(on, out)?;
             out.push(' ');
-            encode_policy(off, out);
+            encode_policy(off, out)
         }
         PolicyExpr::Scheduled { pieces } => {
-            out.push_str(&format!("sched {}", pieces.len()));
+            write!(out, "sched {}", pieces.len())?;
             for (start, piece) in pieces {
-                out.push_str(&format!(" {start} "));
-                encode_policy(piece, out);
+                write!(out, " {start} ")?;
+                encode_policy(piece, out)?;
             }
+            Ok(())
         }
         PolicyExpr::Clamp { inner, lo, hi } => {
-            out.push_str(&format!("clamp {} {} ", bits(*lo), bits(*hi)));
-            encode_policy(inner, out);
+            write!(out, "clamp {} {} ", Bits(*lo), Bits(*hi))?;
+            encode_policy(inner, out)
         }
     }
 }
@@ -328,18 +336,19 @@ fn decode_policy(t: &mut Tokens, depth: usize) -> Result<PolicyExpr, String> {
 
 /// Encodes a [`PolicyAssignment`] suffix: `uniform <policy>` or
 /// `mix <n> <policy>*`.
-fn encode_assignment(a: &PolicyAssignment, out: &mut String) {
+fn encode_assignment(a: &PolicyAssignment, out: &mut String) -> fmt::Result {
     match a {
         PolicyAssignment::Uniform(p) => {
             out.push_str("uniform ");
-            encode_policy(p, out);
+            encode_policy(p, out)
         }
         PolicyAssignment::RoundRobin(ps) => {
-            out.push_str(&format!("mix {}", ps.len()));
+            write!(out, "mix {}", ps.len())?;
             for p in ps {
                 out.push(' ');
-                encode_policy(p, out);
+                encode_policy(p, out)?;
             }
+            Ok(())
         }
     }
 }
@@ -365,84 +374,95 @@ fn decode_assignment(t: &mut Tokens) -> Result<PolicyAssignment, String> {
 }
 
 /// Encodes one scenario as a single self-describing record (no newline).
+///
+/// The record is exact to the float bit, which makes it the runner's
+/// outcome-cache key as well as the wire form, so it is written into one
+/// buffer with no allocation per token.
 pub fn encode_scenario(scenario: &Scenario) -> String {
+    let mut out = String::new();
+    write_scenario(scenario, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_scenario(scenario: &Scenario, out: &mut String) -> fmt::Result {
     match scenario {
-        Scenario::FluidicsCompile(s) => format!(
-            "fluidics {} {} {} {} {}",
-            encode_assay_kind(s.assay),
-            s.plex,
-            s.grid_side,
-            bits(s.dead_fraction),
-            s.fault_seed
-        ),
-        Scenario::LabChip(s) => format!(
-            "labchip {} {} {} {} {}",
-            encode_assay_kind(s.assay),
-            s.seed,
-            s.samples_per_run,
-            bits(s.dead_fraction),
-            s.fault_seed
-        ),
+        Scenario::FluidicsCompile(s) => {
+            out.push_str("fluidics ");
+            encode_assay_kind(s.assay, out)?;
+            write!(
+                out,
+                " {} {} {} {}",
+                s.plex,
+                s.grid_side,
+                Bits(s.dead_fraction),
+                s.fault_seed
+            )
+        }
+        Scenario::LabChip(s) => {
+            out.push_str("labchip ");
+            encode_assay_kind(s.assay, out)?;
+            write!(
+                out,
+                " {} {} {} {}",
+                s.seed,
+                s.samples_per_run,
+                Bits(s.dead_fraction),
+                s.fault_seed
+            )
+        }
         Scenario::NocPoint(s) => {
-            let mut out = format!(
+            write!(
+                out,
                 "noc {} {} {} {}",
                 s.max_cluster,
                 s.shortcuts,
                 s.app.cores(),
                 s.app.flows().len()
-            );
+            )?;
             for f in s.app.flows() {
-                out.push_str(&format!(" {} {} {}", f.src, f.dst, bits(f.rate)));
+                write!(out, " {} {} {}", f.src, f.dst, Bits(f.rate))?;
             }
-            out
+            Ok(())
         }
         Scenario::WsnLifetime(s) => {
-            let protocol = match s.protocol {
-                Protocol::Direct => "direct".to_owned(),
+            write!(out, "wsn {} {} ", s.nodes, Bits(s.side))?;
+            match s.protocol {
+                Protocol::Direct => out.push_str("direct"),
                 Protocol::Tree {
                     radio_range,
                     aggregate,
-                } => format!("tree {} {}", bits(radio_range), flag(aggregate)),
+                } => write!(out, "tree {} {}", Bits(radio_range), flag(aggregate))?,
                 Protocol::Cluster { p, aggregate } => {
-                    format!("cluster {} {}", bits(p), flag(aggregate))
+                    write!(out, "cluster {} {}", Bits(p), flag(aggregate))?;
                 }
-            };
-            let mut out = format!(
-                "wsn {} {} {protocol} {} {} {}",
-                s.nodes,
-                bits(s.side),
-                bits(s.failure_rate),
-                s.max_rounds,
-                s.seed
-            );
+            }
+            write!(out, " {} {} {}", Bits(s.failure_rate), s.max_rounds, s.seed)?;
             // Optional suffix: `None` reproduces the historical record
             // bytes exactly, keeping committed manifests valid.
             if let Some(assignment) = &s.policies {
                 out.push_str(" policies ");
-                encode_assignment(assignment, &mut out);
+                encode_assignment(assignment, out)?;
             }
-            out
+            Ok(())
         }
         Scenario::Harvest(s) => {
-            let mut policy = String::new();
-            encode_policy(&s.policy, &mut policy);
-            format!(
-                "harvest {policy} {} {} {}",
-                s.days,
-                bits(s.cloudiness),
-                s.seed
-            )
+            out.push_str("harvest ");
+            encode_policy(&s.policy, out)?;
+            write!(out, " {} {} {}", s.days, Bits(s.cloudiness), s.seed)
         }
         Scenario::Knockout(s) => {
-            let model = match s.model {
-                GrnModel::THelper => "thelper".to_owned(),
-                GrnModel::Arabidopsis { whorl } => format!("arabidopsis {whorl}"),
-            };
-            let knockout = match &s.knockout {
-                None => "wild".to_owned(),
-                Some(gene) => format!("ko {}", hex_str(gene)),
-            };
-            format!("grn {model} {knockout}")
+            match s.model {
+                GrnModel::THelper => out.push_str("grn thelper"),
+                GrnModel::Arabidopsis { whorl } => write!(out, "grn arabidopsis {whorl}")?,
+            }
+            match &s.knockout {
+                None => out.push_str(" wild"),
+                Some(gene) => {
+                    out.push_str(" ko ");
+                    encode_str(gene, out)?;
+                }
+            }
+            Ok(())
         }
     }
 }
@@ -484,7 +504,7 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                     return Err(format!("self-loop flow at core {src}"));
                 }
                 if rate.is_nan() || rate <= 0.0 {
-                    return Err(format!("non-positive flow rate `{}`", bits(rate)));
+                    return Err(format!("non-positive flow rate `{}`", Bits(rate)));
                 }
                 flows.push(Flow { src, dst, rate });
             }
@@ -585,9 +605,9 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
         } => format!(
             "labchip {} {makespan} {energy} {} {biclusters} {} {} {samples_dropped}",
             flag(*ok),
-            bits(*sensing_error),
-            bits(*recovery),
-            bits(*relevance)
+            Bits(*sensing_error),
+            Bits(*recovery),
+            Bits(*relevance)
         ),
         ScenarioOutcome::Noc {
             feasible,
@@ -598,9 +618,9 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
         } => format!(
             "noc {} {} {} {} {}",
             flag(*feasible),
-            bits(*weighted_hops),
-            bits(*energy),
-            bits(*area),
+            Bits(*weighted_hops),
+            Bits(*energy),
+            Bits(*area),
             flag(*deadlock_free)
         ),
         ScenarioOutcome::Wsn {
@@ -613,8 +633,8 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
             energy_spent,
         } => format!(
             "wsn {first_death} {half_death} {rounds} {sensed} {delivered} {} {}",
-            bits(*avg_coverage),
-            bits(*energy_spent)
+            Bits(*avg_coverage),
+            Bits(*energy_spent)
         ),
         ScenarioOutcome::Harvest {
             work,
@@ -625,10 +645,10 @@ pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
             final_battery,
         } => format!(
             "harvest {} {dead_slots} {total_slots} {} {} {}",
-            bits(*work),
-            bits(*wasted),
-            bits(*harvested),
-            bits(*final_battery)
+            Bits(*work),
+            Bits(*wasted),
+            Bits(*harvested),
+            Bits(*final_battery)
         ),
         ScenarioOutcome::Knockout {
             fixed_points,
@@ -1000,7 +1020,11 @@ mod tests {
     fn assay_kind_tokens_are_stable_and_rejections_clean() {
         // The kind token is part of the wire contract — a rename would
         // silently orphan committed manifests.
-        let enc = |k| encode_assay_kind(k);
+        let enc = |k| {
+            let mut out = String::new();
+            encode_assay_kind(k, &mut out).expect("String write");
+            out
+        };
         assert_eq!(enc(AssayKind::Multiplex), "multiplex");
         assert_eq!(enc(AssayKind::SerialDilution), "dilution");
         assert_eq!(enc(AssayKind::Washing { wash_steps: 2 }), "wash 2");
@@ -1016,7 +1040,7 @@ mod tests {
     #[test]
     fn floats_round_trip_exactly_including_nan() {
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
-            let encoded = bits(v);
+            let encoded = Bits(v).to_string();
             let mut t = Tokens::new(&encoded);
             let back = t.f64().expect("bits parse");
             assert_eq!(v.to_bits(), back.to_bits(), "bits drift for {v}");
@@ -1093,12 +1117,12 @@ mod tests {
         assert!(decode_outcome("grn 18446744073709551615 x").is_err());
         assert!(decode_scenario("noc 1 1 4 18446744073709551615").is_err());
         // Flow invariants `CommGraph::new` would assert on.
-        let rate = bits(1.0);
+        let rate = Bits(1.0);
         assert!(decode_scenario(&format!("noc 1 1 2 1 0 5 {rate}")).is_err());
         assert!(decode_scenario(&format!("noc 1 1 2 1 0 0 {rate}")).is_err());
-        let zero = bits(0.0);
+        let zero = Bits(0.0);
         assert!(decode_scenario(&format!("noc 1 1 2 1 0 1 {zero}")).is_err());
-        let nan = bits(f64::NAN);
+        let nan = Bits(f64::NAN);
         assert!(decode_scenario(&format!("noc 1 1 2 1 0 1 {nan}")).is_err());
         // A healthy noc record still decodes.
         let ok = format!("noc 1 1 2 1 0 1 {rate}");
@@ -1193,36 +1217,36 @@ mod tests {
         // manifests depend on these exact bytes.
         let enc = |p: &PolicyExpr| {
             let mut out = String::new();
-            encode_policy(p, &mut out);
+            encode_policy(p, &mut out).expect("String write");
             out
         };
-        assert_eq!(enc(&PolicyExpr::Fixed(0.3)), format!("fixed {}", bits(0.3)));
+        assert_eq!(enc(&PolicyExpr::Fixed(0.3)), format!("fixed {}", Bits(0.3)));
         assert_eq!(
             enc(&PolicyExpr::Greedy {
                 threshold: 0.3,
                 duty_high: 0.9,
                 duty_low: 0.05
             }),
-            format!("greedy {} {} {}", bits(0.3), bits(0.9), bits(0.05))
+            format!("greedy {} {} {}", Bits(0.3), Bits(0.9), Bits(0.05))
         );
         assert_eq!(
             enc(&PolicyExpr::EnergyNeutral { alpha: 0.01 }),
-            format!("neutral {}", bits(0.01))
+            format!("neutral {}", Bits(0.01))
         );
     }
 
     #[test]
     fn adversarial_policy_records_error_instead_of_panicking() {
-        let b = bits(0.5);
+        let b = Bits(0.5);
         // Unknown combinator.
         assert!(decode_scenario(&format!("harvest warp {b} 10 {b} 1")).is_err());
         // Out-of-range / non-finite parameters are rejected at the
         // parse boundary, not silently clamped mid-simulation.
-        let nan = bits(f64::NAN);
+        let nan = Bits(f64::NAN);
         assert!(decode_scenario(&format!("harvest fixed {nan} 10 {b} 1")).is_err());
-        let two = bits(2.0);
+        let two = Bits(2.0);
         assert!(decode_scenario(&format!("harvest fixed {two} 10 {b} 1")).is_err());
-        let zero = bits(0.0);
+        let zero = Bits(0.0);
         assert!(decode_scenario(&format!("harvest neutral {zero} 10 {b} 1")).is_err());
         // Malformed schedules.
         assert!(
@@ -1246,7 +1270,7 @@ mod tests {
         // Truncated inner policy.
         assert!(decode_scenario(&format!("harvest derate {b} {b} 10 {b} 1")).is_err());
         // Bad wsn assignment suffixes.
-        let side = bits(100.0);
+        let side = Bits(100.0);
         assert!(decode_scenario(&format!(
             "wsn 10 {side} direct {zero} 100 1 policies solo fixed {b}"
         ))
@@ -1258,10 +1282,10 @@ mod tests {
         // Healthy composed records still decode.
         assert!(decode_scenario(&format!(
             "harvest hyst {} {} neutral {} fixed {} 10 {b} 1",
-            bits(0.25),
-            bits(0.6),
-            bits(0.01),
-            bits(0.05)
+            Bits(0.25),
+            Bits(0.6),
+            Bits(0.01),
+            Bits(0.05)
         ))
         .is_ok());
         assert!(decode_scenario(&format!(

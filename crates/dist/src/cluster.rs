@@ -174,7 +174,7 @@ impl Cluster {
     pub fn run(&mut self, scenarios: &[Scenario]) -> ClusterReport {
         let _span = mns_telemetry::span("dist.run");
         let config = self.config;
-        let plan = ShardPlan::split_with(scenarios, config.runner.shards, config.runner.strategy);
+        let plan = ShardPlan::split(scenarios, config.runner.shards);
         let shard_count = plan.shards();
         let now = Instant::now();
 
@@ -506,9 +506,7 @@ fn local_eval(
 ) -> ShardResult {
     let mut sub = Runner::new(RunnerConfig {
         workers: config.runner.workers,
-        cache: true,
         shards: 1,
-        strategy: config.runner.strategy,
     });
     sub.run_shard(scenarios, plan.indices(shard), shard)
 }
@@ -576,7 +574,7 @@ mod tests {
             .filter(|s| matches!(s, Scenario::Knockout(_)))
             .take(4)
             .collect();
-        let plan = ShardPlan::split_with(&corpus, 2, mns_core::runner::ShardStrategy::RoundRobin);
+        let plan = ShardPlan::split(&corpus, 2);
         let shard = ShardId(0);
         let entries: Vec<(usize, &Scenario)> = plan
             .indices(shard)

@@ -7,9 +7,7 @@
 //! cluster-merge strategy is the ablation-A3 baseline.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-
-use mns_dd::{Ref, Var, ZddManager};
+use std::collections::BTreeMap;
 
 use crate::graph::CommGraph;
 use crate::topology::{Link, LinkClass, Topology};
@@ -47,73 +45,26 @@ impl Default for SynthesisConfig {
     }
 }
 
-/// Thread-local memo over [`bipartition`] results. Sweeps re-synthesize
-/// the same communication graph under many router/buffer configurations,
-/// and the partition tree depends only on the rate matrix — so every
-/// sweep point after the first resolves its whole tree from the memo.
-/// Core subsets are interned through a [`ZddManager`], whose hash-consed
-/// unique table gives each subset a canonical [`Ref`] to key on (the same
-/// arena discipline the interpret path uses); the rate matrix itself is
-/// folded to a fingerprint.
-struct PartitionCache {
-    zdd: ZddManager,
-    memo: HashMap<(u64, Ref), (Vec<usize>, Vec<usize>)>,
-}
+/// Splits of one rate matrix, keyed by the exact core list they split.
+type SplitTable = BTreeMap<Vec<usize>, (Vec<usize>, Vec<usize>)>;
 
 thread_local! {
-    static PARTITION_CACHE: RefCell<PartitionCache> = RefCell::new(PartitionCache {
-        zdd: ZddManager::new(0),
-        memo: HashMap::new(),
-    });
+    /// Memo over [`bipartition`] results. Sweeps re-synthesize the same
+    /// communication graph under many router/buffer configurations, and
+    /// the partition tree depends only on the rate matrix — so every sweep
+    /// point after the first resolves its whole tree from the memo. Each
+    /// graph's [`SplitTable`] is found by its whole rate matrix (every
+    /// IEEE-754 bit pattern), and both levels are ordered maps, so every
+    /// lookup compares full keys and no hash value can hand one graph
+    /// another graph's split. Ordered lookups also skip hashing the
+    /// n²-word matrix on every synthesis.
+    static PARTITION_CACHE: RefCell<BTreeMap<Vec<u64>, SplitTable>> = RefCell::default();
 }
 
-/// Entry cap; the memo is cleared wholesale when it fills.
+/// Entry cap, counted in splits; the memo is cleared wholesale when it
+/// fills. A graph enters the memo only when its root needs a split, so
+/// the cap also bounds the number of graphs held.
 const PARTITION_CACHE_CAP: usize = 1024;
-
-/// FNV-1a over the rate matrix bit patterns: the partition key's graph
-/// component.
-fn rate_fingerprint(rates: &[Vec<f64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in rates {
-        for &r in row {
-            h ^= r.to_bits();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// [`bipartition`] through the thread-local memo. `fingerprint` must be
-/// `rate_fingerprint(rates)`; the cached split for a (graph, core-subset)
-/// pair is byte-identical to a fresh computation, so memoization cannot
-/// perturb synthesized topologies.
-fn bipartition_cached(
-    fingerprint: u64,
-    rates: &[Vec<f64>],
-    cores: &[usize],
-) -> (Vec<usize>, Vec<usize>) {
-    PARTITION_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        // Re-intern on variable-capacity overflow or memo overflow: old
-        // Refs die with the manager, so the memo is cleared with it.
-        let needed = cores.iter().map(|&c| c as Var + 1).max().unwrap_or(0);
-        if needed > cache.zdd.num_vars() || cache.memo.len() >= PARTITION_CACHE_CAP {
-            let capacity = needed.max(cache.zdd.num_vars()).next_power_of_two().max(64);
-            cache.zdd = ZddManager::new(capacity);
-            cache.memo.clear();
-        }
-        let vars: Vec<Var> = cores.iter().map(|&c| c as Var).collect();
-        let subset = cache.zdd.from_set(&vars);
-        mns_telemetry::counter_add("noc.partition_lookups", 1);
-        if let Some(hit) = cache.memo.get(&(fingerprint, subset)) {
-            mns_telemetry::counter_add("noc.partition_hits", 1);
-            return hit.clone();
-        }
-        let split = bipartition(rates, cores);
-        cache.memo.insert((fingerprint, subset), split.clone());
-        split
-    })
-}
 
 /// Dense symmetric pair-rate matrix over the whole core set, computed
 /// once per synthesis so the partitioner never rescans the flow list.
@@ -221,7 +172,6 @@ fn bipartition(rates: &[Vec<f64>], cores: &[usize]) -> (Vec<usize>, Vec<usize>) 
 
 struct TreeBuilder<'a> {
     rates: &'a [Vec<f64>],
-    fingerprint: u64,
     config: &'a SynthesisConfig,
     links: Vec<Link>,
     attachment: Vec<usize>,
@@ -229,8 +179,10 @@ struct TreeBuilder<'a> {
 }
 
 impl TreeBuilder<'_> {
-    /// Builds the subtree for `cores`, returning its root router.
-    fn build(&mut self, cores: &[usize]) -> usize {
+    /// Builds the subtree for `cores`, returning its root router. A split
+    /// found in `splits` is byte-identical to a fresh one, so the memo
+    /// cannot perturb synthesized topologies.
+    fn build(&mut self, splits: &mut SplitTable, cores: &[usize]) -> usize {
         let router = self.next_router;
         self.next_router += 1;
         if cores.len() <= self.config.max_cluster {
@@ -239,9 +191,20 @@ impl TreeBuilder<'_> {
             }
             return router;
         }
-        let (left, right) = bipartition_cached(self.fingerprint, self.rates, cores);
-        let l = self.build(&left);
-        let r = self.build(&right);
+        mns_telemetry::counter_add("noc.partition_lookups", 1);
+        let (left, right) = match splits.get(cores) {
+            Some(split) => {
+                mns_telemetry::counter_add("noc.partition_hits", 1);
+                split.clone()
+            }
+            None => {
+                let split = bipartition(self.rates, cores);
+                splits.insert(cores.to_vec(), split.clone());
+                split
+            }
+        };
+        let l = self.build(splits, &left);
+        let r = self.build(splits, &right);
         self.links.push(Link {
             a: router,
             b: l,
@@ -322,7 +285,6 @@ pub fn synthesize(app: &CommGraph, config: &SynthesisConfig) -> Topology {
     let rates = rate_matrix(app);
     let mut builder = TreeBuilder {
         rates: &rates,
-        fingerprint: rate_fingerprint(&rates),
         config,
         links: Vec::new(),
         attachment: vec![0; app.cores()],
@@ -331,7 +293,19 @@ pub fn synthesize(app: &CommGraph, config: &SynthesisConfig) -> Topology {
     let all: Vec<usize> = (0..app.cores()).collect();
     {
         let _partition_span = mns_telemetry::span("noc.partition");
-        builder.build(&all);
+        if all.len() <= config.max_cluster {
+            // One leaf router: nothing to split, so nothing to memoize.
+            builder.build(&mut SplitTable::new(), &all);
+        } else {
+            let key: Vec<u64> = rates.iter().flatten().map(|r| r.to_bits()).collect();
+            PARTITION_CACHE.with(|memo| {
+                let mut memo = memo.borrow_mut();
+                if memo.values().map(BTreeMap::len).sum::<usize>() >= PARTITION_CACHE_CAP {
+                    memo.clear();
+                }
+                builder.build(memo.entry(key).or_default(), &all);
+            });
+        }
     }
     let mut topo = Topology::irregular(
         builder.next_router,
@@ -533,16 +507,83 @@ mod tests {
     }
 
     #[test]
-    fn partition_memo_survives_capacity_growth() {
+    fn partition_memo_survives_a_large_graph() {
         let cfg = SynthesisConfig::default();
         let small = synthesize(&CommGraph::hotspot(8, 1.0), &cfg);
-        // Larger graph forces the thread-local manager to re-intern.
+        // A much larger graph fills the memo with splits of its own.
         let large = synthesize(&CommGraph::hotspot(200, 1.0), &cfg);
         assert!(large.is_connected());
         // The small graph still resolves correctly afterwards.
         let small_again = synthesize(&CommGraph::hotspot(8, 1.0), &cfg);
         assert_eq!(small_again.links(), small.links());
         assert_eq!(small_again.attachment(), small.attachment());
+    }
+
+    #[test]
+    fn partition_memo_stays_bounded() {
+        // Graphs and splits held in this thread's memo.
+        fn memo_size() -> (usize, usize) {
+            PARTITION_CACHE.with(|memo| {
+                let memo = memo.borrow();
+                (memo.len(), memo.values().map(BTreeMap::len).sum())
+            })
+        }
+        // A fresh thread starts with an empty memo.
+        std::thread::spawn(|| {
+            let cfg = SynthesisConfig::default();
+            let rates = (0..PARTITION_CACHE_CAP + 100).map(|i| 1.0 + i as f64);
+            // Distinct graphs that fit one leaf router leave nothing behind.
+            for rate in rates.clone() {
+                synthesize(&CommGraph::hotspot(cfg.max_cluster, rate), &cfg);
+            }
+            assert_eq!(memo_size(), (0, 0));
+            // Distinct graphs that need a split stay within the cap.
+            for rate in rates {
+                synthesize(&CommGraph::hotspot(cfg.max_cluster + 1, rate), &cfg);
+                let (graphs, splits) = memo_size();
+                assert!(graphs <= splits && splits <= PARTITION_CACHE_CAP);
+            }
+        })
+        .join()
+        .expect("synthesis thread");
+    }
+
+    #[test]
+    fn partition_memo_tells_colliding_rate_matrices_apart() {
+        // Two graphs that differ only in the 1–2 rate. Their rate matrices
+        // collide when whole 64-bit words are XOR-folded into one FNV
+        // state, so a memo keyed by that hash hands the second graph the
+        // first graph's splits.
+        let graph = |rate_bits: u64| {
+            let flow = |src, dst, rate| crate::graph::Flow { src, dst, rate };
+            let rate = f64::from_bits(rate_bits);
+            CommGraph::new(3, vec![flow(0, 1, 1.0), flow(0, 2, 0.5), flow(1, 2, rate)])
+        };
+        let (a, b) = (graph(0x372c_13b2_f40d_852d), graph(0x48d3_ec4d_0bf2_7ad1));
+        let cfg = SynthesisConfig {
+            max_cluster: 1,
+            shortcuts: 0,
+            ..SynthesisConfig::default()
+        };
+        // A fresh thread starts with an empty memo.
+        let on_fresh_thread = |graphs: Vec<CommGraph>| {
+            std::thread::spawn(move || {
+                graphs
+                    .iter()
+                    .map(|g| synthesize(g, &cfg))
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .expect("synthesis thread")
+        };
+        let fresh_a = on_fresh_thread(vec![a.clone()]).remove(0);
+        let fresh_b = on_fresh_thread(vec![b.clone()]).remove(0);
+        assert_ne!(fresh_a.attachment(), fresh_b.attachment());
+        assert_eq!(
+            on_fresh_thread(vec![a.clone(), b.clone()]),
+            vec![fresh_a.clone(), fresh_b.clone()]
+        );
+        assert_eq!(on_fresh_thread(vec![b, a]), vec![fresh_b, fresh_a]);
     }
 
     #[test]

@@ -51,7 +51,6 @@ fn main() {
     }
     let outcomes = RunnerConfig::new()
         .workers(0)
-        .cache(false)
         .build()
         .run(&scenarios)
         .outcomes;

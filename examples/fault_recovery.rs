@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let outcomes = RunnerConfig::new()
         .workers(0)
-        .cache(false)
         .build()
         .run(&scenarios)
         .outcomes;

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &app,
         &[2, 3, 4, 8],
         &[0, 2, 4, 8],
-        RunnerConfig::new().workers(0).cache(false),
+        RunnerConfig::new().workers(0),
     );
     let mut e = Table::new(
         "dse",

@@ -8,9 +8,7 @@
 //! All randomness is seed-derived through the vendored deterministic
 //! proptest, so the exact same cases replay in CI.
 
-use micronano::core::runner::{
-    AssayKind, FluidicsScenario, Runner, RunnerConfig, Scenario, ShardStrategy,
-};
+use micronano::core::runner::{AssayKind, FluidicsScenario, Runner, RunnerConfig, Scenario};
 use micronano::fluidics::assay::Assay;
 use micronano::fluidics::compiler::{compile_with_faults, CompilerConfig};
 use micronano::fluidics::geometry::{Cell, Grid};
@@ -264,8 +262,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The headline differential: serial == 2-worker == 8-worker ==
-    // in-process sharded digests over random mixed-assay batches, for
-    // both shard strategies.
+    // in-process sharded digests over random mixed-assay batches.
     #[test]
     fn assay_batches_share_digests_across_parallelism(
         seed in 0u64..100_000,
@@ -276,7 +273,6 @@ proptest! {
         for workers in [2usize, 8] {
             let outcomes = RunnerConfig::new()
                 .workers(workers)
-                .cache(false)
                 .build()
                 .run(&batch)
                 .outcomes;
@@ -291,26 +287,21 @@ proptest! {
                 );
             }
         }
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            for shards in [2usize, 4] {
-                let outcomes = RunnerConfig::new()
-                    .shards(shards)
-                    .strategy(strategy)
-                    .cache(false)
-                    .build()
-                    .run(&batch)
-                    .outcomes;
-                prop_assert_eq!(reference.len(), outcomes.len());
-                for (i, (r, o)) in reference.iter().zip(&outcomes).enumerate() {
-                    prop_assert_eq!(
-                        r.digest(),
-                        o.digest(),
-                        "scenario `{}` diverged at {} {:?} shards",
-                        batch[i].label(),
-                        shards,
-                        strategy
-                    );
-                }
+        for shards in [2usize, 4] {
+            let outcomes = RunnerConfig::new()
+                .shards(shards)
+                .build()
+                .run(&batch)
+                .outcomes;
+            prop_assert_eq!(reference.len(), outcomes.len());
+            for (i, (r, o)) in reference.iter().zip(&outcomes).enumerate() {
+                prop_assert_eq!(
+                    r.digest(),
+                    o.digest(),
+                    "scenario `{}` diverged at {} shards",
+                    batch[i].label(),
+                    shards
+                );
             }
         }
     }

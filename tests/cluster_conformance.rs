@@ -6,7 +6,7 @@
 //!
 //! 1. **Transport matrix**: serial == in-process sharded == in-process
 //!    cluster == TCP cluster == spool cluster, for N ∈ {1, 2, 4}
-//!    workers and both shard strategies, and over the full corpus at one
+//!    workers, and over the full corpus at one
 //!    TCP worker process per shard for 1, 2 and 4 shards. Beyond the
 //!    totals, every cluster report carries the in-process sharded run's
 //!    exact stats layout: the same per-shard and per-worker rows.
@@ -33,7 +33,6 @@ use std::time::Duration;
 
 use micronano::core::runner::{
     conformance_corpus, ClusterConfig, Runner, RunnerConfig, Scenario, ScenarioOutcome,
-    ShardStrategy,
 };
 use micronano::dist::{
     Cluster, ClusterReport, DistFault, FaultMode, InProcess, SpoolTransport, TcpTransport,
@@ -150,13 +149,11 @@ fn assert_in_process_stats_layout(
     corpus: &[Scenario],
     report: &ClusterReport,
     shards: usize,
-    strategy: ShardStrategy,
     context: &str,
 ) {
     let in_process = RunnerConfig::new()
         .workers(1)
         .shards(shards)
-        .strategy(strategy)
         .build()
         .run(corpus);
     assert_eq!(in_process.stats, report.stats, "stats drift: {context}");
@@ -172,22 +169,17 @@ fn assert_in_process_stats_layout(
 }
 
 /// Serial == cluster over a fresh `transport()` for N ∈ {1, 2, 4}
-/// workers and both strategies on the cheap subset, with the in-process
-/// sharded stats layout and no requeues.
+/// workers on the cheap subset, with the in-process sharded stats layout
+/// and no requeues.
 fn assert_matrix_matches_serial<T: Transport + 'static>(name: &str, transport: impl Fn() -> T) {
     let corpus = cheap_corpus();
     for workers in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let config = ClusterConfig::new()
-                .workers(workers)
-                .shards(4)
-                .strategy(strategy);
-            let report = run_cluster(transport(), config, &corpus, None);
-            let context = format!("{name}, {workers} workers, {strategy:?}");
-            assert_matches_serial(&corpus, &report, &context);
-            assert_in_process_stats_layout(&corpus, &report, 4, strategy, &context);
-            assert_eq!(report.requeues, 0, "{context}");
-        }
+        let config = ClusterConfig::new().workers(workers).shards(4);
+        let report = run_cluster(transport(), config, &corpus, None);
+        let context = format!("{name}, {workers} workers");
+        assert_matches_serial(&corpus, &report, &context);
+        assert_in_process_stats_layout(&corpus, &report, 4, &context);
+        assert_eq!(report.requeues, 0, "{context}");
     }
 }
 
@@ -259,8 +251,7 @@ fn child_process_shards_match_serial_and_golden() {
         let context = format!("{shards} worker processes, full corpus");
         assert!(report.recovered.is_empty(), "{context}");
         assert_matches_serial(&corpus, &report, &context);
-        let strategy = ShardStrategy::RoundRobin;
-        assert_in_process_stats_layout(&corpus, &report, shards, strategy, &context);
+        assert_in_process_stats_layout(&corpus, &report, shards, &context);
     }
 }
 

@@ -11,21 +11,25 @@
 //!    byte-identical to the serial reference (outcome equality is exact,
 //!    floats by bit pattern).
 //! 3. **In-process shards = serial**: `RunnerConfig::new().shards(n)`
-//!    for n ∈ {1, 2, 4} and both strategies gives the same outcomes,
-//!    [`BatchTotals`] and golden digests.
+//!    for n ∈ {1, 2, 4} gives the same outcomes, [`BatchTotals`] and
+//!    golden digests.
 //! 4. **Differential (property)**: the same holds for *random* scenario
 //!    batches with duplicates, for random worker counts.
 //! 5. **Merge algebra (property)**: [`BatchStats::merge`] is associative
 //!    and order-insensitive on random stats, so a merged report cannot
 //!    depend on the order in which shards finish.
+//! 6. **Exact cache keys**: scenarios whose 64-bit fingerprints collide
+//!    still get their own outcomes, through in-batch dedup, the
+//!    cross-batch cache and a one-shard cluster.
 
 use std::collections::BTreeMap;
 
 use micronano::core::runner::{
-    conformance_corpus, AssayKind, BatchStats, FluidicsScenario, GrnModel, HarvestScenario,
-    KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, ShardId,
-    ShardStrategy, WorkerBatchStats, WsnScenario,
+    conformance_corpus, AssayKind, BatchStats, ClusterConfig, Digest, FluidicsScenario, GrnModel,
+    HarvestScenario, KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario,
+    ScenarioOutcome, ShardId, WorkerBatchStats, WsnScenario,
 };
+use micronano::dist::{Cluster, InProcess};
 use micronano::noc::graph::CommGraph;
 use micronano::policy::{PolicyAssignment, PolicyExpr};
 use micronano::wsn::protocol::Protocol;
@@ -151,7 +155,6 @@ fn parallel_runs_are_byte_identical_to_serial() {
     for workers in [1usize, 2, 8] {
         let parallel = RunnerConfig::new()
             .workers(workers)
-            .cache(false)
             .build()
             .run(&corpus)
             .outcomes;
@@ -177,15 +180,16 @@ fn cached_replay_is_byte_identical_to_fresh_run() {
     let corpus = conformance_corpus(CORPUS_SEED);
     let mut runner = Runner::with_workers(4);
     let fresh = runner.run(&corpus).outcomes;
-    let executed = runner.stats().executed;
-    let replay = runner.run(&corpus).outcomes;
-    assert_eq!(fresh, replay, "cache replay must not change outcomes");
+    let replay = runner.run(&corpus);
     assert_eq!(
-        runner.stats().executed,
-        executed,
+        fresh, replay.outcomes,
+        "cache replay must not change outcomes"
+    );
+    assert_eq!(
+        replay.stats.executed, 0,
         "a full replay must be served entirely from the cache"
     );
-    assert_eq!(runner.stats().cache_hits, corpus.len() as u64);
+    assert_eq!(replay.stats.cache_hits, corpus.len() as u64);
 }
 
 #[test]
@@ -193,26 +197,72 @@ fn in_process_shards_match_serial_and_golden() {
     let corpus = conformance_corpus(CORPUS_SEED);
     let reference = Runner::serial().run(&corpus);
     for shards in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let report = RunnerConfig::new()
-                .workers(1)
-                .shards(shards)
-                .strategy(strategy)
-                .cache(false)
-                .build()
-                .run(&corpus);
-            assert_eq!(
-                reference.outcomes, report.outcomes,
-                "outcome drift at {shards} in-process shards ({strategy:?})"
-            );
-            assert_eq!(
-                reference.stats.totals(),
-                report.stats.totals(),
-                "stats drift at {shards} in-process shards ({strategy:?})"
-            );
-            assert_golden(&corpus, &report.outcomes);
-        }
+        let report = RunnerConfig::new()
+            .workers(1)
+            .shards(shards)
+            .build()
+            .run(&corpus);
+        assert_eq!(
+            reference.outcomes, report.outcomes,
+            "outcome drift at {shards} in-process shards"
+        );
+        assert_eq!(
+            reference.stats.totals(),
+            report.stats.totals(),
+            "stats drift at {shards} in-process shards"
+        );
+        assert_golden(&corpus, &report.outcomes);
     }
+}
+
+/// The harvest scenario of [`COLLIDING_SEEDS`] at `seed`.
+fn harvest_at(seed: u64) -> Scenario {
+    Scenario::Harvest(HarvestScenario {
+        policy: PolicyExpr::Fixed(0.4),
+        days: 2,
+        cloudiness: 0.3,
+        seed,
+    })
+}
+
+/// Seed pairs whose [`harvest_at`] scenarios share a 64-bit hash: the
+/// first under FNV-1a of a tagged field walk (tag, policy, days,
+/// cloudiness, seed), the second under [`Scenario::fingerprint`].
+const COLLIDING_SEEDS: [(u64, u64); 2] = [
+    (18_090_154_252_756_592_668, 16_635_090_550_870_315_225),
+    (3_088_675_031_352_765_424, 13_833_932_545_472_401_337),
+];
+
+#[test]
+fn colliding_fingerprints_never_share_an_outcome() {
+    for (a, b) in COLLIDING_SEEDS {
+        let both = [harvest_at(a), harvest_at(b)];
+        let expected: Vec<Digest> = both.iter().map(|s| s.run().digest()).collect();
+        assert_ne!(expected[0], expected[1], "seeds {a} and {b}");
+
+        let batch = Runner::serial().run(&both);
+        assert_eq!(batch.digests(), expected, "one batch, seeds {a} and {b}");
+        assert_eq!(batch.stats.executed, 2, "seeds {a} and {b}");
+
+        let mut runner = Runner::serial();
+        runner.run(&both[..1]);
+        let warm = runner.run(&both[1..]);
+        assert_eq!(warm.digests(), expected[1..], "warm cache, seed {b}");
+
+        let config = ClusterConfig::new().workers(1).shards(1);
+        let cluster = Cluster::new(InProcess::new(), config).run(&both);
+        let digests: Vec<Digest> = cluster
+            .outcomes
+            .iter()
+            .map(ScenarioOutcome::digest)
+            .collect();
+        assert_eq!(digests, expected, "one-shard cluster, seeds {a} and {b}");
+    }
+    // The second pair collides under `Scenario::fingerprint` itself, so
+    // the test keeps proving that no cache decision reads the hash.
+    let (a, b) = COLLIDING_SEEDS[1];
+    assert_eq!(harvest_at(a).fingerprint(), 0xf277_a542_d257_fb83);
+    assert_eq!(harvest_at(b).fingerprint(), 0xf277_a542_d257_fb83);
 }
 
 /// Draws a random (always-valid) policy expression: primitives at any
@@ -333,13 +383,11 @@ proptest! {
         let batch = random_batch(seed, len);
         let serial = RunnerConfig::new()
             .workers(1)
-            .cache(false)
             .build()
             .run(&batch)
             .outcomes;
         let parallel = RunnerConfig::new()
             .workers(workers)
-            .cache(false)
             .build()
             .run(&batch)
             .outcomes;
@@ -362,7 +410,6 @@ proptest! {
         let batch = random_batch(seed, len);
         let uncached = RunnerConfig::new()
             .workers(4)
-            .cache(false)
             .build()
             .run(&batch)
             .outcomes;

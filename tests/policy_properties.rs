@@ -289,14 +289,12 @@ proptest! {
 
         let serial = RunnerConfig::new()
             .workers(1)
-            .cache(false)
             .build()
             .run(&batch)
             .outcomes;
         for workers in [2usize, 8] {
             let parallel = RunnerConfig::new()
                 .workers(workers)
-                .cache(false)
                 .build()
                 .run(&batch)
                 .outcomes;
@@ -305,7 +303,6 @@ proptest! {
         let sharded = RunnerConfig::new()
             .workers(4)
             .shards(2)
-            .cache(false)
             .build()
             .run(&batch)
             .outcomes;

@@ -41,7 +41,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 fn run_plain(batch: &[Scenario], workers: usize) -> Vec<ScenarioOutcome> {
     RunnerConfig::new()
         .workers(workers)
-        .cache(false)
         .build()
         .run(batch)
         .outcomes
