@@ -123,12 +123,13 @@ impl SensorArray {
     }
 
     /// Estimates back the concentration that produced `reading` on probe
-    /// `i`, inverting the equilibrium transfer function. Saturated
-    /// readings return `f64::INFINITY`.
+    /// `i`, inverting the finite-time transfer function θ(c, T) that
+    /// [`SensorArray::ideal_signal`] evaluates. Saturated readings return
+    /// `f64::INFINITY`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or `reading` is negative.
+    /// Panics if `i` is out of range or `reading` is negative or NaN.
     pub fn calibrate(&self, i: usize, reading: f64) -> f64 {
         assert!(reading >= 0.0, "reading must be non-negative");
         // Invert θ(c, T) = θ_eq(c)(1 − e^{−(k_on c + k_off)T}) by bisection
@@ -148,6 +149,12 @@ impl SensorArray {
         }
         for _ in 0..100 {
             let mid = 0.5 * (lo + hi);
+            // Once the midpoint rounds onto an end of the bracket, the
+            // remaining steps can only collapse the bracket onto `mid`, so
+            // the full 100-step result is `mid`, bit for bit.
+            if mid == lo || mid == hi {
+                return mid;
+            }
             if k.occupancy(mid, t) < reading {
                 lo = mid;
             } else {
@@ -223,6 +230,8 @@ impl SensorArray {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn array(probes: usize) -> SensorArray {
@@ -231,6 +240,81 @@ mod tests {
             BindingKinetics::dna_probe(),
             SensorConfig::default(),
         )
+    }
+
+    /// The fixed 100-step bisection, without an early exit: the oracle
+    /// that `calibrate` must match bit for bit.
+    fn calibrate_100_steps(a: &SensorArray, i: usize, reading: f64) -> f64 {
+        assert!(reading >= 0.0, "reading must be non-negative");
+        if reading >= 1.0 - 1e-12 {
+            return f64::INFINITY;
+        }
+        let k = &a.kinetics[i];
+        let t = a.config.integration_time;
+        let mut lo = 0.0f64;
+        let mut hi = k.dissociation_constant();
+        while k.occupancy(hi, t) < reading {
+            hi *= 2.0;
+            if hi > 1.0 {
+                return f64::INFINITY; // beyond any physical concentration
+            }
+        }
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            if k.occupancy(mid, t) < reading {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn calibration_matches_the_oracle_on_every_default_reading() {
+        // Four 10-bit codes averaged: every reading is a multiple of 1/4096.
+        let a = array(1);
+        for k in 0..=4096u32 {
+            let reading = f64::from(k) / 4096.0;
+            assert_eq!(
+                a.calibrate(0, reading).to_bits(),
+                calibrate_100_steps(&a, 0, reading).to_bits(),
+                "reading {k}/4096"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn calibration_matches_the_oracle(
+            log_k_on in 3.0f64..8.0,
+            log_k_off in -6.0f64..0.0,
+            integration_time in 1.0f64..1e5,
+            adc_bits in 1u32..24,
+            sites_per_probe in 1usize..16,
+            code in 0.0f64..1.0,
+            raw in 0.0f64..1.0,
+        ) {
+            let kinetics = BindingKinetics::new(10f64.powf(log_k_on), 10f64.powf(log_k_off));
+            let cfg = SensorConfig {
+                integration_time,
+                adc_bits,
+                sites_per_probe,
+                ..SensorConfig::default()
+            };
+            let a = SensorArray::uniform(1, kinetics, cfg);
+            // A reading this array can produce (an average of ADC codes,
+            // summed and divided as `measure` does) and one off its grid.
+            let codes = (1u64 << adc_bits) * sites_per_probe as u64;
+            let sum = (code * codes as f64).floor() * a.lsb();
+            for reading in [sum / sites_per_probe as f64, raw] {
+                prop_assert_eq!(
+                    a.calibrate(0, reading).to_bits(),
+                    calibrate_100_steps(&a, 0, reading).to_bits(),
+                    "reading {}", reading
+                );
+            }
+        }
     }
 
     #[test]

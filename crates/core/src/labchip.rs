@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use mns_bicluster::discretize::{binarize_with_threshold, BinaryMatrix};
 use mns_bicluster::score::{score, MatchScores};
@@ -168,18 +169,70 @@ struct SenseInterpretation {
     interpretation: MatchScores,
 }
 
-thread_local! {
-    /// Per-thread memo of sense+interpret stages. Everything cached is a
-    /// pure deterministic function of the key, so a hit returns results
-    /// byte-identical to a recompute — outcomes can never depend on the
-    /// hit pattern (and therefore not on worker count or shard layout).
-    static SENSE_CACHE: RefCell<HashMap<String, SenseInterpretation>> =
-        RefCell::new(HashMap::new());
+/// A memo of sense+interpret stages, keyed by the `Debug` rendering of
+/// the `(biology, sensing, mining, seed)` fingerprint and compared in
+/// full. Everything cached is a pure deterministic function of the key,
+/// so a hit returns results byte-identical to a recompute — outcomes can
+/// never depend on the hit pattern (and therefore not on worker count or
+/// shard layout).
+///
+/// A [`Runner`](crate::runner::Runner) owns one for its whole life and
+/// installs it on every thread it evaluates on, so its workers share
+/// sensing across batches. Outside a runner, each thread evaluates under
+/// a memo of its own.
+#[derive(Debug, Default)]
+pub(crate) struct SenseMemo {
+    entries: Mutex<HashMap<String, SenseInterpretation>>,
 }
 
-/// Bounded, deterministic eviction: wipe the memo when it reaches this
-/// many entries (sweeps rarely hold more distinct biology configs live).
+/// Bounded eviction: wipe the memo when it reaches this many entries
+/// (sweeps rarely hold more distinct biology configs live).
 const SENSE_CACHE_CAP: usize = 64;
+
+thread_local! {
+    /// The memo this thread's pipeline runs consult: the thread's own,
+    /// unless a runner has installed its memo for a batch.
+    static SENSE_MEMO: RefCell<Arc<SenseMemo>> = RefCell::new(Arc::default());
+}
+
+impl SenseMemo {
+    /// Makes this memo the one the calling thread consults until the
+    /// returned guard drops, also when the thread unwinds.
+    pub(crate) fn install(self: &Arc<Self>) -> InstalledMemo {
+        InstalledMemo {
+            previous: SENSE_MEMO.with(|slot| slot.replace(Arc::clone(self))),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<SenseInterpretation> {
+        self.entries
+            .lock()
+            .expect("sense memo lock")
+            .get(key)
+            .cloned()
+    }
+
+    fn insert(&self, key: String, si: SenseInterpretation) {
+        let mut entries = self.entries.lock().expect("sense memo lock");
+        if entries.len() >= SENSE_CACHE_CAP {
+            entries.clear();
+        }
+        entries.insert(key, si);
+    }
+}
+
+/// Restores the memo that [`SenseMemo::install`] displaced.
+pub(crate) struct InstalledMemo {
+    previous: Arc<SenseMemo>,
+}
+
+impl Drop for InstalledMemo {
+    fn drop(&mut self) {
+        let previous = Arc::clone(&self.previous);
+        // `try_with`: never panic in drop, even as the thread exits.
+        let _ = SENSE_MEMO.try_with(|slot| slot.replace(previous));
+    }
+}
 
 /// The computer-aided-diagnosis pipeline.
 #[derive(Debug, Clone)]
@@ -217,15 +270,17 @@ impl LabChipPipeline {
 
         // 2 + 3. Biology, sensing and interpretation depend only on the
         // fingerprint below — not on the chip, plex width or faults — so
-        // a repeat within the thread skips the sensing loop and all ZDD
+        // a repeat under the same memo skips the sensing loop and all ZDD
         // work. Both paths emit the same spans (hits record empty ones)
-        // to keep the telemetry span-tree shape independent of hits.
+        // to keep the telemetry span-tree shape independent of hits. The
+        // memo is locked only to look up and to insert: two threads that
+        // miss the same key at once both compute the same value.
         let key = format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{seed}",
             cfg.dataset, cfg.sensor, cfg.kinetics, cfg.unit_concentration, cfg.miner
         );
-        let cached = SENSE_CACHE.with(|c| c.borrow().get(&key).cloned());
-        let si = match cached {
+        let memo = SENSE_MEMO.with(|slot| Arc::clone(&slot.borrow()));
+        let si = match memo.get(&key) {
             Some(hit) => {
                 drop(mns_telemetry::span("labchip.sense"));
                 drop(mns_telemetry::span("labchip.interpret"));
@@ -234,13 +289,7 @@ impl LabChipPipeline {
             }
             None => {
                 let si = self.sense_and_interpret(seed);
-                SENSE_CACHE.with(|c| {
-                    let mut cache = c.borrow_mut();
-                    if cache.len() >= SENSE_CACHE_CAP {
-                        cache.clear();
-                    }
-                    cache.insert(key, si.clone());
-                });
+                memo.insert(key, si.clone());
                 si
             }
         };
@@ -268,6 +317,10 @@ impl LabChipPipeline {
         let array = SensorArray::uniform(cfg.dataset.genes, cfg.kinetics, cfg.sensor);
         let mut measured = Matrix::zeros(cfg.dataset.genes, cfg.dataset.samples);
         let mut err_acc = 0.0;
+        // A uniform array gives every probe the same kinetics, so a
+        // reading calibrates to the same concentration on any probe: each
+        // distinct reading is calibrated once per sense.
+        let mut calibrated: HashMap<u64, f64> = HashMap::new();
         for s in 0..cfg.dataset.samples {
             let concentrations: Vec<f64> = (0..cfg.dataset.genes)
                 .map(|g| truth_matrix.get(g, s).max(0.0) * cfg.unit_concentration)
@@ -276,7 +329,9 @@ impl LabChipPipeline {
             let readings = array.measure(&concentrations, measure_seed);
             for (g, &reading) in readings.iter().enumerate() {
                 // Calibrate back to expression units.
-                let est_c = array.calibrate(g, reading);
+                let est_c = *calibrated
+                    .entry(reading.to_bits())
+                    .or_insert_with(|| array.calibrate(g, reading));
                 let est_expr = if est_c.is_finite() {
                     est_c / cfg.unit_concentration
                 } else {

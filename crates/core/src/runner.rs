@@ -31,6 +31,14 @@
 //! batch are evaluated once. Keys are compared in full; a hash value
 //! never decides a hit.
 //!
+//! Each runner also owns the lab-chip sense+interpret memo, which lives
+//! as long as the runner: every thread it evaluates on (the caller's
+//! thread inline, and each worker) consults the same memo, so lab-on-chip
+//! scenarios that share a biology seed sense it once per runner, across
+//! batches and workers. [`Runner::clear_cache`] drops outcomes only.
+//! Outside a runner, `Scenario::run` consults a memo private to its
+//! thread.
+//!
 //! ## Sharding
 //!
 //! [`Runner::run`] is the consolidated entry point: it evaluates a batch
@@ -48,7 +56,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -67,7 +75,7 @@ use mns_wsn::harvest::{simulate_policy, HarvestConfig, SolarModel};
 use mns_wsn::protocol::Protocol;
 use mns_wsn::sim::{simulate_lifetime, LifetimeConfig};
 
-use crate::labchip::{LabChipPipeline, PipelineConfig};
+use crate::labchip::{LabChipPipeline, PipelineConfig, SenseMemo};
 
 pub use mns_fluidics::assay::AssayKind;
 
@@ -1227,6 +1235,9 @@ pub struct Runner {
     shards: usize,
     /// Outcomes keyed by the scenario's full wire record.
     cache: HashMap<String, ScenarioOutcome>,
+    /// The lab-chip stage memo every thread of this runner evaluates
+    /// under.
+    sense_memo: Arc<SenseMemo>,
 }
 
 impl Runner {
@@ -1241,6 +1252,7 @@ impl Runner {
             workers,
             shards: config.shards.max(1),
             cache: HashMap::new(),
+            sense_memo: Arc::default(),
         }
     }
 
@@ -1264,7 +1276,10 @@ impl Runner {
         self.shards
     }
 
-    /// Drops every memoized outcome.
+    /// Drops every memoized outcome. Stage results (the lab-chip
+    /// sense+interpret memo) live as long as the runner, so the next
+    /// batch re-evaluates every scenario but skips sensing a biology seed
+    /// this runner has already sensed.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
@@ -1286,8 +1301,8 @@ impl Runner {
     /// is the shard itself — exactly what a worker process would see — so
     /// outcomes and merged [`BatchStats::totals`] are identical whether
     /// the shards run in this process or on `mns-dist` cluster workers.
-    /// A sub-engine's cache ends with its shard, as a worker process's
-    /// would.
+    /// A sub-engine's outcome cache and stage memo end with its shard, as
+    /// a worker process's would.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         if self.shards <= 1 {
@@ -1425,8 +1440,9 @@ impl Runner {
     }
 
     /// Runs the job list (indices into `scenarios`) across the worker
-    /// pool; returns `(index, outcome)` pairs in arbitrary order plus
-    /// one [`WorkerBatchStats`] per worker actually used.
+    /// pool, every thread under this runner's stage memo; returns
+    /// `(index, outcome)` pairs in arbitrary order plus one
+    /// [`WorkerBatchStats`] per worker actually used.
     fn execute(
         &self,
         scenarios: &[Scenario],
@@ -1434,6 +1450,7 @@ impl Runner {
     ) -> (Vec<(usize, ScenarioOutcome)>, Vec<WorkerBatchStats>) {
         let workers = self.workers.min(jobs.len());
         if workers <= 1 {
+            let _memo = self.sense_memo.install();
             let results = jobs.iter().map(|&i| Self::evaluate(scenarios, i)).collect();
             let solo = WorkerBatchStats {
                 executed: jobs.len() as u64,
@@ -1458,7 +1475,9 @@ impl Runner {
                 let handles: Vec<_> = (0..workers)
                     .map(|me| {
                         let queues = &queues;
+                        let sense_memo = &self.sense_memo;
                         scope.spawn(move || {
+                            let _memo = sense_memo.install();
                             let telemetry = mns_telemetry::is_enabled();
                             let mut local: Vec<(usize, ScenarioOutcome)> = Vec::new();
                             let mut mine = WorkerBatchStats::default();

@@ -18,10 +18,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::thread;
 
 use micronano::core::runner::{
     conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
-    NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
+    LabChipScenario, NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
 };
 use micronano::noc::graph::CommGraph;
 use micronano::policy::PolicyExpr;
@@ -216,6 +217,92 @@ fn chrome_trace_and_folded_exports_validate() {
         assert!(snap.counter("runner.executed") > 0);
         telemetry::validate_snapshot_text(&snap.to_text())
             .expect("metrics snapshot text must validate");
+    });
+}
+
+/// Two rounds of lab-on-chip runs over biology seeds 1 and 2: round 1
+/// runs each seed once, round 2 runs both seeds in variants that round 1
+/// did not (so no outcome is cached, but every sense is shared).
+fn labchip_rounds() -> [Vec<Scenario>; 2] {
+    let run = |seed, samples_per_run, dead_fraction| {
+        Scenario::LabChip(LabChipScenario {
+            assay: AssayKind::Multiplex,
+            seed,
+            samples_per_run,
+            dead_fraction,
+            fault_seed: 3,
+        })
+    };
+    [
+        vec![run(1, 2, 0.0), run(2, 2, 0.0)],
+        vec![
+            run(1, 1, 0.0),
+            run(2, 1, 0.0),
+            run(1, 2, 0.05),
+            run(2, 2, 0.05),
+        ],
+    ]
+}
+
+/// Runs `f` with telemetry on; returns the `labchip.interpret_cache_hits`
+/// it recorded next to its result.
+fn sense_hits<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    telemetry::reset();
+    telemetry::enable(Arc::new(telemetry::VirtualClock::default()));
+    let out = f();
+    telemetry::disable();
+    let hits = telemetry::snapshot().counter("labchip.interpret_cache_hits");
+    telemetry::reset();
+    (hits, out)
+}
+
+#[test]
+fn the_runner_owns_the_sense_memo_and_its_workers_share_it() {
+    isolated(|| {
+        let rounds = labchip_rounds();
+        let reference: Vec<Vec<ScenarioOutcome>> = rounds.iter().map(|r| run_plain(r, 1)).collect();
+
+        // Round 1 puts each seed on its own worker. Round 2, and round 1
+        // again after `clear_cache`, find every seed already sensed.
+        let mut parallel = Runner::with_workers(2);
+        for (round, want_hits) in [(0, 0), (1, rounds[1].len())] {
+            let (hits, outcomes) = sense_hits(|| parallel.run(&rounds[round]).outcomes);
+            assert_eq!(hits, want_hits as u64, "2 workers, round {}", round + 1);
+            assert_eq!(outcomes, reference[round]);
+        }
+        parallel.clear_cache();
+        let (hits, outcomes) = sense_hits(|| parallel.run(&rounds[0]).outcomes);
+        assert_eq!(
+            hits,
+            rounds[0].len() as u64,
+            "clear_cache keeps the stage memo"
+        );
+        assert_eq!(outcomes, reference[0]);
+
+        // This thread's earlier serial runners sensed both seeds; a fresh
+        // one still misses once per seed.
+        for _ in 0..2 {
+            let mut serial = Runner::serial();
+            let (hits, outcomes) = sense_hits(|| {
+                rounds
+                    .iter()
+                    .map(|r| serial.run(r).outcomes)
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(hits, 6 - 2, "6 lab-on-chip runs over 2 seeds");
+            assert_eq!(outcomes, reference);
+        }
+
+        // Outside a runner, calls on one thread share that thread's memo.
+        let (hits, outcomes) = sense_hits(|| {
+            thread::scope(|s| {
+                s.spawn(|| [rounds[0][0].run(), rounds[1][0].run()])
+                    .join()
+                    .expect("bare runs")
+            })
+        });
+        assert_eq!(hits, 1, "two bare runs of seed 1 on a fresh thread");
+        assert_eq!(outcomes, [reference[0][0].clone(), reference[1][0].clone()]);
     });
 }
 
