@@ -5,7 +5,7 @@
 //! parallel_sweep` and compare the `workers/1` and `workers/4` medians.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mns_core::runner::{NocScenario, RunnerConfig, Scenario};
+use mns_core::runner::{NocScenario, Runner, Scenario};
 use mns_noc::graph::CommGraph;
 
 fn sweep_scenarios() -> Vec<Scenario> {
@@ -34,13 +34,7 @@ fn bench_parallel_sweep(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| {
-                    RunnerConfig::new()
-                        .workers(workers)
-                        .build()
-                        .run(&scenarios)
-                        .outcomes
-                });
+                b.iter(|| Runner::with_workers(workers).run(&scenarios).outcomes);
             },
         );
     }

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mns_core::runner::{
-    AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario, NocScenario,
-    RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
+    AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario, NocScenario, Runner,
+    Scenario, ScenarioOutcome, WsnScenario,
 };
 use mns_noc::graph::CommGraph;
 use mns_policy::PolicyExpr;
@@ -62,7 +62,7 @@ fn mixed_batch() -> Vec<Scenario> {
 }
 
 fn run_plain(batch: &[Scenario]) -> Vec<ScenarioOutcome> {
-    RunnerConfig::new().workers(2).build().run(batch).outcomes
+    Runner::with_workers(2).run(batch).outcomes
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

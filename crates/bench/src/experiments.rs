@@ -11,7 +11,7 @@ use mns_biosensor::expression::{generate, SyntheticDatasetConfig};
 use mns_biosensor::kinetics::BindingKinetics;
 use mns_core::explore::explore_noc_with;
 use mns_core::report::{fmt_f64, Table};
-use mns_core::runner::{default_workers, NocScenario, Runner, RunnerConfig, Scenario};
+use mns_core::runner::{default_workers, NocScenario, Runner, Scenario};
 use mns_crossbar::mapping::mapping_yield;
 use mns_fluidics::assay::multiplex_immunoassay;
 use mns_fluidics::compiler::{compile, CompilerConfig};
@@ -541,12 +541,7 @@ pub fn e7_noc_synthesis(seed: u64) -> Vec<Table> {
     // Pareto exploration summary, on the parallel scenario engine (the
     // conformance suite pins this to the serial result).
     let app = CommGraph::hotspot(16, 1.0);
-    let (points, front) = explore_noc_with(
-        &app,
-        &[2, 3, 4, 8],
-        &[0, 2, 4, 8],
-        RunnerConfig::new().workers(0),
-    );
+    let (points, front) = explore_noc_with(&app, &[2, 3, 4, 8], &[0, 2, 4, 8], 0);
     let mut p = Table::new(
         "E7b",
         "design-space exploration (16-core hotspot): Pareto front size",
@@ -894,13 +889,7 @@ pub fn a5_parallel_runner(seed: u64) -> Vec<Table> {
         ),
         &["workers", "time ms", "speedup", "identical to serial"],
     );
-    let sweep = |workers: usize| {
-        RunnerConfig::new()
-            .workers(workers)
-            .build()
-            .run(&scenarios)
-            .outcomes
-    };
+    let sweep = |workers: usize| Runner::with_workers(workers).run(&scenarios).outcomes;
     let start = Instant::now();
     let reference = sweep(1);
     let serial_ms = ms(start);

@@ -8,7 +8,7 @@
 
 use mns_noc::graph::CommGraph;
 
-use crate::runner::{NocScenario, RunnerConfig, Scenario, ScenarioOutcome};
+use crate::runner::{NocScenario, Runner, Scenario, ScenarioOutcome};
 
 /// Indices of the Pareto-optimal (non-dominated, minimizing) points.
 ///
@@ -86,25 +86,20 @@ pub fn explore_noc(
     cluster_sizes: &[usize],
     shortcut_budgets: &[usize],
 ) -> (Vec<NocDesignPoint>, Vec<usize>) {
-    explore_noc_with(
-        app,
-        cluster_sizes,
-        shortcut_budgets,
-        RunnerConfig::new().workers(1),
-    )
+    explore_noc_with(app, cluster_sizes, shortcut_budgets, 1)
 }
 
 /// [`explore_noc`] on the scenario engine: every `(cluster, shortcuts)`
 /// design point becomes a [`Scenario::NocPoint`] evaluated by a
-/// [`Runner`](crate::runner::Runner) built from `config` — any worker
-/// or shard configuration. The conformance contract guarantees the
-/// result is byte-identical for every worker and shard count; infeasible
-/// points (no route set) are dropped, matching the serial sweep.
+/// [`Runner`] with `workers` threads (0 = one per hardware thread). The
+/// conformance contract guarantees the result is byte-identical for
+/// every worker count; infeasible points (no route set) are dropped,
+/// matching the serial sweep.
 pub fn explore_noc_with(
     app: &CommGraph,
     cluster_sizes: &[usize],
     shortcut_budgets: &[usize],
-    config: RunnerConfig,
+    workers: usize,
 ) -> (Vec<NocDesignPoint>, Vec<usize>) {
     let _sweep_span = mns_telemetry::span("noc.sweep");
     let mut params = Vec::new();
@@ -119,7 +114,7 @@ pub fn explore_noc_with(
             }));
         }
     }
-    let outcomes = config.build().run(&scenarios).outcomes;
+    let outcomes = Runner::with_workers(workers).run(&scenarios).outcomes;
     let mut points = Vec::new();
     for ((max_cluster, shortcuts), outcome) in params.into_iter().zip(outcomes) {
         let ScenarioOutcome::Noc {
@@ -247,17 +242,8 @@ mod tests {
         let app = CommGraph::hotspot(16, 1.0);
         let serial = explore_noc(&app, &[2, 4, 8], &[0, 4]);
         for workers in [2, 4, 0] {
-            let config = RunnerConfig::new().workers(workers);
-            let par = explore_noc_with(&app, &[2, 4, 8], &[0, 4], config);
+            let par = explore_noc_with(&app, &[2, 4, 8], &[0, 4], workers);
             assert_eq!(serial, par, "divergence at workers={workers}");
         }
-        // Sharded exploration is covered by the same contract.
-        let sharded = explore_noc_with(
-            &app,
-            &[2, 4, 8],
-            &[0, 4],
-            RunnerConfig::new().workers(2).shards(3),
-        );
-        assert_eq!(serial, sharded, "divergence under sharding");
     }
 }

@@ -15,11 +15,11 @@
 //!   filtering, applied to NoC topology synthesis (`mns-noc`),
 //! * [`runner`] — the deterministic parallel experiment engine: batched
 //!   [`Scenario`](runner::Scenario) evaluation across worker threads with
-//!   work stealing, exact outcome caching, deterministic sharding (in
-//!   process, or across worker processes through the shard
-//!   [`manifest`](runner::manifest) wire format that `mns-dist` ships),
-//!   and byte-identical serial / parallel / sharded outcomes (the
-//!   golden-run conformance contract),
+//!   work stealing and exact outcome caching, byte-identical at any
+//!   worker count (the golden-run conformance contract), plus the
+//!   deterministic [`ShardPlan`](runner::ShardPlan) and the shard
+//!   [`manifest`](runner::manifest) wire format that the `mns-dist`
+//!   cluster scheduler uses to split a batch across workers,
 //! * [`report`] — the experiment table type shared by the examples and
 //!   the `mns-bench` reproduction harness.
 //!

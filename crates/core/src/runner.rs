@@ -41,17 +41,18 @@
 //!
 //! ## Sharding
 //!
-//! [`Runner::run`] is the consolidated entry point: it evaluates a batch
-//! and returns a [`BatchReport`] (outcomes, merged stats, optional
-//! per-shard breakdown). With `shards > 1` in [`RunnerConfig`], the batch
-//! is partitioned by a deterministic [`ShardPlan`] and each shard runs on
-//! a fresh sub-engine through [`Runner::run_shard`] — the evaluation a
-//! worker process performs on its shard — so 1 shard, N in-process shards
-//! and N worker processes all produce byte-identical per-scenario digests
-//! and the same merged [`BatchStats::totals`]. The manifest wire format
-//! lives in [`manifest`]; shipping shards to worker processes (deadlines,
-//! crash detection, requeue-on-failure) is the `mns-dist` cluster
-//! scheduler's job, configured by [`ClusterConfig`].
+//! A [`Runner`] never splits a batch: [`Runner::run`] has one code path,
+//! the worker pool over the whole batch. Splitting a batch into shards is
+//! the `mns-dist` cluster scheduler's job. It deals scenarios with a
+//! deterministic [`ShardPlan`], ships each shard in the [`manifest`] wire
+//! format, and evaluates every shard — on a worker, or recovered in this
+//! process — through one function: a fresh `Runner` over the shard's
+//! scenarios, with its [`BatchStats`] tagged by [`ShardId`]. The
+//! cluster's deadlines, crash detection and requeue-on-failure are
+//! configured by [`ClusterConfig`]. Because every scenario is a pure
+//! function of its fields, a serial run and a cluster sweep at any shard
+//! count, in process or across worker processes, produce byte-identical
+//! per-scenario digests and the same merged [`BatchStats::totals`].
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -64,7 +65,7 @@ use mns_fluidics::compiler::{compile_with_faults, CompilerConfig};
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
 use mns_grn::models::{arabidopsis, organ_repertoire, t_helper, th_fates, FloralInputs};
-use mns_grn::Perturbation;
+use mns_grn::{BooleanNetwork, Perturbation};
 use mns_noc::graph::CommGraph;
 use mns_noc::power::{area_proxy, PowerModel};
 use mns_noc::routing::compute_routes;
@@ -232,6 +233,20 @@ pub enum GrnModel {
     },
 }
 
+impl GrnModel {
+    /// The model's wild-type network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an Arabidopsis whorl is 4 or more.
+    fn network(self) -> BooleanNetwork {
+        match self {
+            GrnModel::THelper => t_helper(),
+            GrnModel::Arabidopsis { whorl } => arabidopsis(FloralInputs::whorls()[whorl]),
+        }
+    }
+}
+
 /// An in-silico knockout screen point: one model, zero or one knockout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnockoutScenario {
@@ -364,8 +379,15 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if a [`KnockoutScenario`] names a gene absent from its
-    /// model, or a [`FluidicsScenario`] has a non-positive grid.
+    /// Panics on a scenario that [`manifest::decode_scenario`] rejects:
+    ///
+    /// * a [`FluidicsScenario`] with a non-positive `grid_side`;
+    /// * a [`NocScenario`] with a `max_cluster` of 0;
+    /// * a [`WsnScenario`] with 0 `nodes`, a `side` that is NaN or not
+    ///   positive, or a `failure_rate` above 1;
+    /// * a [`HarvestScenario`] with 0 `days`;
+    /// * a [`KnockoutScenario`] on an Arabidopsis whorl of 4 or more, or
+    ///   naming a gene absent from its model.
     pub fn run(&self) -> ScenarioOutcome {
         match self {
             Scenario::FluidicsCompile(s) => {
@@ -507,10 +529,7 @@ impl Scenario {
                 }
             }
             Scenario::Knockout(s) => {
-                let net = match s.model {
-                    GrnModel::THelper => t_helper(),
-                    GrnModel::Arabidopsis { whorl } => arabidopsis(FloralInputs::whorls()[whorl]),
-                };
+                let net = s.model.network();
                 let net = match &s.knockout {
                     None => net,
                     Some(g) => net
@@ -755,8 +774,8 @@ impl ScenarioOutcome {
     }
 }
 
-/// Identifies one shard of a (possibly sharded) sweep. Unsharded runs
-/// report everything under `ShardId(0)`.
+/// Identifies one shard of a cluster sweep. [`Runner::run`] reports
+/// everything under `ShardId(0)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
@@ -769,9 +788,11 @@ impl fmt::Display for ShardId {
 /// A deterministic partition of a batch into shards.
 ///
 /// Each shard holds the *global submission indices* of its scenarios,
-/// sorted ascending, so per-scenario telemetry tracks and outcome slots
-/// keep their batch-wide meaning no matter which shard (or process)
-/// evaluates them. Every index appears in exactly one shard.
+/// sorted ascending, so each scenario's outcome slot keeps its batch-wide
+/// meaning no matter which shard (or process) evaluates it. Telemetry
+/// task spans do not: a shard runs on its own [`Runner`], which keys them
+/// by position within the shard. Every index appears in exactly one
+/// shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     assignments: Vec<Vec<usize>>,
@@ -831,64 +852,23 @@ impl ShardPlan {
     }
 }
 
-/// Engine parameters, built fluently:
-///
-/// ```
-/// use mns_core::runner::RunnerConfig;
-///
-/// let mut runner = RunnerConfig::new().workers(8).shards(4).build();
-/// # let _ = runner.run(&[]);
-/// ```
+/// The per-worker half of a [`ClusterConfig`]: the thread count inside
+/// each cluster worker, and the number of shards the cluster plans. A
+/// [`Runner`] itself takes only a thread count
+/// ([`Runner::with_workers`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerConfig {
-    /// Worker threads (per shard when sharded); 0 means one per available
-    /// hardware thread.
+    /// Threads inside each cluster worker's [`Runner`]; 0 means one per
+    /// available hardware thread.
     pub workers: usize,
-    /// Shard count for [`Runner::run`], which evaluates each shard in
-    /// this process on a fresh sub-engine; 1 (the default) disables
-    /// sharding. The `mns-dist` cluster reads it from
-    /// [`ClusterConfig::runner`] to plan the shards it ships to workers.
+    /// Shards the cluster's [`ShardPlan`] splits a batch into (at least
+    /// 1).
     pub shards: usize,
 }
 
-impl Default for RunnerConfig {
-    fn default() -> Self {
-        RunnerConfig {
-            workers: 0,
-            shards: 1,
-        }
-    }
-}
-
-impl RunnerConfig {
-    /// The default configuration (hardware workers, unsharded).
-    pub fn new() -> RunnerConfig {
-        RunnerConfig::default()
-    }
-
-    /// Sets the worker-thread count (0 = one per hardware thread).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> RunnerConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the in-process shard count (clamped to at least 1).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> RunnerConfig {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Finishes the builder into a ready [`Runner`].
-    pub fn build(self) -> Runner {
-        Runner::new(self)
-    }
-}
-
-/// Cluster-level parameters layered on [`RunnerConfig`] by the
-/// `mns-dist` scheduler. Everything a single worker needs (threads,
-/// shard count) lives in [`ClusterConfig::runner`]; this struct
+/// Cluster-level parameters for the `mns-dist` scheduler. The thread
+/// count inside each worker and the shard count live in
+/// [`ClusterConfig::runner`]; this struct
 /// adds only what a *fleet* of workers needs: how many endpoints, how
 /// long a shard may take, how liveness is judged, and how retries back
 /// off.
@@ -920,8 +900,10 @@ pub struct ClusterConfig {
     /// A busy worker silent for longer than this is declared dead and
     /// its shard requeued.
     pub liveness_window: Duration,
-    /// How long the scheduler waits for the *first* registration before
-    /// degrading the whole sweep to in-process execution.
+    /// How long the scheduler waits for launched workers to register.
+    /// Once every launched worker has registered or gone, or this window
+    /// has passed, a fleet with no live worker is given up and its
+    /// remaining shards are evaluated in-process.
     pub registration_window: Duration,
     /// Maximum delivery attempts per shard before it is recovered
     /// in-process (clamped to at least 1).
@@ -981,7 +963,7 @@ impl ClusterConfig {
     /// Sets the shard count (clamped to at least 1).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> ClusterConfig {
-        self.runner = self.runner.shards(shards);
+        self.runner.shards = shards.max(1);
         self
     }
 
@@ -1047,7 +1029,7 @@ impl ClusterConfig {
 /// Counters for one worker thread within a single batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerBatchStats {
-    /// Shard this worker served (`ShardId(0)` for unsharded runs).
+    /// Shard this worker served (`ShardId(0)` from [`Runner::run`]).
     pub shard: ShardId,
     /// Worker index within its shard's pool.
     pub worker: u32,
@@ -1062,9 +1044,9 @@ pub struct WorkerBatchStats {
 }
 
 /// Shard- and worker-layout-independent batch counters: the unit of
-/// cross-mode stats comparison. Serial, in-process-sharded and
-/// cluster runs of the same batch must agree on these even though
-/// their `per_worker` layouts reflect different topologies.
+/// cross-mode stats comparison. Serial, parallel and cluster runs of
+/// the same batch must agree on these even though their `per_worker`
+/// layouts reflect different topologies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTotals {
     /// Scenarios submitted.
@@ -1082,10 +1064,12 @@ pub struct BatchTotals {
 /// Per-batch execution breakdown carried by [`BatchReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Shard these stats describe. A merged report keeps the *smallest*
-    /// contributing shard id (`min` is associative and commutative, so
-    /// merge order cannot change it); per-shard identity survives in
-    /// `per_worker[..].shard` and in [`BatchReport::shards`].
+    /// Shard these stats describe: `ShardId(0)` from [`Runner::run`], the
+    /// shard's own id from a cluster worker. A merged report keeps the
+    /// *smallest* contributing shard id (`min` is associative and
+    /// commutative, so merge order cannot change it); per-shard identity
+    /// survives in `per_worker[..].shard` and in the cluster report's
+    /// per-shard rows.
     pub shard: ShardId,
     /// Scenarios submitted in the batch.
     pub scenarios: u64,
@@ -1191,10 +1175,8 @@ impl BatchStats {
 pub struct BatchReport {
     /// Outcomes in submission order, one per submitted scenario.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Merged execution stats for the whole batch.
+    /// Execution stats for the whole batch.
     pub stats: BatchStats,
-    /// Per-shard breakdown in shard order; empty for unsharded runs.
-    pub shards: Vec<BatchStats>,
 }
 
 impl BatchReport {
@@ -1204,16 +1186,17 @@ impl BatchReport {
     }
 }
 
-/// One worker thread per available hardware thread (the default worker
-/// count for `RunnerConfig { workers: 0, .. }`).
+/// One worker thread per available hardware thread (what
+/// [`Runner::with_workers`]`(0)` resolves to).
 pub fn default_workers() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The deterministic work-stealing scenario engine.
+/// The deterministic work-stealing scenario engine: worker threads, an
+/// outcome cache and a stage memo.
 ///
 /// ```
-/// use mns_core::runner::{Runner, RunnerConfig, Scenario, HarvestScenario};
+/// use mns_core::runner::{Runner, Scenario, HarvestScenario};
 /// use mns_policy::PolicyExpr;
 ///
 /// let batch = vec![Scenario::Harvest(HarvestScenario {
@@ -1223,16 +1206,13 @@ pub fn default_workers() -> usize {
 ///     seed: 1,
 /// })];
 /// let serial = Runner::serial().run(&batch);
-/// let parallel = RunnerConfig::new().workers(4).build().run(&batch);
-/// let sharded = RunnerConfig::new().workers(4).shards(2).build().run(&batch);
-/// // Byte-identical at any worker or shard count.
+/// let parallel = Runner::with_workers(4).run(&batch);
+/// // Byte-identical at any worker count.
 /// assert_eq!(serial.outcomes, parallel.outcomes);
-/// assert_eq!(serial.outcomes, sharded.outcomes);
 /// ```
 #[derive(Debug)]
 pub struct Runner {
     workers: usize,
-    shards: usize,
     /// Outcomes keyed by the scenario's full wire record.
     cache: HashMap<String, ScenarioOutcome>,
     /// The lab-chip stage memo every thread of this runner evaluates
@@ -1241,39 +1221,28 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates an engine from `config`.
-    pub fn new(config: RunnerConfig) -> Self {
-        let workers = if config.workers == 0 {
-            default_workers()
-        } else {
-            config.workers
-        };
-        Runner {
-            workers,
-            shards: config.shards.max(1),
-            cache: HashMap::new(),
-            sense_memo: Arc::default(),
-        }
-    }
-
     /// A single-threaded engine (the conformance reference).
     pub fn serial() -> Self {
         Runner::with_workers(1)
     }
 
-    /// An engine with exactly `workers` threads.
+    /// An engine with `workers` threads; 0 means one per available
+    /// hardware thread ([`default_workers`]).
     pub fn with_workers(workers: usize) -> Self {
-        RunnerConfig::new().workers(workers.max(1)).build()
+        Runner {
+            workers: if workers == 0 {
+                default_workers()
+            } else {
+                workers
+            },
+            cache: HashMap::new(),
+            sense_memo: Arc::default(),
+        }
     }
 
     /// The resolved worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The configured in-process shard count (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Drops every memoized outcome. Stage results (the lab-chip
@@ -1284,144 +1253,83 @@ impl Runner {
         self.cache.clear();
     }
 
-    /// Evaluates a batch behind the consolidated surface, returning a
-    /// [`BatchReport`] with outcomes in submission order, merged stats
-    /// and (when sharded) a per-shard breakdown.
+    /// Evaluates a batch, returning a [`BatchReport`] with outcomes in
+    /// submission order and the batch's stats.
     ///
     /// Scenarios whose wire record is cached are served without
-    /// re-evaluation; duplicate scenarios inside a shard are evaluated
+    /// re-evaluation; duplicate scenarios inside the batch are evaluated
     /// once. Remaining jobs are
     /// dealt round-robin to per-worker queues; an idle worker steals from
     /// the tail of a sibling's queue. Because every scenario is a pure
     /// function of its own fields, the schedule cannot affect the result
     /// — only the wall clock.
-    ///
-    /// With `shards > 1`, the batch is partitioned by a [`ShardPlan`] and
-    /// each shard runs on a *fresh* sub-engine whose cache and dedup scope
-    /// is the shard itself — exactly what a worker process would see — so
-    /// outcomes and merged [`BatchStats::totals`] are identical whether
-    /// the shards run in this process or on `mns-dist` cluster workers.
-    /// A sub-engine's outcome cache and stage memo end with its shard, as
-    /// a worker process's would.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
-        if self.shards <= 1 {
-            let indices: Vec<usize> = (0..scenarios.len()).collect();
-            let (pairs, stats) = self.run_shard(scenarios, &indices, ShardId(0));
-            BatchReport {
-                outcomes: Self::assemble(scenarios.len(), pairs),
-                stats,
-                shards: Vec::new(),
-            }
-        } else {
-            let plan = ShardPlan::split(scenarios, self.shards);
-            let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(scenarios.len());
-            let mut shard_stats: Vec<BatchStats> = Vec::with_capacity(plan.shards());
-            for (shard, indices) in plan.iter() {
-                let _shard_span = mns_telemetry::task_span("runner.shard", u64::from(shard.0));
-                let (shard_pairs, stats) =
-                    Runner::with_workers(self.workers).run_shard(scenarios, indices, shard);
-                pairs.extend(shard_pairs);
-                shard_stats.push(stats);
-            }
-            BatchReport {
-                outcomes: Self::assemble(scenarios.len(), pairs),
-                stats: BatchStats::merged(&shard_stats),
-                shards: shard_stats,
-            }
-        }
-    }
-
-    /// Orders `(index, outcome)` pairs into the submission-order vector.
-    fn assemble(len: usize, mut pairs: Vec<(usize, ScenarioOutcome)>) -> Vec<ScenarioOutcome> {
-        debug_assert_eq!(pairs.len(), len);
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        pairs.into_iter().map(|(_, outcome)| outcome).collect()
-    }
-
-    /// Evaluates exactly one shard of a larger batch: the sub-batch
-    /// `indices` (global submission indices into `scenarios`, each
-    /// `< scenarios.len()`, typically from [`ShardPlan::indices`]) runs
-    /// through cache, dedup and the worker pool, and the resulting stats
-    /// are tagged with `shard`. Returns one `(global index, outcome)`
-    /// pair per entry of `indices`, in arbitrary order. Keeping indices
-    /// global keeps telemetry task tracks and outcome slots batch-wide,
-    /// whichever shard (or process) evaluates them.
-    ///
-    /// [`Runner::run`] evaluates every batch through this primitive, and
-    /// the `mns-dist` scheduler calls it on a fresh `Runner` to recover a
-    /// lost shard in-process, so the cache/dedup scope is the shard
-    /// itself and the pairs merge back into submission order batch-wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds for `scenarios`.
-    pub fn run_shard(
-        &mut self,
-        scenarios: &[Scenario],
-        indices: &[usize],
-        shard: ShardId,
-    ) -> (Vec<(usize, ScenarioOutcome)>, BatchStats) {
-        let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(indices.len());
+        let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
         // Resolve cache hits and pick one representative index (its job)
         // per distinct uncached record. Each scenario is encoded once.
         let mut pending: HashMap<String, usize> = HashMap::new();
         let mut jobs: Vec<usize> = Vec::new();
-        let mut unresolved: Vec<(usize, usize)> = Vec::new();
-        let mut batch = BatchStats {
-            shard,
-            scenarios: indices.len() as u64,
+        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let mut stats = BatchStats {
+            scenarios: scenarios.len() as u64,
             ..BatchStats::default()
         };
-        for &i in indices {
-            let record = manifest::encode_scenario(&scenarios[i]);
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let record = manifest::encode_scenario(scenario);
             if let Some(hit) = self.cache.get(&record) {
-                pairs.push((i, hit.clone()));
-                batch.cache_hits += 1;
+                outcomes[i] = Some(hit.clone());
+                stats.cache_hits += 1;
                 continue;
             }
-            let job = match pending.entry(record) {
+            match pending.entry(record) {
                 Entry::Occupied(e) => {
-                    batch.deduped += 1;
-                    *e.get()
+                    stats.deduped += 1;
+                    duplicates.push((i, *e.get()));
                 }
                 Entry::Vacant(e) => {
                     jobs.push(i);
-                    *e.insert(i)
+                    e.insert(i);
                 }
-            };
-            unresolved.push((i, job));
+            }
         }
 
         let (fresh, per_worker) = self.execute(scenarios, &jobs);
-        batch.executed = fresh.len() as u64;
-        batch.steals = per_worker.iter().map(|w| w.steals).sum();
-        batch.per_worker = per_worker
+        stats.executed = fresh.len() as u64;
+        stats.steals = per_worker.iter().map(|w| w.steals).sum();
+        stats.per_worker = per_worker
             .into_iter()
             .enumerate()
             .map(|(w, ws)| WorkerBatchStats {
-                shard,
                 worker: u32::try_from(w).expect("worker count fits in u32"),
                 ..ws
             })
             .collect();
-        if let Some(w0) = batch.per_worker.first_mut() {
+        if let Some(w0) = stats.per_worker.first_mut() {
             // Hits resolve on the submitting thread: charge worker 0.
-            w0.cache_hits = batch.cache_hits;
+            w0.cache_hits = stats.cache_hits;
         }
-        mns_telemetry::counter_add("runner.executed", batch.executed);
-        mns_telemetry::counter_add("runner.cache_hits", batch.cache_hits);
-        mns_telemetry::counter_add("runner.deduped", batch.deduped);
-        mns_telemetry::counter_add("runner.steals", batch.steals);
-        let mut fresh: HashMap<usize, ScenarioOutcome> = fresh.into_iter().collect();
-        for (i, job) in unresolved {
-            pairs.push((i, fresh[&job].clone()));
+        mns_telemetry::counter_add("runner.executed", stats.executed);
+        mns_telemetry::counter_add("runner.cache_hits", stats.cache_hits);
+        mns_telemetry::counter_add("runner.deduped", stats.deduped);
+        mns_telemetry::counter_add("runner.steals", stats.steals);
+        for (i, outcome) in fresh {
+            outcomes[i] = Some(outcome);
+        }
+        for (i, job) in duplicates {
+            outcomes[i] = outcomes[job].clone();
         }
         for (record, job) in pending {
-            let outcome = fresh.remove(&job).expect("every job was evaluated");
+            let outcome = outcomes[job].clone().expect("every job was evaluated");
             self.cache.insert(record, outcome);
         }
-        (pairs, batch)
+        BatchReport {
+            outcomes: outcomes
+                .into_iter()
+                .map(|o| o.expect("every scenario is resolved"))
+                .collect(),
+            stats,
+        }
     }
 
     /// Evaluates one job on whatever thread is running it, under a
@@ -1470,64 +1378,60 @@ impl Runner {
                 .push_back(job);
         }
 
-        let (mut results, per_worker): (Vec<(usize, ScenarioOutcome)>, Vec<WorkerBatchStats>) =
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|me| {
-                        let queues = &queues;
-                        let sense_memo = &self.sense_memo;
-                        scope.spawn(move || {
-                            let _memo = sense_memo.install();
-                            let telemetry = mns_telemetry::is_enabled();
-                            let mut local: Vec<(usize, ScenarioOutcome)> = Vec::new();
-                            let mut mine = WorkerBatchStats::default();
-                            loop {
-                                let wait_t0 = telemetry.then(std::time::Instant::now);
-                                // Own queue first (front: submission order)…
-                                let mut job = queues[me].lock().expect("queue lock").pop_front();
-                                if job.is_none() {
-                                    // …then steal from a sibling's tail. All
-                                    // jobs are dealt before the scope starts,
-                                    // so an empty sweep means we are done.
-                                    for off in 1..queues.len() {
-                                        let victim = (me + off) % queues.len();
-                                        job = queues[victim].lock().expect("queue lock").pop_back();
-                                        if job.is_some() {
-                                            mine.steals += 1;
-                                            break;
-                                        }
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let queues = &queues;
+                    let sense_memo = &self.sense_memo;
+                    scope.spawn(move || {
+                        let _memo = sense_memo.install();
+                        let telemetry = mns_telemetry::is_enabled();
+                        let mut local: Vec<(usize, ScenarioOutcome)> = Vec::new();
+                        let mut mine = WorkerBatchStats::default();
+                        loop {
+                            let wait_t0 = telemetry.then(std::time::Instant::now);
+                            // Own queue first (front: submission order)…
+                            let mut job = queues[me].lock().expect("queue lock").pop_front();
+                            if job.is_none() {
+                                // …then steal from a sibling's tail. All
+                                // jobs are dealt before the scope starts,
+                                // so an empty sweep means we are done.
+                                for off in 1..queues.len() {
+                                    let victim = (me + off) % queues.len();
+                                    job = queues[victim].lock().expect("queue lock").pop_back();
+                                    if job.is_some() {
+                                        mine.steals += 1;
+                                        break;
                                     }
-                                }
-                                if let Some(t0) = wait_t0 {
-                                    mns_telemetry::observe(
-                                        "runner.queue_wait_ns",
-                                        t0.elapsed().as_nanos() as u64,
-                                    );
-                                }
-                                match job {
-                                    Some(i) => {
-                                        mine.executed += 1;
-                                        local.push(Self::evaluate(scenarios, i));
-                                    }
-                                    None => break,
                                 }
                             }
-                            (local, mine)
-                        })
+                            if let Some(t0) = wait_t0 {
+                                mns_telemetry::observe(
+                                    "runner.queue_wait_ns",
+                                    t0.elapsed().as_nanos() as u64,
+                                );
+                            }
+                            match job {
+                                Some(i) => {
+                                    mine.executed += 1;
+                                    local.push(Self::evaluate(scenarios, i));
+                                }
+                                None => break,
+                            }
+                        }
+                        (local, mine)
                     })
-                    .collect();
-                let mut all: Vec<(usize, ScenarioOutcome)> = Vec::new();
-                let mut stats: Vec<WorkerBatchStats> = Vec::with_capacity(workers);
-                for h in handles {
-                    let (local, mine) = h.join().expect("scenario worker panicked");
-                    all.extend(local);
-                    stats.push(mine);
-                }
-                (all, stats)
-            });
-        // Deterministic post-condition regardless of steal order.
-        results.sort_unstable_by_key(|(i, _)| *i);
-        (results, per_worker)
+                })
+                .collect();
+            let mut all: Vec<(usize, ScenarioOutcome)> = Vec::new();
+            let mut stats: Vec<WorkerBatchStats> = Vec::with_capacity(workers);
+            for h in handles {
+                let (local, mine) = h.join().expect("scenario worker panicked");
+                all.extend(local);
+                stats.push(mine);
+            }
+            (all, stats)
+        })
     }
 }
 
@@ -1882,6 +1786,8 @@ mod tests {
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.runner.workers, 3);
         assert_eq!(cfg.runner.shards, 5);
+        // shards(0) clamps to 1 rather than planning an empty split.
+        assert_eq!(ClusterConfig::new().shards(0).runner.shards, 1);
         assert_eq!(cfg.shard_deadline, Duration::from_secs(9));
         assert_eq!(
             ClusterConfig::default().shard_deadline,
@@ -1892,22 +1798,6 @@ mod tests {
         assert_eq!(cfg.backoff_cap, Duration::from_millis(80));
         assert_eq!(cfg.seed, 42);
         assert!(cfg.collect_metrics);
-    }
-
-    #[test]
-    fn run_shard_matches_full_run_on_its_indices() {
-        let batch = small_batch();
-        let serial = Runner::serial().run(&batch);
-        let indices = [1usize, 3];
-        let (pairs, stats) = Runner::serial().run_shard(&batch, &indices, ShardId(2));
-        assert_eq!(stats.shard, ShardId(2));
-        assert_eq!(stats.scenarios, 2);
-        let mut pairs = pairs;
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        for ((i, outcome), &expected_idx) in pairs.iter().zip(indices.iter()) {
-            assert_eq!(*i, expected_idx);
-            assert_eq!(*outcome, serial.outcomes[expected_idx]);
-        }
     }
 
     #[test]
@@ -1999,7 +1889,6 @@ mod tests {
         assert_eq!(stats.executed, batch.len() as u64);
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.deduped, 0);
-        assert!(report.shards.is_empty(), "unsharded run, no breakdown");
         // Workers partition the evaluations exactly.
         let per_worker_sum: u64 = stats.per_worker.iter().map(|w| w.executed).sum();
         assert_eq!(per_worker_sum, stats.executed);
@@ -2093,33 +1982,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_unsharded() {
-        let batch = small_batch();
-        let reference = Runner::serial().run(&batch);
-        for shards in [1usize, 2, 3, 4, 7] {
-            let report = RunnerConfig::new()
-                .workers(1)
-                .shards(shards)
-                .build()
-                .run(&batch);
-            assert_eq!(
-                reference.outcomes, report.outcomes,
-                "outcomes diverged at {shards} shards"
-            );
-            assert_eq!(
-                reference.stats.totals(),
-                report.stats.totals(),
-                "totals diverged at {shards} shards"
-            );
-            if shards > 1 {
-                assert_eq!(report.shards.len(), shards);
-                let merged = BatchStats::merged(&report.shards);
-                assert_eq!(merged, report.stats);
-            }
-        }
-    }
-
-    #[test]
     fn merge_sums_counters_and_unions_workers() {
         let a = BatchStats {
             shard: ShardId(2),
@@ -2157,18 +2019,6 @@ mod tests {
         assert_eq!(ab.per_worker.len(), 2);
         assert_eq!(ab.per_worker[0].shard, ShardId(0));
         assert_eq!(ab.per_worker[1].shard, ShardId(2));
-    }
-
-    #[test]
-    fn runner_config_builder_round_trips() {
-        let config = RunnerConfig::new().workers(3).shards(2);
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.shards, 2);
-        let runner = config.build();
-        assert_eq!(runner.workers(), 3);
-        assert_eq!(runner.shards(), 2);
-        // shards(0) clamps to 1 rather than planning an empty split.
-        assert_eq!(RunnerConfig::new().shards(0).shards, 1);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
+use mns_grn::models::FloralInputs;
 use mns_noc::graph::{CommGraph, Flow};
 use mns_policy::{PolicyAssignment, PolicyExpr, MAX_POLICY_DEPTH};
 use mns_wsn::protocol::Protocol;
@@ -468,16 +469,29 @@ fn write_scenario(scenario: &Scenario, out: &mut String) -> fmt::Result {
 }
 
 /// Decodes one scenario record produced by [`encode_scenario`].
+///
+/// A record whose fields would make [`Scenario::run`] panic (see its
+/// `# Panics` list), or whose WSN failure rate is not a probability, is
+/// rejected here, with an error that names the field.
 pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
     let mut t = Tokens::new(record);
     let scenario = match t.next()? {
-        "fluidics" => Scenario::FluidicsCompile(FluidicsScenario {
-            assay: decode_assay_kind(&mut t)?,
-            plex: t.usize()?,
-            grid_side: t.i32()?,
-            dead_fraction: t.f64()?,
-            fault_seed: t.u64()?,
-        }),
+        "fluidics" => {
+            let s = FluidicsScenario {
+                assay: decode_assay_kind(&mut t)?,
+                plex: t.usize()?,
+                grid_side: t.i32()?,
+                dead_fraction: t.f64()?,
+                fault_seed: t.u64()?,
+            };
+            if s.grid_side <= 0 {
+                return Err(format!(
+                    "fluidics grid_side {} is not positive",
+                    s.grid_side
+                ));
+            }
+            Scenario::FluidicsCompile(s)
+        }
         "labchip" => Scenario::LabChip(LabChipScenario {
             assay: decode_assay_kind(&mut t)?,
             seed: t.u64()?,
@@ -487,6 +501,9 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
         }),
         "noc" => {
             let max_cluster = t.usize()?;
+            if max_cluster == 0 {
+                return Err("noc max_cluster is 0".to_owned());
+            }
             let shortcuts = t.usize()?;
             let cores = t.usize()?;
             let nflows = t.usize()?;
@@ -516,7 +533,13 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
         }
         "wsn" => {
             let nodes = t.usize()?;
+            if nodes == 0 {
+                return Err("wsn nodes is 0".to_owned());
+            }
             let side = t.f64()?;
+            if side.is_nan() || side <= 0.0 {
+                return Err(format!("wsn side {side} is not positive"));
+            }
             let protocol = match t.next()? {
                 "direct" => Protocol::Direct,
                 "tree" => Protocol::Tree {
@@ -530,6 +553,9 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                 p => return Err(format!("unknown wsn protocol `{p}`")),
             };
             let failure_rate = t.f64()?;
+            if !(0.0..=1.0).contains(&failure_rate) {
+                return Err(format!("wsn failure_rate {failure_rate} is not in [0, 1]"));
+            }
             let max_rounds = t.u64()?;
             let seed = t.u64()?;
             let policies = match t.opt_next() {
@@ -552,9 +578,13 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
             policy
                 .validate()
                 .map_err(|e| format!("invalid harvest policy: {e}"))?;
+            let days = t.u32()?;
+            if days == 0 {
+                return Err("harvest days is 0".to_owned());
+            }
             Scenario::Harvest(HarvestScenario {
                 policy,
-                days: t.u32()?,
+                days,
                 cloudiness: t.f64()?,
                 seed: t.u64()?,
             })
@@ -562,12 +592,25 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
         "grn" => {
             let model = match t.next()? {
                 "thelper" => GrnModel::THelper,
-                "arabidopsis" => GrnModel::Arabidopsis { whorl: t.usize()? },
+                "arabidopsis" => {
+                    let whorl = t.usize()?;
+                    let whorls = FloralInputs::whorls().len();
+                    if whorl >= whorls {
+                        return Err(format!("grn whorl {whorl} is not below {whorls}"));
+                    }
+                    GrnModel::Arabidopsis { whorl }
+                }
                 m => return Err(format!("unknown grn model `{m}`")),
             };
             let knockout = match t.next()? {
                 "wild" => None,
-                "ko" => Some(t.string()?),
+                "ko" => {
+                    let gene = t.string()?;
+                    if model.network().gene_index(&gene).is_none() {
+                        return Err(format!("grn knockout gene `{gene}` is not in the model"));
+                    }
+                    Some(gene)
+                }
                 k => return Err(format!("unknown knockout tag `{k}`")),
             };
             Scenario::Knockout(KnockoutScenario { model, knockout })
@@ -1127,6 +1170,78 @@ mod tests {
         // A healthy noc record still decodes.
         let ok = format!("noc 1 1 2 1 0 1 {rate}");
         assert!(decode_scenario(&ok).is_ok());
+        // Records that parse token by token but carry a value
+        // `Scenario::run` cannot take; each error names the field. All
+        // of them panicked there except the NaN and negative failure
+        // rates, which ran as rate 0.
+        let knockout = |model, gene: Option<&str>| {
+            Scenario::Knockout(KnockoutScenario {
+                model,
+                knockout: gene.map(str::to_owned),
+            })
+        };
+        let fluidics = |grid_side| {
+            Scenario::FluidicsCompile(FluidicsScenario {
+                assay: AssayKind::Multiplex,
+                plex: 2,
+                grid_side,
+                dead_fraction: 0.0,
+                fault_seed: 0,
+            })
+        };
+        let wsn = |nodes, side, failure_rate| {
+            Scenario::WsnLifetime(WsnScenario {
+                nodes,
+                side,
+                protocol: Protocol::Direct,
+                failure_rate,
+                max_rounds: 20,
+                seed: 1,
+                policies: None,
+            })
+        };
+        let invalid = [
+            (knockout(GrnModel::Arabidopsis { whorl: 4 }, None), "whorl"),
+            (knockout(GrnModel::THelper, Some("NOPE")), "gene"),
+            (
+                knockout(GrnModel::Arabidopsis { whorl: 1 }, Some("GATA3")),
+                "gene",
+            ),
+            (fluidics(0), "grid_side"),
+            (fluidics(-3), "grid_side"),
+            (
+                Scenario::NocPoint(NocScenario {
+                    app: CommGraph::hotspot(9, 1.0),
+                    max_cluster: 0,
+                    shortcuts: 1,
+                }),
+                "max_cluster",
+            ),
+            (wsn(0, 90.0, 0.0), "nodes"),
+            (wsn(20, f64::NAN, 0.0), "side"),
+            (wsn(20, 0.0, 0.0), "side"),
+            (wsn(20, -5.0, 0.0), "side"),
+            (wsn(20, 90.0, f64::NAN), "failure_rate"),
+            (wsn(20, 90.0, -0.1), "failure_rate"),
+            (wsn(20, 90.0, 2.0), "failure_rate"),
+            (
+                Scenario::Harvest(HarvestScenario {
+                    policy: PolicyExpr::Fixed(0.3),
+                    days: 0,
+                    cloudiness: 0.4,
+                    seed: 1,
+                }),
+                "days",
+            ),
+        ];
+        for (scenario, field) in invalid {
+            let record = encode_scenario(&scenario);
+            let error = decode_scenario(&record).expect_err(&record);
+            assert!(error.contains(field), "`{record}`: {error}");
+        }
+        // A knockout of a gene the model has still decodes.
+        let ko = encode_scenario(&knockout(GrnModel::THelper, Some("GATA3")));
+        assert!(decode_scenario(&ko).is_ok());
     }
 
     /// Representative policy expressions, primitives through deep

@@ -14,22 +14,22 @@
 //! engine itself.
 //!
 //! Completion is unconditional: a shard that exhausts its attempts (or
-//! outlives every worker) is recovered in-process through the public
-//! [`Runner::run_shard`](mns_core::runner::Runner::run_shard) primitive
-//! and listed in [`ClusterReport::recovered`]. A fleet that cannot be
-//! launched at all (no worker binary) degrades the whole sweep this way.
+//! outlives every worker) is recovered in-process through
+//! [`evaluate_shard`], the function every worker evaluates its shards
+//! with, and listed in [`ClusterReport::recovered`]. A fleet that cannot
+//! be launched at all (no worker binary) degrades the whole sweep this
+//! way.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mns_core::runner::manifest::{parse_outcomes, write_manifest};
-use mns_core::runner::{
-    BatchStats, ClusterConfig, Runner, RunnerConfig, Scenario, ScenarioOutcome, ShardId, ShardPlan,
-};
+use mns_core::runner::{BatchStats, ClusterConfig, Scenario, ScenarioOutcome, ShardId, ShardPlan};
 use mns_telemetry::MetricsSnapshot;
 
 use crate::transport::{DistFault, LaunchOpts, Transport, TransportEvent, WorkerId};
+use crate::worker::evaluate_shard;
 
 /// Where one shard ended up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub fn backoff_delay(
 }
 
 /// One shard's evaluated payload: `(global index, outcome)` pairs plus
-/// the shard's stats row — exactly what [`Runner::run_shard`] returns.
+/// the shard's stats row — exactly what [`evaluate_shard`] returns.
 type ShardResult = (Vec<(usize, ScenarioOutcome)>, BatchStats);
 
 /// Why a shard went back on the queue (for the `dist.requeue` counter's
@@ -163,11 +163,6 @@ impl Cluster {
         self
     }
 
-    /// The transport's name (`in-process`, `tcp`, `spool`).
-    pub fn transport_kind(&self) -> &'static str {
-        self.transport.kind()
-    }
-
     /// Runs the batch to completion. Worker failures never surface as
     /// errors — shards degrade to in-process recovery; see the module
     /// docs for the failure model.
@@ -209,6 +204,7 @@ impl Cluster {
                 tracks[sid].state = ShardState::Done;
             }
         }
+        let fleet = config.workers.max(1);
 
         let opts = LaunchOpts {
             threads_per_worker: config.runner.workers,
@@ -217,10 +213,10 @@ impl Cluster {
             worker_binary: self.worker_binary.clone(),
             fault: self.fault,
         };
-        let launched = self.transport.launch(config.workers.max(1), &opts).is_ok();
+        let launched = self.transport.launch(fleet, &opts).is_ok();
         let started = Instant::now();
+        // Every worker that registered or went, live or not.
         let mut workers: BTreeMap<WorkerId, WorkerTrack> = BTreeMap::new();
-        let mut ever_registered = false;
 
         loop {
             if tracks.iter().all(|t| t.state == ShardState::Done) {
@@ -232,7 +228,6 @@ impl Cluster {
                 for event in self.transport.poll() {
                     match event {
                         TransportEvent::Registered { worker } => {
-                            ever_registered = true;
                             workers.entry(worker).or_insert(WorkerTrack {
                                 live: true,
                                 last_heartbeat: now,
@@ -245,19 +240,25 @@ impl Cluster {
                             }
                         }
                         TransportEvent::Gone { worker } => {
-                            if let Some(track) = workers.get_mut(&worker) {
-                                if track.live {
-                                    track.live = false;
-                                    if let Some(shard) = track.busy.take() {
-                                        requeue(
-                                            &mut tracks[shard.0 as usize],
-                                            shard,
-                                            Some(worker.clone()),
-                                            &config,
-                                            now,
-                                            &mut requeues,
-                                        );
-                                    }
+                            // A worker that goes before its registration
+                            // is seen still counts toward the fleet, and
+                            // a late `Registered` cannot revive it.
+                            let track = workers.entry(worker.clone()).or_insert(WorkerTrack {
+                                live: false,
+                                last_heartbeat: now,
+                                busy: None,
+                            });
+                            if track.live {
+                                track.live = false;
+                                if let Some(shard) = track.busy.take() {
+                                    requeue(
+                                        &mut tracks[shard.0 as usize],
+                                        shard,
+                                        Some(worker),
+                                        &config,
+                                        now,
+                                        &mut requeues,
+                                    );
                                 }
                             }
                         }
@@ -412,12 +413,13 @@ impl Cluster {
 
             // Degradation: recover shards in-process when distribution
             // cannot finish them — attempts exhausted, launch failed, or
-            // the fleet is gone (after the registration window when it
-            // never appeared at all).
+            // no worker is live and none is still to come: every launched
+            // worker has registered or gone, or the registration window
+            // has passed.
             let live_count = workers.values().filter(|t| t.live).count();
             let fleet_hopeless = !launched
                 || (live_count == 0
-                    && (ever_registered || started.elapsed() >= config.registration_window));
+                    && (workers.len() >= fleet || started.elapsed() >= config.registration_window));
             for sid in 0..shard_count {
                 let give_up = tracks[sid].state == ShardState::Ready
                     && (tracks[sid].attempts >= config.max_attempts || fleet_hopeless);
@@ -495,20 +497,21 @@ fn requeue(
         );
 }
 
-/// Evaluates one shard in-process through the public
-/// [`Runner::run_shard`] primitive — the same evaluation a healthy
-/// worker would have done (fresh engine, cache scoped to the shard).
+/// Evaluates one shard in this process through [`evaluate_shard`] on the
+/// in-memory scenarios: the evaluation a healthy worker would have done,
+/// with no wire round trip.
 fn local_eval(
     scenarios: &[Scenario],
     plan: &ShardPlan,
     shard: ShardId,
     config: &ClusterConfig,
 ) -> ShardResult {
-    let mut sub = Runner::new(RunnerConfig {
-        workers: config.runner.workers,
-        shards: 1,
-    });
-    sub.run_shard(scenarios, plan.indices(shard), shard)
+    let entries = plan
+        .indices(shard)
+        .iter()
+        .map(|&i| (i, scenarios[i].clone()))
+        .collect();
+    evaluate_shard(shard, entries, config.runner.workers)
 }
 
 /// Validates a worker's outcome payload: parse, shard-id match, full
@@ -593,5 +596,41 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(validate_outcomes(&truncated, shard, &plan, corpus.len()).is_none());
+    }
+
+    #[test]
+    fn in_process_recovery_matches_a_worker_shard_for_shard() {
+        use mns_core::runner::{conformance_corpus, Runner};
+        let mut batch: Vec<Scenario> = conformance_corpus(42)
+            .into_iter()
+            .filter(|s| matches!(s, Scenario::Knockout(_) | Scenario::Harvest(_)))
+            .take(5)
+            .collect();
+        // Three copies over two shards: two of them meet in one shard.
+        batch.extend([batch[0].clone(), batch[0].clone()]);
+        let serial = Runner::serial().run(&batch).outcomes;
+        let plan = ShardPlan::split(&batch, 2);
+        let config = ClusterConfig::new().threads_per_worker(1);
+        let mut deduped = 0;
+        for (shard, indices) in plan.iter() {
+            let (local_pairs, local_stats) = local_eval(&batch, &plan, shard, &config);
+            deduped += local_stats.deduped;
+            let entries: Vec<(usize, &Scenario)> =
+                indices.iter().map(|&i| (i, &batch[i])).collect();
+            let (text, _) =
+                crate::worker::evaluate_manifest(&write_manifest(shard, &entries), 1, false)
+                    .expect("manifest evaluates");
+            let (worker_stats, worker_pairs) = parse_outcomes(&text).expect("outcome file parses");
+            assert_eq!(local_stats, worker_stats, "{shard}");
+            assert!(local_stats.per_worker.iter().all(|w| w.shard == shard));
+            let digests = |pairs: &[(usize, ScenarioOutcome)]| -> Vec<(usize, u64)> {
+                pairs.iter().map(|(i, o)| (*i, o.digest().0)).collect()
+            };
+            assert_eq!(digests(&local_pairs), digests(&worker_pairs), "{shard}");
+            let expected: Vec<(usize, u64)> =
+                indices.iter().map(|&i| (i, serial[i].digest().0)).collect();
+            assert_eq!(digests(&local_pairs), expected, "{shard}");
+        }
+        assert!(deduped >= 1, "the copies must meet in one shard");
     }
 }

@@ -136,10 +136,6 @@ fn worker_thread(
 }
 
 impl Transport for InProcess {
-    fn kind(&self) -> &'static str {
-        "in-process"
-    }
-
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         let (events_tx, events_rx) = mpsc::channel();
         for index in 0..workers {

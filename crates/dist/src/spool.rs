@@ -198,10 +198,6 @@ impl SpoolTransport {
 }
 
 impl Transport for SpoolTransport {
-    fn kind(&self) -> &'static str {
-        "spool"
-    }
-
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         let binary = resolve_worker_binary(opts)?;
         layout::create_dirs(&self.dir)?;

@@ -145,10 +145,6 @@ fn connection_loop(mut stream: TcpStream, events: &Sender<TransportEvent>, write
 }
 
 impl Transport for TcpTransport {
-    fn kind(&self) -> &'static str {
-        "tcp"
-    }
-
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         let binary = resolve_worker_binary(opts)?;
         for index in 0..workers {

@@ -178,10 +178,6 @@ pub fn resolve_worker_binary(opts: &LaunchOpts) -> io::Result<PathBuf> {
 /// delivers assignments. See the module docs for the contract split
 /// between transport and scheduler.
 pub trait Transport {
-    /// Short transport name for reports and logs (`in-process`, `tcp`,
-    /// `spool`).
-    fn kind(&self) -> &'static str;
-
     /// Launches `workers` endpoints named [`worker_name`]`(0..workers)`.
     ///
     /// # Errors

@@ -1,14 +1,14 @@
-//! Worker-side runtimes: the evaluation core shared by every transport,
-//! plus the TCP and spool event loops the `dist_worker` binary runs.
+//! Worker-side runtimes: the one shard evaluator, plus the TCP and spool
+//! event loops the `dist_worker` binary runs.
 //!
 //! A worker's job is identical on every transport: register, heartbeat
 //! on an interval, and answer each
 //! [`Assign`](crate::protocol::Message::Assign) with a
 //! [`Result`](crate::protocol::Message::Result) whose outcome payload is
 //! the shard's outcome file in the
-//! [`manifest`](mns_core::runner::manifest) wire format — a fresh
-//! [`Runner`](mns_core::runner::Runner) per shard so the cache/dedup
-//! scope is the shard, stats restamped with the global shard id.
+//! [`manifest`](mns_core::runner::manifest) wire format. The evaluation
+//! itself is [`evaluate_shard`], which the scheduler also calls for the
+//! shards it finishes in its own process.
 //! Evaluation happens on a helper thread so heartbeats keep flowing
 //! during long shards.
 
@@ -19,7 +19,7 @@ use std::thread;
 use std::time::Duration;
 
 use mns_core::runner::manifest::{parse_manifest, read_frame, write_frame, write_outcomes};
-use mns_core::runner::{RunnerConfig, Scenario, ScenarioOutcome, ShardId};
+use mns_core::runner::{BatchStats, Runner, Scenario, ScenarioOutcome, ShardId};
 
 use crate::protocol::Message;
 use crate::spool::layout;
@@ -34,9 +34,33 @@ const STALL_CAP: Duration = Duration::from_secs(600);
 /// the scheduler's outcome parser must reject.
 pub(crate) const CORRUPT_PAYLOAD: &str = "# not an outcome file\ngarbage\n";
 
-/// Evaluates one shard manifest: parse, run on a fresh engine with
-/// `threads` workers, restamp the stats with the manifest's shard id,
-/// and render the outcome file.
+/// Evaluates one shard: its `(global index, scenario)` entries run on a
+/// fresh [`Runner`] with `threads` workers (0 = one per hardware thread),
+/// so the cache and dedup scope is the shard itself. The stats, and
+/// every per-worker row, are tagged with `shard`. Returns one
+/// `(global index, outcome)` pair per entry, in entry order, and the
+/// stats: what the cluster scheduler merges.
+///
+/// Every shard a [`Cluster`](crate::Cluster) finishes is evaluated here:
+/// by a worker through [`evaluate_manifest`], or by the scheduler itself
+/// for an empty shard or one it recovers in-process.
+pub fn evaluate_shard(
+    shard: ShardId,
+    entries: Vec<(usize, Scenario)>,
+    threads: usize,
+) -> (Vec<(usize, ScenarioOutcome)>, BatchStats) {
+    let (indices, scenarios): (Vec<usize>, Vec<Scenario>) = entries.into_iter().unzip();
+    let report = Runner::with_workers(threads).run(&scenarios);
+    let mut stats = report.stats;
+    stats.shard = shard;
+    for row in &mut stats.per_worker {
+        row.shard = shard;
+    }
+    (indices.into_iter().zip(report.outcomes).collect(), stats)
+}
+
+/// Evaluates one shard manifest: parse it, run [`evaluate_shard`], and
+/// render the outcome file.
 /// When `collect_metrics` is set, global telemetry is reset + enabled
 /// around the run and the drained snapshot's wire text is returned —
 /// only meaningful in a dedicated worker process, where this worker is
@@ -57,19 +81,8 @@ pub fn evaluate_manifest(
         mns_telemetry::reset();
         mns_telemetry::enable(Arc::new(mns_telemetry::WallClock::default()));
     }
-    let scenarios: Vec<Scenario> = entries.iter().map(|(_, s)| s.clone()).collect();
-    let mut runner = RunnerConfig::new().workers(threads).build();
-    let mut report = runner.run(&scenarios);
-    report.stats.shard = shard;
-    for row in &mut report.stats.per_worker {
-        row.shard = shard;
-    }
-    let pairs: Vec<(usize, ScenarioOutcome)> = entries
-        .iter()
-        .map(|(i, _)| *i)
-        .zip(report.outcomes)
-        .collect();
-    let outcomes = write_outcomes(&report.stats, &pairs);
+    let (pairs, stats) = evaluate_shard(shard, entries, threads);
+    let outcomes = write_outcomes(&stats, &pairs);
     let metrics = collect_metrics.then(|| {
         mns_telemetry::disable();
         let snap = mns_telemetry::snapshot();
@@ -387,34 +400,8 @@ pub fn run_spool_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mns_core::runner::conformance_corpus;
     use mns_core::runner::manifest::{parse_outcomes, write_manifest};
-    use mns_core::runner::{conformance_corpus, Runner};
-
-    #[test]
-    fn evaluate_manifest_matches_a_serial_run_with_restamped_stats() {
-        let corpus: Vec<Scenario> = conformance_corpus(42)
-            .into_iter()
-            .filter(|s| matches!(s, Scenario::Knockout(_) | Scenario::Harvest(_)))
-            .take(4)
-            .collect();
-        let entries: Vec<(usize, &Scenario)> =
-            corpus.iter().enumerate().map(|(i, s)| (i * 2, s)).collect();
-        let text = write_manifest(ShardId(3), &entries);
-        let (outcomes, metrics) = evaluate_manifest(&text, 1, false).expect("manifest evaluates");
-        assert!(metrics.is_none());
-        let (stats, pairs) = parse_outcomes(&outcomes).expect("outcome text parses");
-        assert_eq!(stats.shard, ShardId(3));
-        assert!(stats.per_worker.iter().all(|w| w.shard == ShardId(3)));
-        let reference = Runner::serial().run(&corpus);
-        assert_eq!(pairs.len(), corpus.len());
-        for ((i, outcome), (expect_i, reference)) in pairs
-            .iter()
-            .zip(entries.iter().map(|(i, _)| *i).zip(&reference.outcomes))
-        {
-            assert_eq!(*i, expect_i);
-            assert_eq!(outcome.digest(), reference.digest());
-        }
-    }
 
     #[test]
     fn evaluate_manifest_rejects_garbage() {

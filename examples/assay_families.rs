@@ -13,9 +13,7 @@
 //! ```
 
 use micronano::core::report::Table;
-use micronano::core::runner::{
-    AssayKind, FluidicsScenario, RunnerConfig, Scenario, ScenarioOutcome,
-};
+use micronano::core::runner::{AssayKind, FluidicsScenario, Runner, Scenario, ScenarioOutcome};
 
 /// The sweep grid: every family at a small and a larger scale.
 fn grid() -> Vec<(AssayKind, usize)> {
@@ -49,11 +47,7 @@ fn main() {
             }));
         }
     }
-    let outcomes = RunnerConfig::new()
-        .workers(0)
-        .build()
-        .run(&scenarios)
-        .outcomes;
+    let outcomes = Runner::with_workers(0).run(&scenarios).outcomes;
 
     let mut table = Table::new(
         "assay-families",

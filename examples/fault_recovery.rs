@@ -15,9 +15,7 @@
 
 use micronano::core::labchip::{LabChipPipeline, PipelineConfig};
 use micronano::core::report::{fmt_f64, Table};
-use micronano::core::runner::{
-    AssayKind, FluidicsScenario, RunnerConfig, Scenario, ScenarioOutcome,
-};
+use micronano::core::runner::{AssayKind, FluidicsScenario, Runner, Scenario, ScenarioOutcome};
 use micronano::fluidics::assay::multiplex_immunoassay;
 use micronano::fluidics::compiler::{compile, CompilerConfig};
 use micronano::fluidics::FaultConfig;
@@ -43,11 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }));
         }
     }
-    let outcomes = RunnerConfig::new()
-        .workers(0)
-        .build()
-        .run(&scenarios)
-        .outcomes;
+    let outcomes = Runner::with_workers(0).run(&scenarios).outcomes;
 
     let mut sweep = Table::new(
         "sweep",

@@ -8,7 +8,6 @@
 
 use micronano::core::explore::explore_noc_with;
 use micronano::core::report::{fmt_f64, Table};
-use micronano::core::runner::RunnerConfig;
 use micronano::noc::graph::CommGraph;
 use micronano::noc::power::{area_proxy, PowerModel};
 use micronano::noc::routing::compute_routes;
@@ -60,12 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Design-space exploration over synthesis parameters, fanned out
     // across every hardware thread by the scenario engine (workers = 0);
     // the conformance corpus pins this to the serial result.
-    let (points, front) = explore_noc_with(
-        &app,
-        &[2, 3, 4, 8],
-        &[0, 2, 4, 8],
-        RunnerConfig::new().workers(0),
-    );
+    let (points, front) = explore_noc_with(&app, &[2, 3, 4, 8], &[0, 2, 4, 8], 0);
     let mut e = Table::new(
         "dse",
         "synthesis design space (Pareto-optimal rows marked *)",

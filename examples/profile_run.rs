@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     telemetry::enable(Arc::new(telemetry::WallClock::default()));
     let batch = mixed_batch();
-    let mut runner = Runner::new(Default::default());
+    let mut runner = Runner::with_workers(0);
     let report = runner.run(&batch);
     let (outcomes, stats) = (report.outcomes, report.stats);
     telemetry::disable();

@@ -3,12 +3,14 @@
 //! (same input → same output), its schedules must respect the physical
 //! invariants, added faults must never un-break a broken instance, and
 //! the scenario engine must produce identical digests at every
-//! parallelism and sharding level.
+//! parallelism level and through an in-process cluster at 2 and 4
+//! shards.
 //!
 //! All randomness is seed-derived through the vendored deterministic
 //! proptest, so the exact same cases replay in CI.
 
-use micronano::core::runner::{AssayKind, FluidicsScenario, Runner, RunnerConfig, Scenario};
+use micronano::core::runner::{AssayKind, ClusterConfig, FluidicsScenario, Runner, Scenario};
+use micronano::dist::{Cluster, InProcess};
 use micronano::fluidics::assay::Assay;
 use micronano::fluidics::compiler::{compile_with_faults, CompilerConfig};
 use micronano::fluidics::geometry::{Cell, Grid};
@@ -262,7 +264,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // The headline differential: serial == 2-worker == 8-worker ==
-    // in-process sharded digests over random mixed-assay batches.
+    // in-process cluster digests over random mixed-assay batches.
     #[test]
     fn assay_batches_share_digests_across_parallelism(
         seed in 0u64..100_000,
@@ -271,9 +273,7 @@ proptest! {
         let batch = random_assay_batch(seed, len);
         let reference = Runner::serial().run(&batch).outcomes;
         for workers in [2usize, 8] {
-            let outcomes = RunnerConfig::new()
-                .workers(workers)
-                .build()
+            let outcomes = Runner::with_workers(workers)
                 .run(&batch)
                 .outcomes;
             prop_assert_eq!(reference.len(), outcomes.len());
@@ -288,11 +288,8 @@ proptest! {
             }
         }
         for shards in [2usize, 4] {
-            let outcomes = RunnerConfig::new()
-                .shards(shards)
-                .build()
-                .run(&batch)
-                .outcomes;
+            let config = ClusterConfig::new().threads_per_worker(0).shards(shards);
+            let outcomes = Cluster::new(InProcess::new(), config).run(&batch).outcomes;
             prop_assert_eq!(reference.len(), outcomes.len());
             for (i, (r, o)) in reference.iter().zip(&outcomes).enumerate() {
                 prop_assert_eq!(

@@ -4,12 +4,12 @@
 //! Contracts, all against the golden corpus of `tests/golden/corpus.txt`
 //! (seed 42):
 //!
-//! 1. **Transport matrix**: serial == in-process sharded == in-process
-//!    cluster == TCP cluster == spool cluster, for N ∈ {1, 2, 4}
-//!    workers, and over the full corpus at one
-//!    TCP worker process per shard for 1, 2 and 4 shards. Beyond the
-//!    totals, every cluster report carries the in-process sharded run's
-//!    exact stats layout: the same per-shard and per-worker rows.
+//! 1. **Transport matrix**: serial == in-process cluster == TCP cluster
+//!    == spool cluster, for N ∈ {1, 2, 4} workers, and over the full
+//!    corpus at one TCP worker process per shard for 1, 2 and 4 shards.
+//!    Beyond the totals, every cluster report carries the exact stats
+//!    of an independent per-shard reference: a fresh serial `Runner`
+//!    over each planned shard's scenarios, tagged with the shard id.
 //! 2. **Failure recovery**: a TCP worker killed mid-shard, a TCP worker
 //!    whose heartbeats stall past the liveness window, and a spool
 //!    worker that commits a corrupt result file all requeue onto
@@ -19,7 +19,9 @@
 //!    stats (histograms carry wall-clock timings and are excluded by
 //!    design).
 //! 4. **Degradation**: a cluster whose fleet cannot launch still
-//!    completes every shard in-process with golden digests.
+//!    completes every shard in-process with golden digests, and a fleet
+//!    whose second worker registers only after the first has crashed is
+//!    not given up on.
 //!
 //! The full corpus runs once per process transport; the wider matrix
 //! uses a cheap-family subset (dilution-ladder scenarios dominate debug
@@ -27,16 +29,18 @@
 //! golden file.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::PathBuf;
 use std::sync::Once;
 use std::time::Duration;
 
 use micronano::core::runner::{
-    conformance_corpus, ClusterConfig, Runner, RunnerConfig, Scenario, ScenarioOutcome,
+    conformance_corpus, BatchStats, ClusterConfig, Runner, Scenario, ScenarioOutcome, ShardId,
+    ShardPlan,
 };
 use micronano::dist::{
-    Cluster, ClusterReport, DistFault, FaultMode, InProcess, SpoolTransport, TcpTransport,
-    Transport,
+    Cluster, ClusterReport, DistFault, FaultMode, InProcess, LaunchOpts, SpoolTransport,
+    TcpTransport, Transport, TransportEvent,
 };
 use micronano::telemetry;
 
@@ -142,35 +146,40 @@ fn assert_matches_serial(corpus: &[Scenario], report: &ClusterReport, context: &
     assert_golden(corpus, &report.outcomes);
 }
 
-/// Asserts a cluster report carries the same stats as the in-process
-/// sharded run at one thread per shard: not just the same totals, but
-/// the same merged stats, per-shard rows and per-worker rows.
-fn assert_in_process_stats_layout(
+/// Asserts a cluster report carries the stats of an independent
+/// reference at one thread per worker: for each shard of the plan, a
+/// fresh serial `Runner` over that shard's scenarios, tagged with the
+/// shard id. Not just the same totals: the same per-shard rows,
+/// per-worker rows and merged stats.
+fn assert_shard_stats_layout(
     corpus: &[Scenario],
     report: &ClusterReport,
     shards: usize,
     context: &str,
 ) {
-    let in_process = RunnerConfig::new()
-        .workers(1)
-        .shards(shards)
-        .build()
-        .run(corpus);
-    assert_eq!(in_process.stats, report.stats, "stats drift: {context}");
-    // The unsharded (shards = 1) in-process path reports no per-shard
-    // rows; a cluster always reports one per planned shard.
-    assert_eq!(report.shards.len(), shards, "{context}");
-    if shards > 1 {
-        assert_eq!(
-            in_process.shards, report.shards,
-            "per-shard stats drift: {context}"
-        );
-    }
+    let expected: Vec<BatchStats> = ShardPlan::split(corpus, shards)
+        .iter()
+        .map(|(shard, indices)| {
+            let scenarios: Vec<Scenario> = indices.iter().map(|&i| corpus[i].clone()).collect();
+            let mut stats = Runner::serial().run(&scenarios).stats;
+            stats.shard = shard;
+            for row in &mut stats.per_worker {
+                row.shard = shard;
+            }
+            stats
+        })
+        .collect();
+    assert_eq!(expected, report.shards, "per-shard stats drift: {context}");
+    assert_eq!(
+        BatchStats::merged(&expected),
+        report.stats,
+        "stats drift: {context}"
+    );
 }
 
 /// Serial == cluster over a fresh `transport()` for N ∈ {1, 2, 4}
-/// workers on the cheap subset, with the in-process sharded stats layout
-/// and no requeues.
+/// workers on the cheap subset, with the per-shard reference stats and
+/// no requeues.
 fn assert_matrix_matches_serial<T: Transport + 'static>(name: &str, transport: impl Fn() -> T) {
     let corpus = cheap_corpus();
     for workers in [1usize, 2, 4] {
@@ -178,7 +187,7 @@ fn assert_matrix_matches_serial<T: Transport + 'static>(name: &str, transport: i
         let report = run_cluster(transport(), config, &corpus, None);
         let context = format!("{name}, {workers} workers");
         assert_matches_serial(&corpus, &report, &context);
-        assert_in_process_stats_layout(&corpus, &report, 4, &context);
+        assert_shard_stats_layout(&corpus, &report, 4, &context);
         assert_eq!(report.requeues, 0, "{context}");
     }
 }
@@ -251,7 +260,7 @@ fn child_process_shards_match_serial_and_golden() {
         let context = format!("{shards} worker processes, full corpus");
         assert!(report.recovered.is_empty(), "{context}");
         assert_matches_serial(&corpus, &report, &context);
-        assert_in_process_stats_layout(&corpus, &report, shards, &context);
+        assert_shard_stats_layout(&corpus, &report, shards, &context);
     }
 }
 
@@ -443,6 +452,88 @@ fn in_process_crash_recovers_on_survivor() {
         .run(&corpus);
     assert_matches_serial(&corpus, &report, "in-process crash recovery");
     assert!(report.requeues >= 1);
+}
+
+/// An `InProcess` fleet whose second worker registers late: `w1`'s
+/// `Registered` event is held back until a poll after the one that
+/// delivered `w0`'s `Gone`.
+#[derive(Default)]
+struct LateSecondWorker {
+    inner: InProcess,
+    held: Vec<TransportEvent>,
+    w0_gone: bool,
+}
+
+impl Transport for LateSecondWorker {
+    fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
+        self.inner.launch(workers, opts)
+    }
+
+    fn poll(&mut self) -> Vec<TransportEvent> {
+        let release = self.w0_gone;
+        let mut events = if release {
+            std::mem::take(&mut self.held)
+        } else {
+            Vec::new()
+        };
+        for event in self.inner.poll() {
+            match &event {
+                TransportEvent::Registered { worker } if worker == "w1" && !release => {
+                    self.held.push(event);
+                }
+                TransportEvent::Gone { worker } if worker == "w0" => {
+                    self.w0_gone = true;
+                    events.push(event);
+                }
+                _ => events.push(event),
+            }
+        }
+        events
+    }
+
+    fn assign(
+        &mut self,
+        worker: &str,
+        shard: ShardId,
+        attempt: u32,
+        manifest: &str,
+    ) -> io::Result<()> {
+        self.inner.assign(worker, shard, attempt, manifest)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+}
+
+#[test]
+fn a_worker_registering_after_a_crash_still_takes_the_work() {
+    // `w0` registers, takes a shard and crashes before `w1` registers.
+    // No worker is live at that moment, but `w1` is still to come: the
+    // cluster must wait for it instead of recovering every shard.
+    let corpus = cheap_corpus();
+    let config = ClusterConfig::new().workers(2).shards(4);
+    let fault = DistFault {
+        worker: 0,
+        mode: FaultMode::Crash,
+    };
+    let report = Cluster::new(LateSecondWorker::default(), config)
+        .with_fault(fault)
+        .run(&corpus);
+    assert_matches_serial(&corpus, &report, "late registration");
+    assert!(
+        report.recovered.is_empty(),
+        "recovered in-process: {:?}",
+        report.recovered
+    );
+    assert!(
+        report
+            .placements
+            .iter()
+            .all(|p| p.worker.as_deref() == Some("w1")),
+        "every shard lands on the late worker: {:?}",
+        report.placements
+    );
 }
 
 #[test]

@@ -10,24 +10,25 @@
 //! 2. **Parallel = serial**: 1-, 2- and 8-worker runs of the corpus are
 //!    byte-identical to the serial reference (outcome equality is exact,
 //!    floats by bit pattern).
-//! 3. **In-process shards = serial**: `RunnerConfig::new().shards(n)`
-//!    for n ∈ {1, 2, 4} gives the same outcomes, [`BatchTotals`] and
-//!    golden digests.
-//! 4. **Differential (property)**: the same holds for *random* scenario
+//! 3. **Differential (property)**: the same holds for *random* scenario
 //!    batches with duplicates, for random worker counts.
-//! 5. **Merge algebra (property)**: [`BatchStats::merge`] is associative
+//! 4. **Merge algebra (property)**: [`BatchStats::merge`] is associative
 //!    and order-insensitive on random stats, so a merged report cannot
 //!    depend on the order in which shards finish.
-//! 6. **Exact cache keys**: scenarios whose 64-bit fingerprints collide
+//! 5. **Exact cache keys**: scenarios whose 64-bit fingerprints collide
 //!    still get their own outcomes, through in-batch dedup, the
 //!    cross-batch cache and a one-shard cluster.
+//!
+//! Sharded evaluation is pinned against the same golden file by
+//! `tests/cluster_conformance.rs`: a cluster over every transport, at 1,
+//! 2 and 4 shards.
 
 use std::collections::BTreeMap;
 
 use micronano::core::runner::{
     conformance_corpus, AssayKind, BatchStats, ClusterConfig, Digest, FluidicsScenario, GrnModel,
-    HarvestScenario, KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario,
-    ScenarioOutcome, ShardId, WorkerBatchStats, WsnScenario,
+    HarvestScenario, KnockoutScenario, NocScenario, Runner, Scenario, ScenarioOutcome, ShardId,
+    WorkerBatchStats, WsnScenario,
 };
 use micronano::dist::{Cluster, InProcess};
 use micronano::noc::graph::CommGraph;
@@ -50,24 +51,6 @@ fn golden_digests() -> BTreeMap<String, String> {
             (label.to_owned(), digest.to_owned())
         })
         .collect()
-}
-
-/// Asserts every outcome digest matches the committed golden file.
-fn assert_golden(corpus: &[Scenario], outcomes: &[ScenarioOutcome]) {
-    let golden = golden_digests();
-    assert_eq!(golden.len(), corpus.len());
-    assert_eq!(outcomes.len(), corpus.len());
-    for (scenario, outcome) in corpus.iter().zip(outcomes) {
-        let label = scenario.label();
-        let expected = golden
-            .get(&label)
-            .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
-        assert_eq!(
-            *expected,
-            outcome.digest().to_string(),
-            "golden drift on `{label}`"
-        );
-    }
 }
 
 #[test]
@@ -153,11 +136,7 @@ fn parallel_runs_are_byte_identical_to_serial() {
     let corpus = conformance_corpus(CORPUS_SEED);
     let reference = Runner::serial().run(&corpus).outcomes;
     for workers in [1usize, 2, 8] {
-        let parallel = RunnerConfig::new()
-            .workers(workers)
-            .build()
-            .run(&corpus)
-            .outcomes;
+        let parallel = Runner::with_workers(workers).run(&corpus).outcomes;
         assert_eq!(
             reference.len(),
             parallel.len(),
@@ -190,29 +169,6 @@ fn cached_replay_is_byte_identical_to_fresh_run() {
         "a full replay must be served entirely from the cache"
     );
     assert_eq!(replay.stats.cache_hits, corpus.len() as u64);
-}
-
-#[test]
-fn in_process_shards_match_serial_and_golden() {
-    let corpus = conformance_corpus(CORPUS_SEED);
-    let reference = Runner::serial().run(&corpus);
-    for shards in [1usize, 2, 4] {
-        let report = RunnerConfig::new()
-            .workers(1)
-            .shards(shards)
-            .build()
-            .run(&corpus);
-        assert_eq!(
-            reference.outcomes, report.outcomes,
-            "outcome drift at {shards} in-process shards"
-        );
-        assert_eq!(
-            reference.stats.totals(),
-            report.stats.totals(),
-            "stats drift at {shards} in-process shards"
-        );
-        assert_golden(&corpus, &report.outcomes);
-    }
 }
 
 /// The harvest scenario of [`COLLIDING_SEEDS`] at `seed`.
@@ -381,14 +337,10 @@ proptest! {
         workers in 2usize..9,
     ) {
         let batch = random_batch(seed, len);
-        let serial = RunnerConfig::new()
-            .workers(1)
-            .build()
+        let serial = Runner::with_workers(1)
             .run(&batch)
             .outcomes;
-        let parallel = RunnerConfig::new()
-            .workers(workers)
-            .build()
+        let parallel = Runner::with_workers(workers)
             .run(&batch)
             .outcomes;
         prop_assert_eq!(serial.len(), parallel.len());
@@ -408,9 +360,7 @@ proptest! {
         len in 2usize..6,
     ) {
         let batch = random_batch(seed, len);
-        let uncached = RunnerConfig::new()
-            .workers(4)
-            .build()
+        let uncached = Runner::with_workers(4)
             .run(&batch)
             .outcomes;
         let mut runner = Runner::with_workers(4);

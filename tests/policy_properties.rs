@@ -12,9 +12,11 @@
 //! 3. **Energy conservation**: with battery-health derating engaged,
 //!    initial charge + harvest = final charge + overflow + discharge.
 //! 4. **Engine determinism**: random mixed-policy batches produce
-//!    byte-identical digests serially, at 2 and 8 workers, and sharded.
+//!    byte-identical digests serially, at 2 and 8 workers, and through
+//!    a 2-shard in-process cluster.
 
-use micronano::core::runner::{HarvestScenario, RunnerConfig, Scenario, WsnScenario};
+use micronano::core::runner::{ClusterConfig, HarvestScenario, Runner, Scenario, WsnScenario};
+use micronano::dist::{Cluster, InProcess};
 use micronano::policy::{Policy, PolicyAssignment, PolicyExpr, SlotCtx};
 use micronano::wsn::harvest::{
     simulate_harvesting, simulate_policy, DutyPolicy, HarvestConfig, SolarModel,
@@ -248,7 +250,7 @@ proptest! {
     }
 
     // Contract 4: random mixed-policy batches digest identically
-    // serially, at 2 and 8 workers, and under sharding.
+    // serially, at 2 and 8 workers, and through a 2-shard cluster.
     #[test]
     fn mixed_policy_batches_digest_identically(seed in 0u64..100_000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -287,28 +289,20 @@ proptest! {
             })
             .collect();
 
-        let serial = RunnerConfig::new()
-            .workers(1)
-            .build()
+        let serial = Runner::with_workers(1)
             .run(&batch)
             .outcomes;
         for workers in [2usize, 8] {
-            let parallel = RunnerConfig::new()
-                .workers(workers)
-                .build()
+            let parallel = Runner::with_workers(workers)
                 .run(&batch)
                 .outcomes;
             prop_assert_eq!(&serial, &parallel, "diverged at {} workers", workers);
         }
-        let sharded = RunnerConfig::new()
-            .workers(4)
-            .shards(2)
-            .build()
-            .run(&batch)
-            .outcomes;
+        let config = ClusterConfig::new().threads_per_worker(4).shards(2);
+        let sharded = Cluster::new(InProcess::new(), config).run(&batch).outcomes;
         prop_assert_eq!(serial.len(), sharded.len());
         for (s, p) in serial.iter().zip(&sharded) {
-            prop_assert_eq!(s, p, "sharded run diverged");
+            prop_assert_eq!(s, p, "cluster run diverged");
             prop_assert_eq!(s.digest(), p.digest());
         }
     }

@@ -22,7 +22,7 @@ use std::thread;
 
 use micronano::core::runner::{
     conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
-    LabChipScenario, NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
+    LabChipScenario, NocScenario, Runner, Scenario, ScenarioOutcome, WsnScenario,
 };
 use micronano::noc::graph::CommGraph;
 use micronano::policy::PolicyExpr;
@@ -40,11 +40,7 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// Uncached one-shot run at a given worker count (the old
 /// `run_scenarios` shape, expressed through the consolidated API).
 fn run_plain(batch: &[Scenario], workers: usize) -> Vec<ScenarioOutcome> {
-    RunnerConfig::new()
-        .workers(workers)
-        .build()
-        .run(batch)
-        .outcomes
+    Runner::with_workers(workers).run(batch).outcomes
 }
 
 /// Runs `f` with exclusive ownership of the global telemetry state,
