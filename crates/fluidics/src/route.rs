@@ -47,6 +47,41 @@
 //! 0 of the planning order: the rotation would leave the order unchanged,
 //! and an attempt depends on nothing else, so every remaining rotation
 //! would repeat the same failure.
+//!
+//! ## Waiting droplets
+//!
+//! A droplet with an [earliest arrival](RoutingRequest::earliest_arrival)
+//! often reaches its goal before the window opens. The full search would
+//! then pop every reachable `(cell, t)` until it does. Instead, the goal
+//! state `(goal, t)` with `t < earliest` is accepted with `earliest − t`
+//! stalls appended on the goal when all of these hold:
+//!
+//! - its `moves` equal `h0`, the Manhattan distance from start to goal;
+//! - the goal is not a degraded electrode;
+//! - every tick `τ` in `(t, earliest]` passes the checks a stall successor
+//!   gets: obstacles, reservations and pending seeds, all on the goal.
+//!
+//! Otherwise the node is expanded as before, and later goal states are
+//! tested the same way. A search whose earliest arrival lies past its
+//! horizon returns at once: no node past the horizon is ever pushed, so
+//! the full search accepts nothing either, and every appended stall then
+//! lies inside the horizon. The result is the route the full search
+//! returns:
+//!
+//! 1. Up to this pop the loop has done exactly what the full search does;
+//!    only the accept test differs, and it had not fired.
+//! 2. With `moves == h0`, every state on the node's chain holds the fewest
+//!    moves it can have. The search rewrites a parent only on strictly
+//!    fewer moves, so this chain is final.
+//! 3. For each `τ` in `(t, earliest]`, the stall predecessor `(goal, τ−1)`
+//!    has `f = τ−1`, and any move into the goal has `f = τ`. The stall
+//!    pops first, so the full search gives `(goal, τ)` the stall as its
+//!    parent. A degraded goal breaks this step: a two-tick dwell into it
+//!    ties the stall on `f` with one move fewer, and wins. Hence the
+//!    exclusion.
+//! 4. `(goal, earliest)` with `h0` moves has the least `f` an acceptable
+//!    goal state can have, and the fewest moves win the tie, so it is the
+//!    state the full search accepts.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -69,10 +104,10 @@ pub struct RoutingRequest {
     pub depart: u32,
     /// Latest acceptable arrival tick (inclusive), if any.
     pub deadline: Option<u32>,
-    /// Earliest acceptable arrival tick: the droplet keeps circulating
-    /// (protected by the pairwise droplet constraints) until then. Used by
-    /// the assay compiler so droplets only park inside a consumer module
-    /// once its landing window has opened.
+    /// Earliest acceptable arrival tick: until then the droplet waits by
+    /// stall moves (protected by the pairwise droplet constraints), often
+    /// on the goal itself. Used by the assay compiler so droplets only park
+    /// inside a consumer module once its landing window has opened.
     pub earliest_arrival: Option<u32>,
     /// Obstacle tags this droplet may pass through (its own source and
     /// destination modules in the assay compiler).
@@ -314,11 +349,8 @@ pub struct RoutingOutcome {
 /// Routing failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteError {
-    /// A request's endpoints are off-grid or inside a permanent obstacle.
+    /// A request's start or goal is off the grid.
     BadEndpoint(u32),
-    /// Two requests share conflicting endpoints (goals/starts too close
-    /// with overlapping lifetimes cannot be satisfied).
-    EndpointConflict(u32, u32),
     /// No fluidically-safe path was found within the horizon, after all
     /// priority rotations.
     Unroutable(u32),
@@ -330,9 +362,6 @@ impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RouteError::BadEndpoint(id) => write!(f, "droplet {id} has an off-grid endpoint"),
-            RouteError::EndpointConflict(a, b) => {
-                write!(f, "droplets {a} and {b} have conflicting endpoints")
-            }
             RouteError::Unroutable(id) => write!(f, "no safe route for droplet {id}"),
             RouteError::DeadlineMissed(id) => write!(f, "droplet {id} misses its deadline"),
         }
@@ -955,9 +984,10 @@ fn pending_ok(
 
 /// Space-time A\* for one droplet against the reservation index.
 ///
-/// The node ordering, successor enumeration and accept/reject conditions
-/// are identical to [`reference`]'s planner — only the bookkeeping
-/// changed — so the two produce byte-identical routes.
+/// The node ordering, successor enumeration and reject conditions are
+/// identical to [`reference`]'s planner, and the accept test differs only
+/// by the waiting shortcut (module docs), so the two produce
+/// byte-identical routes.
 #[allow(clippy::too_many_arguments)]
 fn astar(
     grid: &Grid,
@@ -975,7 +1005,10 @@ fn astar(
     let relative_cap = req.depart.saturating_add(config.max_time);
     let horizon = req.deadline.unwrap_or(relative_cap).min(relative_cap);
     let h0 = req.start.manhattan(req.goal) as u32;
-    if req.depart + h0 > horizon {
+    let earliest = req.earliest_arrival.unwrap_or(0);
+    // No node past the horizon is ever pushed, so no arrival could be
+    // accepted; this also keeps every waiting stall inside the horizon.
+    if req.depart + h0 > horizon || earliest > horizon {
         return None;
     }
 
@@ -1027,14 +1060,26 @@ fn astar(
             continue; // stale heap entry
         }
         *expansions += 1;
-        if cell == req.goal && t >= req.earliest_arrival.unwrap_or(0) {
+        // An early goal state on a shortest path waits on the goal when the
+        // full search would do the same (module docs, "Waiting droplets").
+        let parks = || {
+            moves == h0
+                && !slow.contains(cell)
+                && (t + 1..=earliest).all(|tau| {
+                    !walls.blocked(cell, tau, &req.ignore_tags)
+                        && !reservations.blocked(cell, tau, req.merge_group)
+                        && pending_ok(cell, tau, pending, req.merge_group, config.lookahead)
+                })
+        };
+        if cell == req.goal && (t >= earliest || parks()) {
             // Reconstruct back to the emergence seed; the route starts on
             // the array at that instant (`Route::depart`), any earlier
             // time having been spent inside the producer module. A link
             // may span two ticks (a dwell on a degraded electrode), in
             // which case the droplet occupies the destination cell for
-            // every intermediate tick.
-            let mut path = vec![cell];
+            // every intermediate tick. The path is built backwards, so
+            // the waiting stalls come first.
+            let mut path = vec![cell; (earliest.saturating_sub(t) + 1) as usize];
             let mut cur = (cell, t);
             loop {
                 let (pc, pt) = slab.parent(cur.0, cur.1 - req.depart);
@@ -1052,10 +1097,9 @@ fn astar(
                 cur = prev;
             }
             path.reverse();
-            let depart = t - (path.len() as u32 - 1);
             return Some(Route {
                 id: req.id,
-                depart,
+                depart: cur.1,
                 path,
             });
         }
@@ -1796,6 +1840,134 @@ mod tests {
         let (out_none, expansions_none) = run(0);
         assert_eq!(out_none, out);
         assert!(expansions_none < expansions);
+    }
+
+    /// Routes with both planners, asserts that they agree, and returns the
+    /// outcome with the A\* expansions it cost.
+    fn against_oracle(
+        g: &Grid,
+        reqs: &[RoutingRequest],
+        walls: &[Obstacle],
+        degraded: &[Cell],
+        cfg: &RoutingConfig,
+    ) -> (Result<RoutingOutcome, RouteError>, u64) {
+        let mut expansions = 0;
+        let out = route_environment_inner(g, reqs, walls, degraded, cfg, &mut expansions);
+        let oracle = reference::route_with_environment(g, reqs, walls, degraded, cfg);
+        assert_eq!(out, oracle);
+        (out, expansions)
+    }
+
+    #[test]
+    fn waiting_on_an_open_goal_costs_no_extra_search() {
+        // A lone droplet with 100 ticks of slack on an empty array parks
+        // on its goal: it costs exactly the search of the same request
+        // with no earliest arrival, plus 100 stalls on the goal.
+        let (g, cfg) = (grid(8, 8), RoutingConfig::default());
+        let goal = Cell::new(5, 3);
+        let req = RoutingRequest::new(0, Cell::new(0, 0), goal);
+        let waiting = req.clone().arriving_no_earlier_than(108);
+        let (direct, cost) = against_oracle(&g, &[req], &[], &[], &cfg);
+        let (parked, parked_cost) = against_oracle(&g, &[waiting], &[], &[], &cfg);
+        assert_eq!(parked_cost, cost);
+        let mut path = direct.unwrap().routes[0].path.clone();
+        path.extend([goal; 100]);
+        assert_eq!(parked.unwrap().routes[0].path, path);
+    }
+
+    #[test]
+    fn waiting_after_a_detour_falls_back_to_the_full_search() {
+        // A ring-less wall in column 3 leaves only row 7 open until tick
+        // 25. The detour reaches the goal first, with 20 moves; waiting for
+        // the wall to fall and crossing straight takes 6.
+        let g = grid(8, 8);
+        let wall = Obstacle {
+            min: Cell::new(3, 0),
+            max: Cell::new(3, 6),
+            from: 0,
+            until: 25,
+            tag: 0,
+            ring: false,
+        };
+        let req =
+            RoutingRequest::new(0, Cell::new(0, 0), Cell::new(6, 0)).arriving_no_earlier_than(40);
+        let (out, _) = against_oracle(&g, &[req], &[wall], &[], &RoutingConfig::default());
+        let out = out.unwrap();
+        assert_eq!((out.total_moves, out.makespan), (6, 40));
+    }
+
+    #[test]
+    fn waiting_on_a_degraded_goal_falls_back_to_the_full_search() {
+        // The droplet reaches its degraded goal on a shortest path at tick
+        // 4, but the full search waits next to the goal and dwells into it
+        // last: the dwell ties a stall on `f` with one move fewer.
+        let goal = Cell::new(3, 1);
+        let req = RoutingRequest::new(0, Cell::new(0, 1), goal).arriving_no_earlier_than(10);
+        let cfg = RoutingConfig::default();
+        let (out, _) = against_oracle(&grid(6, 3), &[req], &[], &[goal], &cfg);
+        let route = &out.unwrap().routes[0];
+        assert_eq!(route.arrival(), 10);
+        assert_eq!(route.position_at(8), Some(Cell::new(2, 1)));
+    }
+
+    #[test]
+    fn waiting_through_a_walled_tick_falls_back_to_the_full_search() {
+        // A fault covers the goal at ticks 6 and 7 of the wait.
+        let goal = Cell::new(3, 0);
+        let fault = Obstacle::cell(goal, 6, 8);
+        let req = RoutingRequest::new(0, Cell::new(0, 0), goal).arriving_no_earlier_than(12);
+        let cfg = RoutingConfig::default();
+        let (out, _) = against_oracle(&grid(6, 3), &[req], &[fault], &[], &cfg);
+        let route = &out.unwrap().routes[0];
+        assert_eq!(route.arrival(), 12);
+        assert_ne!(route.position_at(6), Some(goal));
+        assert_ne!(route.position_at(7), Some(goal));
+    }
+
+    #[test]
+    fn waiting_through_a_reserved_tick_falls_back_to_the_full_search() {
+        // Droplet 0 is planned first and passes next to droplet 1's goal
+        // at ticks 10–12, while droplet 1 waits there for tick 20.
+        let goal = Cell::new(5, 3);
+        let reqs = [
+            RoutingRequest::new(0, Cell::new(0, 4), Cell::new(9, 4)).departing(6),
+            RoutingRequest::new(1, Cell::new(5, 0), goal).arriving_no_earlier_than(20),
+        ];
+        let cfg = RoutingConfig::default();
+        let (out, _) = against_oracle(&grid(10, 6), &reqs, &[], &[], &cfg);
+        let route = &out.unwrap().routes[1];
+        assert_eq!(route.arrival(), 20);
+        assert_ne!(route.position_at(11), Some(goal));
+    }
+
+    #[test]
+    fn waiting_through_a_pending_seed_falls_back_to_the_full_search() {
+        // Droplet 1 is planned second and emerges next to droplet 0's goal
+        // at tick 10, while droplet 0 waits there for tick 20.
+        let goal = Cell::new(5, 0);
+        let reqs = [
+            RoutingRequest::new(0, Cell::new(0, 0), goal).arriving_no_earlier_than(20),
+            RoutingRequest::new(1, Cell::new(6, 1), Cell::new(9, 1)).departing(10),
+        ];
+        let cfg = RoutingConfig::default();
+        let (out, _) = against_oracle(&grid(10, 4), &reqs, &[], &[], &cfg);
+        let route = &out.unwrap().routes[0];
+        assert_eq!(route.arrival(), 20);
+        assert_ne!(route.position_at(10), Some(goal));
+    }
+
+    #[test]
+    fn an_earliest_arrival_past_the_horizon_is_unroutable() {
+        // Past the deadline, and past `depart + max_time`: no stall may run
+        // beyond the horizon, so neither request is routable.
+        let g = grid(6, 3);
+        let req = RoutingRequest::new(4, Cell::new(0, 0), Cell::new(3, 0));
+        let late = req.clone().with_deadline(10).arriving_no_earlier_than(15);
+        let (out, _) = against_oracle(&g, &[late], &[], &[], &RoutingConfig::default());
+        assert_eq!(out, Err(RouteError::Unroutable(4)));
+        let far = req.departing(5).arriving_no_earlier_than(20);
+        let (out, _) = against_oracle(&g, &[far], &[], &[], &RoutingConfig::new().max_time(10));
+        assert_eq!(out, Err(RouteError::Unroutable(4)));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Differential pin of the reservation-indexed droplet router against the
 //! frozen pre-index planner (`route::reference`): for any workload the
 //! generators produce — spread random instances decorated with departures,
-//! deadlines, merge groups, obstacles and degraded electrodes, and the
-//! transport batches real `random_protocol` compilations hand the router —
+//! deadlines, merge groups, obstacles and degraded electrodes, spread
+//! instances whose droplets wait for an earliest arrival under short
+//! horizons, and the transport batches real `random_protocol`
+//! compilations hand the router —
 //! both planners must return byte-identical results: the same `Route`
 //! sequences, the same `RoutingOutcome` stats, or the same error. Every
 //! batch a fault-free compile of the golden corpus routes is pinned too,
@@ -75,6 +77,40 @@ fn decorate(
     (obstacles, degraded)
 }
 
+/// Makes a spread instance wait, derived deterministically from `seed`:
+/// most requests get an earliest arrival at or after their Manhattan
+/// arrival, some goals are degraded electrodes, some deadlines fall
+/// before the earliest arrival and some after it, and a time-windowed
+/// fault may cover a goal for part of the wait. Separate from
+/// [`decorate`], so the cases of the other proptests replay unchanged.
+fn make_wait(
+    seed: u64,
+    requests: &mut [micronano::fluidics::route::RoutingRequest],
+) -> (Vec<Obstacle>, Vec<Cell>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut obstacles = Vec::new();
+    let mut degraded = Vec::new();
+    for req in requests.iter_mut() {
+        req.depart = rng.gen_range(0..4);
+        let arrival = req.depart + req.start.manhattan(req.goal) as u32;
+        if rng.gen_bool(0.8) {
+            let earliest = arrival + rng.gen_range(0..30);
+            req.earliest_arrival = Some(earliest);
+            if rng.gen_bool(0.3) {
+                req.deadline = Some(rng.gen_range(arrival..=earliest + 5));
+            }
+        }
+        if rng.gen_bool(0.3) {
+            degraded.push(req.goal);
+        }
+        if rng.gen_bool(0.2) {
+            let from = rng.gen_range(arrival..arrival + 20);
+            obstacles.push(Obstacle::cell(req.goal, from, from + rng.gen_range(1..6)));
+        }
+    }
+    (obstacles, degraded)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -125,6 +161,32 @@ proptest! {
         let fast = route::route_with_environment(&grid, &requests, &obstacles, &[], &cfg);
         let oracle =
             route::reference::route_with_environment(&grid, &requests, &obstacles, &[], &cfg);
+        prop_assert_eq!(fast, oracle);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Droplets that arrive early and wait, under short horizons: the
+    // waiting shortcut and its fall-backs (detours, degraded goals,
+    // walled, reserved or pending-seed stall ticks, earliest arrivals
+    // past the horizon) must return exactly what the oracle's full search returns.
+    #[test]
+    fn matches_oracle_on_waiting_instances(
+        seed in 0u64..100_000,
+        droplets in 1usize..5,
+        lookahead in 0u32..3,
+        max_time in 5u32..60,
+    ) {
+        let w = RoutingWorkload { grid_side: 10, droplets };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (grid, mut requests) = random_routing_instance(&w, &mut rng);
+        let (obstacles, degraded) = make_wait(seed ^ 0x3a17, &mut requests);
+        let cfg = RoutingConfig::new().lookahead(lookahead).max_time(max_time);
+        let fast = route::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
+        let oracle =
+            route::reference::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
         prop_assert_eq!(fast, oracle);
     }
 }
