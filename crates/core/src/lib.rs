@@ -17,7 +17,8 @@
 //!   [`Scenario`](runner::Scenario) evaluation across worker threads with
 //!   work stealing and exact outcome caching, byte-identical at any
 //!   worker count (the golden-run conformance contract), plus the
-//!   deterministic [`ShardPlan`](runner::ShardPlan) and the shard
+//!   [`OutcomeCache`](runner::OutcomeCache), the deterministic
+//!   stage-sharing [`ShardPlan`](runner::ShardPlan) and the shard
 //!   [`manifest`](runner::manifest) wire format that the `mns-dist`
 //!   cluster scheduler uses to split a batch across workers,
 //! * [`report`] — the experiment table type shared by the examples and

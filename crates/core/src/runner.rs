@@ -23,13 +23,15 @@
 //!
 //! ## Caching
 //!
-//! The runner memoizes outcomes under each scenario's wire record
-//! ([`manifest::encode_scenario`]), which carries every parameter and
-//! every float bit, so two scenarios share a key only if they are equal.
-//! A repeated sweep — common when an exploration loop re-visits design
-//! points — skips already-evaluated scenarios, and duplicates inside one
-//! batch are evaluated once. Keys are compared in full; a hash value
-//! never decides a hit.
+//! An [`OutcomeCache`] memoizes outcomes under each scenario's wire
+//! record ([`manifest::encode_scenario`]), which carries every parameter
+//! and every float bit, so two scenarios share a key only if they are
+//! equal. A repeated sweep — common when an exploration loop re-visits
+//! design points — skips already-evaluated scenarios, and duplicates
+//! inside one batch are evaluated once. Keys are compared in full; a hash
+//! value never decides a hit. Each [`Runner`] owns one, and so does each
+//! `mns-dist` cluster, through the same type: both serve hits and
+//! collapse duplicates the same way, and keep outcomes across batches.
 //!
 //! Each runner also owns the lab-chip sense+interpret memo, which lives
 //! as long as the runner: every thread it evaluates on (the caller's
@@ -43,16 +45,19 @@
 //!
 //! A [`Runner`] never splits a batch: [`Runner::run`] has one code path,
 //! the worker pool over the whole batch. Splitting a batch into shards is
-//! the `mns-dist` cluster scheduler's job. It deals scenarios with a
-//! deterministic [`ShardPlan`], ships each shard in the [`manifest`] wire
-//! format, and evaluates every shard — on a worker, or recovered in this
-//! process — through one function: a fresh `Runner` over the shard's
-//! scenarios, with its [`BatchStats`] tagged by [`ShardId`]. The
-//! cluster's deadlines, crash detection and requeue-on-failure are
-//! configured by [`ClusterConfig`]. Because every scenario is a pure
-//! function of its fields, a serial run and a cluster sweep at any shard
-//! count, in process or across worker processes, produce byte-identical
-//! per-scenario digests and the same merged [`BatchStats::totals`].
+//! the `mns-dist` cluster scheduler's job. It looks the batch up in its
+//! outcome cache, deals the distinct misses with a deterministic
+//! [`ShardPlan`] that keeps scenarios sharing a stage on one shard, ships
+//! each shard in the [`manifest`] wire format, and evaluates every shard
+//! — on a worker, or recovered in this process — through one function: a
+//! fresh `Runner` over the shard's scenarios, with its [`BatchStats`]
+//! tagged by [`ShardId`]. The cluster's deadlines, crash detection and
+//! requeue-on-failure are configured by [`ClusterConfig`]. Because every
+//! scenario is a pure function of its fields, a serial run and a cluster
+//! sweep at any shard count, in process or across worker processes,
+//! produce byte-identical per-scenario digests, and one cluster reused
+//! over a series of batches reports the same [`BatchStats::totals`] as
+//! one runner reused over them.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -290,14 +295,33 @@ impl Scenario {
     /// FNV-1a-64 over the scenario's wire record
     /// ([`manifest::encode_scenario`]), stable across runs and processes.
     /// Distinct scenarios can share a 64-bit value, so no cache hit or
-    /// dedup decision rests on it: the [`Runner`] keys both on the full
-    /// record. It deals [`ShardPlan`] shards.
+    /// dedup decision rests on it: an [`OutcomeCache`] keys both on the
+    /// full record. It orders [`ShardPlan`] deals.
     pub fn fingerprint(&self) -> u64 {
         let mut c = Canon::new();
         for b in manifest::encode_scenario(self).bytes() {
             c.byte(b);
         }
         c.finish()
+    }
+
+    /// The stage memo entry this scenario shares with others, which a
+    /// [`ShardPlan`] keeps on one shard; `fingerprint` is this scenario's.
+    fn stage_key(&self, fingerprint: u64) -> StageKey {
+        match self {
+            Scenario::LabChip(s) => StageKey::BiologySeed(s.seed),
+            Scenario::NocPoint(s) => {
+                let mut c = Canon::new();
+                c.usize(s.app.cores());
+                for f in s.app.flows() {
+                    c.usize(f.src);
+                    c.usize(f.dst);
+                    c.f64(f.rate);
+                }
+                StageKey::App(c.finish())
+            }
+            _ => StageKey::Own(fingerprint),
+        }
     }
 
     /// Human-readable corpus label (unique per distinct scenario in the
@@ -785,6 +809,22 @@ impl fmt::Display for ShardId {
     }
 }
 
+/// What a scenario shares with other scenarios in a stage memo. Scenarios
+/// with one key are kept on one shard, so the shard computes that stage
+/// once. Two scenarios that share a key by a hash collision only share a
+/// shard: the key never decides an outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum StageKey {
+    /// A lab-chip run's biology seed: the only field of the sense memo's
+    /// key that a scenario sets.
+    BiologySeed(u64),
+    /// A hash of a NoC point's application graph, which keys the NoC
+    /// partition memo.
+    App(u64),
+    /// Any other scenario's own fingerprint.
+    Own(u64),
+}
+
 /// A deterministic partition of a batch into shards.
 ///
 /// Each shard holds the *global submission indices* of its scenarios,
@@ -799,22 +839,42 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Splits `scenarios` into `shards` shards (at least 1) by a
-    /// fingerprint-stable round-robin: scenarios are dealt to shards in
-    /// `(fingerprint, submission index)` order, so the scenario→shard
-    /// assignment depends only on the batch *contents* — reordering the
-    /// batch cannot move a scenario to a different shard.
+    /// Splits `scenarios` into `shards` shards (at least 1), keeping
+    /// scenarios that share a stage on one shard: lab-chip runs of one
+    /// biology seed, NoC points of one application graph, and copies of
+    /// one scenario.
+    ///
+    /// Each such group is taken in `(fingerprint, submission index)` order
+    /// and cut into chunks of at most ⌈n/shards⌉ scenarios, so no group
+    /// can hold more than its share of the batch. Chunks are dealt largest
+    /// first, each to the shard holding the fewest scenarios (ties to the
+    /// lower id); so shard sizes differ by at most the largest chunk. The
+    /// scenario→shard assignment depends only on the batch *contents*:
+    /// reordering the batch cannot move a scenario to a different shard.
     pub fn split(scenarios: &[Scenario], shards: usize) -> ShardPlan {
         let shards = shards.max(1);
-        let mut assignments = vec![Vec::new(); shards];
-        let mut order: Vec<(u64, usize)> = scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.fingerprint(), i))
-            .collect();
-        order.sort_unstable();
-        for (k, &(_, i)) in order.iter().enumerate() {
-            assignments[k % shards].push(i);
+        let mut groups: BTreeMap<StageKey, Vec<(u64, usize)>> = BTreeMap::new();
+        for (i, s) in scenarios.iter().enumerate() {
+            let fingerprint = s.fingerprint();
+            groups
+                .entry(s.stage_key(fingerprint))
+                .or_default()
+                .push((fingerprint, i));
+        }
+        let cap = scenarios.len().div_ceil(shards).max(1);
+        let mut chunks: Vec<&[(u64, usize)]> = Vec::new();
+        for group in groups.values_mut() {
+            group.sort_unstable();
+            chunks.extend(group.chunks(cap));
+        }
+        // Stable: equal sizes keep stage-key order, a content order.
+        chunks.sort_by_key(|chunk| std::cmp::Reverse(chunk.len()));
+        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for chunk in chunks {
+            let lightest = (0..shards)
+                .min_by_key(|&k| assignments[k].len())
+                .expect("at least one shard");
+            assignments[lightest].extend(chunk.iter().map(|&(_, i)| i));
         }
         // Submission order within a shard, whatever the deal order was.
         for shard in &mut assignments {
@@ -989,7 +1049,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the wait for the first worker registration.
+    /// Sets how long the scheduler waits for every launched worker to
+    /// register (see [`ClusterConfig::registration_window`]).
     #[must_use]
     pub fn registration_window(mut self, window: Duration) -> ClusterConfig {
         self.registration_window = window;
@@ -1186,6 +1247,121 @@ impl BatchReport {
     }
 }
 
+/// Scenario outcomes that last across batches, keyed by each scenario's
+/// full wire record ([`manifest::encode_scenario`]). The record carries
+/// every parameter and every float bit, so two scenarios share an entry
+/// only if they are equal; keys are compared in full, and a hash value
+/// never decides a hit. A [`Runner`] owns one, and so does the `mns-dist`
+/// cluster.
+///
+/// A batch goes through it in two steps: [`OutcomeCache::lookup`] serves
+/// the hits and names one representative per distinct miss; the owner
+/// evaluates those, and [`OutcomeCache::fill`] stores them and returns
+/// every outcome in submission order.
+#[derive(Debug, Default)]
+pub struct OutcomeCache {
+    outcomes: HashMap<String, ScenarioOutcome>,
+}
+
+/// One batch looked up in an [`OutcomeCache`]: the hits it served, and
+/// the distinct misses still to evaluate.
+#[derive(Debug)]
+#[must_use = "a lookup's misses must be evaluated and filled"]
+pub struct Lookup {
+    outcomes: Vec<Option<ScenarioOutcome>>,
+    /// One representative submission index per distinct miss, ascending.
+    misses: Vec<usize>,
+    /// Each distinct miss's record, mapped to its representative.
+    pending: HashMap<String, usize>,
+    /// `(duplicate, representative)` index pairs.
+    duplicates: Vec<(usize, usize)>,
+    cache_hits: u64,
+}
+
+impl OutcomeCache {
+    /// Looks `scenarios` up: serves each cached one, and collapses
+    /// uncached copies of one scenario onto the first copy. Each scenario
+    /// is encoded once.
+    pub fn lookup(&self, scenarios: &[Scenario]) -> Lookup {
+        let mut lookup = Lookup {
+            outcomes: vec![None; scenarios.len()],
+            misses: Vec::new(),
+            pending: HashMap::new(),
+            duplicates: Vec::new(),
+            cache_hits: 0,
+        };
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let record = manifest::encode_scenario(scenario);
+            if let Some(hit) = self.outcomes.get(&record) {
+                lookup.outcomes[i] = Some(hit.clone());
+                lookup.cache_hits += 1;
+                continue;
+            }
+            match lookup.pending.entry(record) {
+                Entry::Occupied(e) => lookup.duplicates.push((i, *e.get())),
+                Entry::Vacant(e) => {
+                    lookup.misses.push(i);
+                    e.insert(i);
+                }
+            }
+        }
+        lookup
+    }
+
+    /// Completes a lookup of this cache with `fresh`, one
+    /// `(submission index, outcome)` pair per miss in any order: stores
+    /// each fresh outcome and returns every outcome of the batch in
+    /// submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fresh` leaves a miss without an outcome.
+    pub fn fill(
+        &mut self,
+        lookup: Lookup,
+        fresh: impl IntoIterator<Item = (usize, ScenarioOutcome)>,
+    ) -> Vec<ScenarioOutcome> {
+        let mut outcomes = lookup.outcomes;
+        for (i, outcome) in fresh {
+            outcomes[i] = Some(outcome);
+        }
+        for (i, job) in lookup.duplicates {
+            outcomes[i] = outcomes[job].clone();
+        }
+        for (record, job) in lookup.pending {
+            let outcome = outcomes[job].clone().expect("every miss was evaluated");
+            self.outcomes.insert(record, outcome);
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every scenario is resolved"))
+            .collect()
+    }
+
+    /// Forgets every outcome.
+    pub fn clear(&mut self) {
+        self.outcomes.clear();
+    }
+}
+
+impl Lookup {
+    /// One representative submission index per distinct miss, ascending:
+    /// the scenarios left to evaluate.
+    pub fn misses(&self) -> &[usize] {
+        &self.misses
+    }
+
+    /// Scenarios served from the cache.
+    pub fn cache_hits(&self) -> u64 {
+        self.cache_hits
+    }
+
+    /// Uncached copies collapsed onto an earlier copy in the batch.
+    pub fn deduped(&self) -> u64 {
+        self.duplicates.len() as u64
+    }
+}
+
 /// One worker thread per available hardware thread (what
 /// [`Runner::with_workers`]`(0)` resolves to).
 pub fn default_workers() -> usize {
@@ -1193,7 +1369,7 @@ pub fn default_workers() -> usize {
 }
 
 /// The deterministic work-stealing scenario engine: worker threads, an
-/// outcome cache and a stage memo.
+/// [`OutcomeCache`] and a stage memo.
 ///
 /// ```
 /// use mns_core::runner::{Runner, Scenario, HarvestScenario};
@@ -1213,8 +1389,7 @@ pub fn default_workers() -> usize {
 #[derive(Debug)]
 pub struct Runner {
     workers: usize,
-    /// Outcomes keyed by the scenario's full wire record.
-    cache: HashMap<String, ScenarioOutcome>,
+    cache: OutcomeCache,
     /// The lab-chip stage memo every thread of this runner evaluates
     /// under.
     sense_memo: Arc<SenseMemo>,
@@ -1235,7 +1410,7 @@ impl Runner {
             } else {
                 workers
             },
-            cache: HashMap::new(),
+            cache: OutcomeCache::default(),
             sense_memo: Arc::default(),
         }
     }
@@ -1265,38 +1440,16 @@ impl Runner {
     /// — only the wall clock.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
-        let mut outcomes: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
-        // Resolve cache hits and pick one representative index (its job)
-        // per distinct uncached record. Each scenario is encoded once.
-        let mut pending: HashMap<String, usize> = HashMap::new();
-        let mut jobs: Vec<usize> = Vec::new();
-        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let lookup = self.cache.lookup(scenarios);
+        let (fresh, per_worker) = self.execute(scenarios, lookup.misses());
         let mut stats = BatchStats {
             scenarios: scenarios.len() as u64,
+            executed: fresh.len() as u64,
+            cache_hits: lookup.cache_hits(),
+            deduped: lookup.deduped(),
+            steals: per_worker.iter().map(|w| w.steals).sum(),
             ..BatchStats::default()
         };
-        for (i, scenario) in scenarios.iter().enumerate() {
-            let record = manifest::encode_scenario(scenario);
-            if let Some(hit) = self.cache.get(&record) {
-                outcomes[i] = Some(hit.clone());
-                stats.cache_hits += 1;
-                continue;
-            }
-            match pending.entry(record) {
-                Entry::Occupied(e) => {
-                    stats.deduped += 1;
-                    duplicates.push((i, *e.get()));
-                }
-                Entry::Vacant(e) => {
-                    jobs.push(i);
-                    e.insert(i);
-                }
-            }
-        }
-
-        let (fresh, per_worker) = self.execute(scenarios, &jobs);
-        stats.executed = fresh.len() as u64;
-        stats.steals = per_worker.iter().map(|w| w.steals).sum();
         stats.per_worker = per_worker
             .into_iter()
             .enumerate()
@@ -1313,21 +1466,8 @@ impl Runner {
         mns_telemetry::counter_add("runner.cache_hits", stats.cache_hits);
         mns_telemetry::counter_add("runner.deduped", stats.deduped);
         mns_telemetry::counter_add("runner.steals", stats.steals);
-        for (i, outcome) in fresh {
-            outcomes[i] = Some(outcome);
-        }
-        for (i, job) in duplicates {
-            outcomes[i] = outcomes[job].clone();
-        }
-        for (record, job) in pending {
-            let outcome = outcomes[job].clone().expect("every job was evaluated");
-            self.cache.insert(record, outcome);
-        }
         BatchReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every scenario is resolved"))
-                .collect(),
+            outcomes: self.cache.fill(lookup, fresh),
             stats,
         }
     }
@@ -1739,6 +1879,7 @@ pub fn conformance_corpus(seed: u64) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn small_batch() -> Vec<Scenario> {
         vec![
@@ -1957,27 +2098,125 @@ mod tests {
         assert!((skewed.balance() - 0.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn round_robin_plan_is_fingerprint_stable() {
-        let batch = small_batch();
-        let plan = ShardPlan::split(&batch, 2);
-        assert_eq!(plan.shards(), 2);
-        assert_eq!(plan.len(), batch.len());
-        // Reversing the batch must not move any scenario to a different
-        // shard: compare fingerprint sets per shard.
-        let mut reversed = batch.clone();
-        reversed.reverse();
-        let rplan = ShardPlan::split(&reversed, 2);
+    /// Lab-chip runs of biology seeds 1–3 (four each), NoC points over two
+    /// application graphs, and `small_batch`.
+    fn stage_batch() -> Vec<Scenario> {
+        let mut batch = small_batch();
+        for seed in 1..=3 {
+            for fault_seed in 0..4 {
+                batch.push(labchip(seed, fault_seed));
+            }
+        }
+        for app in [CommGraph::hotspot(9, 1.0), CommGraph::pipeline(6, 2.0)] {
+            for max_cluster in 2..5 {
+                batch.push(Scenario::NocPoint(NocScenario {
+                    app: app.clone(),
+                    max_cluster,
+                    shortcuts: 0,
+                }));
+            }
+        }
+        batch
+    }
+
+    fn labchip(seed: u64, fault_seed: u64) -> Scenario {
+        Scenario::LabChip(LabChipScenario {
+            assay: AssayKind::Multiplex,
+            seed,
+            samples_per_run: 4,
+            dead_fraction: 0.05,
+            fault_seed,
+        })
+    }
+
+    /// The shard of each submission index.
+    fn shard_of(plan: &ShardPlan, len: usize) -> Vec<ShardId> {
+        let mut owner = vec![None; len];
         for (shard, indices) in plan.iter() {
-            let mut fwd: Vec<u64> = indices.iter().map(|&i| batch[i].fingerprint()).collect();
-            let mut rev: Vec<u64> = rplan
-                .indices(shard)
-                .iter()
-                .map(|&i| reversed[i].fingerprint())
-                .collect();
-            fwd.sort_unstable();
-            rev.sort_unstable();
-            assert_eq!(fwd, rev, "shard {shard} moved under batch reordering");
+            for &i in indices {
+                assert!(owner[i].is_none(), "index {i} dealt twice");
+                owner[i] = Some(shard);
+            }
+        }
+        owner
+            .into_iter()
+            .map(|o| o.expect("every index dealt"))
+            .collect()
+    }
+
+    #[test]
+    fn shard_plan_keeps_shared_stages_together() {
+        let batch = stage_batch();
+        let plan = ShardPlan::split(&batch, 4);
+        let owner = shard_of(&plan, batch.len());
+        let mut by_stage: BTreeMap<String, BTreeSet<ShardId>> = BTreeMap::new();
+        for (s, shard) in batch.iter().zip(&owner) {
+            let stage = match s {
+                Scenario::LabChip(l) => format!("biology seed {}", l.seed),
+                Scenario::NocPoint(n) => format!("app of {} cores", n.app.cores()),
+                _ => continue,
+            };
+            by_stage.entry(stage).or_default().insert(*shard);
+        }
+        assert_eq!(by_stage.len(), 3 + 2, "three seeds, two apps");
+        for (stage, shards) in &by_stage {
+            assert_eq!(shards.len(), 1, "{stage} spread over {shards:?}");
+        }
+        for (_, indices) in plan.iter() {
+            assert!(!indices.is_empty(), "every shard takes work");
+            assert!(indices.windows(2).all(|w| w[0] < w[1]), "sorted indices");
+        }
+    }
+
+    #[test]
+    fn shard_plan_cuts_a_group_larger_than_its_share() {
+        // One seed's 40 runs would fill one shard; the chunk cap of
+        // ⌈40/4⌉ spreads them over all four.
+        let batch: Vec<Scenario> = (0..40).map(|k| labchip(7, k)).collect();
+        let plan = ShardPlan::split(&batch, 4);
+        for (shard, indices) in plan.iter() {
+            assert_eq!(indices.len(), 10, "{shard}");
+        }
+    }
+
+    #[test]
+    fn shard_sizes_differ_by_at_most_the_largest_chunk() {
+        let mut batch = stage_batch();
+        batch.extend((0..9).map(|k| labchip(4, k)));
+        let largest_group = 9;
+        for shards in 1..=7 {
+            let plan = ShardPlan::split(&batch, shards);
+            assert_eq!(shard_of(&plan, batch.len()).len(), batch.len());
+            let largest_chunk = largest_group.min(batch.len().div_ceil(shards));
+            let sizes: Vec<usize> = plan.iter().map(|(_, v)| v.len()).collect();
+            let spread = sizes.iter().max().unwrap() - sizes.iter().min().unwrap();
+            assert!(spread <= largest_chunk, "{shards} shards: {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn shard_plan_is_content_stable() {
+        let batch = stage_batch();
+        for shards in [2, 4] {
+            let plan = ShardPlan::split(&batch, shards);
+            assert_eq!(plan.shards(), shards);
+            assert_eq!(plan.len(), batch.len());
+            // Reversing the batch must not move any scenario to a
+            // different shard: compare fingerprint sets per shard.
+            let mut reversed = batch.clone();
+            reversed.reverse();
+            let rplan = ShardPlan::split(&reversed, shards);
+            for (shard, indices) in plan.iter() {
+                let mut fwd: Vec<u64> = indices.iter().map(|&i| batch[i].fingerprint()).collect();
+                let mut rev: Vec<u64> = rplan
+                    .indices(shard)
+                    .iter()
+                    .map(|&i| reversed[i].fingerprint())
+                    .collect();
+                fwd.sort_unstable();
+                rev.sort_unstable();
+                assert_eq!(fwd, rev, "shard {shard} moved under batch reordering");
+            }
         }
     }
 

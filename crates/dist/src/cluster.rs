@@ -1,14 +1,21 @@
 //! The transport-agnostic cluster scheduler.
 //!
 //! [`Cluster::run`] turns one scenario batch into a fault-tolerant
-//! distributed sweep: split with the engine's own [`ShardPlan`], assign
-//! shards to registered workers, watch per-shard deadlines and heartbeat
-//! liveness, retry with capped exponential backoff (deterministic,
-//! seed-derived jitter), and requeue work from dead, hung or corrupt
-//! workers onto survivors. Results merge through the associative
-//! [`BatchStats`] / [`MetricsSnapshot`] merge, so the final report is
-//! **byte-identical to a serial run** at any worker count, over any
-//! transport, under any injected failure — the same
+//! distributed sweep. It first looks the batch up in the cluster's
+//! [`OutcomeCache`], which lasts across `run` calls, exactly as a
+//! [`Runner`](mns_core::runner::Runner) does: hits are served, copies of
+//! one scenario collapse onto one, and only the distinct misses go on.
+//! Those are split with the engine's own stage-sharing [`ShardPlan`];
+//! shards are assigned to registered workers; per-shard deadlines and
+//! heartbeat liveness are watched; failed deliveries retry with capped
+//! exponential backoff (deterministic, seed-derived jitter); and work
+//! from dead, hung or corrupt workers is requeued onto survivors. A
+//! batch with no miss launches no fleet. The scheduler waits on
+//! [`Transport::poll`], which returns as soon as an event arrives, for at
+//! most 2 ms between liveness and deadline sweeps. Results merge through
+//! the associative [`BatchStats`] / [`MetricsSnapshot`] merge, so the
+//! final report is **byte-identical to a serial run** at any worker
+//! count, over any transport, under any injected failure — the same
 //! detect-requeue-converge discipline the fault-tolerant biochip
 //! literature applies to electrode failures, applied to the experiment
 //! engine itself.
@@ -25,7 +32,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mns_core::runner::manifest::{parse_outcomes, write_manifest};
-use mns_core::runner::{BatchStats, ClusterConfig, Scenario, ScenarioOutcome, ShardId, ShardPlan};
+use mns_core::runner::{
+    BatchStats, ClusterConfig, OutcomeCache, Scenario, ScenarioOutcome, ShardId, ShardPlan,
+};
 use mns_telemetry::MetricsSnapshot;
 
 use crate::transport::{DistFault, LaunchOpts, Transport, TransportEvent, WorkerId};
@@ -50,11 +59,20 @@ pub struct ClusterReport {
     /// Outcomes in global submission order — byte-identical to a serial
     /// run of the same batch.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// Merged batch stats (see [`BatchStats::merge`]).
+    /// The batch's stats: the shard stats merged (see
+    /// [`BatchStats::merge`]), plus the cache hits and collapsed
+    /// duplicates the cluster resolved before shipping, with `scenarios`
+    /// counting the whole submitted batch. Its
+    /// [`totals`](BatchStats::totals) equal those of one `Runner` reused
+    /// over the same batches. The cluster's own hits are charged to no
+    /// `per_worker` row.
     pub stats: BatchStats,
-    /// Per-shard stats in shard order.
+    /// Per-shard stats in shard order. Shards hold only the distinct
+    /// misses the cluster shipped, so a fully cached batch has only empty
+    /// shards.
     pub shards: Vec<BatchStats>,
-    /// Per-shard placement (worker, attempts), in shard order.
+    /// Per-shard placement (worker, attempts) of the shipped misses, in
+    /// shard order.
     pub placements: Vec<ShardPlacement>,
     /// Assignments delivered (mirrors the `dist.assign` counter).
     pub assigned: u64,
@@ -129,12 +147,18 @@ struct WorkerTrack {
     busy: Option<ShardId>,
 }
 
+/// Longest the scheduler waits for a transport event before it sweeps
+/// liveness, deadlines and backoffs again.
+const POLL_WAIT: Duration = Duration::from_millis(2);
+
 /// A cluster scheduler bound to one transport.
 pub struct Cluster {
     transport: Box<dyn Transport>,
     config: ClusterConfig,
     worker_binary: Option<PathBuf>,
     fault: Option<DistFault>,
+    /// Outcomes of every batch this cluster has run.
+    cache: OutcomeCache,
 }
 
 impl Cluster {
@@ -145,6 +169,7 @@ impl Cluster {
             config,
             worker_binary: None,
             fault: None,
+            cache: OutcomeCache::default(),
         }
     }
 
@@ -166,8 +191,39 @@ impl Cluster {
     /// Runs the batch to completion. Worker failures never surface as
     /// errors — shards degrade to in-process recovery; see the module
     /// docs for the failure model.
+    ///
+    /// Outcomes this cluster computed for an earlier batch are served
+    /// from its outcome cache, and copies of one scenario within the batch
+    /// are evaluated once, exactly as [`Runner::run`] does. Only the
+    /// distinct misses are planned and shipped; a batch without any
+    /// launches no fleet.
+    ///
+    /// [`Runner::run`]: mns_core::runner::Runner::run
     pub fn run(&mut self, scenarios: &[Scenario]) -> ClusterReport {
         let _span = mns_telemetry::span("dist.run");
+        let lookup = self.cache.lookup(scenarios);
+        let misses: Vec<Scenario> = lookup
+            .misses()
+            .iter()
+            .map(|&i| scenarios[i].clone())
+            .collect();
+        let mut report = self.sweep(&misses);
+        report.stats.scenarios = scenarios.len() as u64;
+        report.stats.cache_hits += lookup.cache_hits();
+        report.stats.deduped += lookup.deduped();
+        let fresh: Vec<(usize, ScenarioOutcome)> = lookup
+            .misses()
+            .iter()
+            .copied()
+            .zip(report.outcomes.drain(..))
+            .collect();
+        report.outcomes = self.cache.fill(lookup, fresh);
+        report
+    }
+
+    /// Plans, ships and recovers one batch of distinct scenarios; the
+    /// report's outcomes are in `scenarios` order.
+    fn sweep(&mut self, scenarios: &[Scenario]) -> ClusterReport {
         let config = self.config;
         let plan = ShardPlan::split(scenarios, config.runner.shards);
         let shard_count = plan.shards();
@@ -213,7 +269,10 @@ impl Cluster {
             worker_binary: self.worker_binary.clone(),
             fault: self.fault,
         };
-        let launched = self.transport.launch(fleet, &opts).is_ok();
+        // A batch whose every shard is already done ships nothing, so it
+        // launches no fleet.
+        let shipping = tracks.iter().any(|t| t.state != ShardState::Done);
+        let launched = shipping && self.transport.launch(fleet, &opts).is_ok();
         let started = Instant::now();
         // Every worker that registered or went, live or not.
         let mut workers: BTreeMap<WorkerId, WorkerTrack> = BTreeMap::new();
@@ -225,7 +284,7 @@ impl Cluster {
             let now = Instant::now();
 
             if launched {
-                for event in self.transport.poll() {
+                for event in self.transport.poll(POLL_WAIT) {
                     match event {
                         TransportEvent::Registered { worker } => {
                             workers.entry(worker).or_insert(WorkerTrack {
@@ -435,10 +494,11 @@ impl Cluster {
             if tracks.iter().all(|t| t.state == ShardState::Done) {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
 
-        self.transport.shutdown();
+        if shipping {
+            self.transport.shutdown();
+        }
         recovered.sort_unstable();
 
         let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(scenarios.len());
@@ -606,7 +666,7 @@ mod tests {
             .filter(|s| matches!(s, Scenario::Knockout(_) | Scenario::Harvest(_)))
             .take(5)
             .collect();
-        // Three copies over two shards: two of them meet in one shard.
+        // Three copies over two shards: the plan keeps all three on one.
         batch.extend([batch[0].clone(), batch[0].clone()]);
         let serial = Runner::serial().run(&batch).outcomes;
         let plan = ShardPlan::split(&batch, 2);
@@ -631,6 +691,6 @@ mod tests {
                 indices.iter().map(|&i| (i, serial[i].digest().0)).collect();
             assert_eq!(digests(&local_pairs), expected, "{shard}");
         }
-        assert!(deduped >= 1, "the copies must meet in one shard");
+        assert_eq!(deduped, 2, "the copies must meet in one shard");
     }
 }

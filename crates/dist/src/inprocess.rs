@@ -13,11 +13,14 @@ use std::io;
 use std::sync::mpsc;
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread;
+use std::time::Duration;
 
 use mns_core::runner::ShardId;
 
 use crate::protocol::Message;
-use crate::transport::{worker_name, FaultMode, LaunchOpts, Transport, TransportEvent, WorkerId};
+use crate::transport::{
+    drain_or_wait, worker_name, FaultMode, LaunchOpts, Transport, TransportEvent, WorkerId,
+};
 use crate::worker::{answer_assign, Answer};
 
 enum Command {
@@ -47,7 +50,7 @@ impl InProcess {
 fn worker_thread(
     name: WorkerId,
     threads: usize,
-    interval: std::time::Duration,
+    interval: Duration,
     mut fault: Option<FaultMode>,
     commands: Receiver<Command>,
     events: Sender<TransportEvent>,
@@ -155,15 +158,11 @@ impl Transport for InProcess {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<TransportEvent> {
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         let Some((_, events_rx)) = &self.events else {
             return Vec::new();
         };
-        let mut events = Vec::new();
-        while let Ok(event) = events_rx.try_recv() {
-            events.push(event);
-        }
-        events
+        drain_or_wait(events_rx, wait)
     }
 
     fn assign(
@@ -199,5 +198,38 @@ impl Transport for InProcess {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn poll_returns_once_an_event_is_queued_and_waits_while_none_is() {
+        let mut transport = InProcess::new();
+        let opts = LaunchOpts {
+            threads_per_worker: 1,
+            heartbeat_interval: Duration::from_secs(60),
+            collect_metrics: false,
+            worker_binary: None,
+            fault: None,
+        };
+        transport.launch(1, &opts).expect("threads launch");
+        let started = Instant::now();
+        let events = transport.poll(Duration::from_secs(10));
+        let woke_after = started.elapsed();
+        let started = Instant::now();
+        let idle = transport.poll(Duration::from_millis(30));
+        let idled_for = started.elapsed();
+        transport.shutdown();
+        let registered = TransportEvent::Registered {
+            worker: "w0".to_owned(),
+        };
+        assert_eq!(events, vec![registered]);
+        assert!(woke_after < Duration::from_secs(2), "took {woke_after:?}");
+        assert!(idle.is_empty());
+        assert!(idled_for >= Duration::from_millis(30), "{idled_for:?}");
     }
 }

@@ -10,14 +10,18 @@
 //! | [`TcpTransport`] | framed loopback TCP | multi-process / multi-machine sweeps |
 //! | [`SpoolTransport`] | shared directory, rename-commit | object-store-style batch clusters |
 //!
-//! The [`Cluster`] scheduler assigns [`ShardPlan`](mns_core::runner::ShardPlan)
-//! shards to registered workers, watches heartbeats and per-shard
-//! deadlines, retries with deterministic capped exponential backoff, and
-//! requeues work from dead, hung or corrupt workers onto survivors.
-//! Because every shard's evaluation is pure and the stats/metrics merge
-//! is associative, the merged [`ClusterReport`] is **byte-identical to
-//! a serial run** — at any worker count, over any transport, under any
-//! injected failure.
+//! The [`Cluster`] scheduler keeps an
+//! [`OutcomeCache`](mns_core::runner::OutcomeCache) across `run` calls
+//! and ships only a batch's distinct misses. It assigns their
+//! [`ShardPlan`](mns_core::runner::ShardPlan) shards, which keep
+//! scenarios sharing a stage together, to registered workers; watches
+//! heartbeats and per-shard deadlines; retries with deterministic capped
+//! exponential backoff; and requeues work from dead, hung or corrupt
+//! workers onto survivors. Because every shard's evaluation is pure and
+//! the stats/metrics merge is associative, the merged [`ClusterReport`]
+//! is **byte-identical to a serial run** — at any worker count, over any
+//! transport, under any injected failure — and a cluster reused over a
+//! series of batches reports what one reused `Runner` would.
 //!
 //! ```no_run
 //! use mns_core::runner::{conformance_corpus, ClusterConfig};

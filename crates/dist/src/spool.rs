@@ -158,6 +158,8 @@ impl SpoolTransport {
     }
 
     /// A transport over an existing shared directory (kept on drop).
+    /// Each launch clears the spool layout that an earlier fleet left
+    /// there.
     pub fn at(dir: impl Into<PathBuf>) -> SpoolTransport {
         SpoolTransport {
             dir: dir.into(),
@@ -173,6 +175,27 @@ impl SpoolTransport {
     /// The shared spool directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Clears what an earlier fleet left in the spool — its stop
+    /// marker, hellos, heartbeats, claims and results — and what this
+    /// side remembers of it. A new fleet reuses the worker names and the
+    /// `(shard, attempt)` file names, so none of it may reach the new
+    /// one.
+    fn forget_earlier_fleet(&mut self) {
+        let _ = std::fs::remove_file(layout::stop_path(&self.dir));
+        for sub in [
+            layout::workers_dir(&self.dir),
+            layout::inbox_dir(&self.dir),
+            layout::claims_dir(&self.dir),
+            layout::results_dir(&self.dir),
+        ] {
+            let _ = std::fs::remove_dir_all(sub);
+        }
+        self.registered.clear();
+        self.hb_seen.clear();
+        self.results_seen.clear();
+        self.gone.clear();
     }
 
     fn reap_grace(&mut self, grace: Duration) {
@@ -200,6 +223,7 @@ impl SpoolTransport {
 impl Transport for SpoolTransport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         let binary = resolve_worker_binary(opts)?;
+        self.forget_earlier_fleet();
         layout::create_dirs(&self.dir)?;
         for index in 0..workers {
             let name = worker_name(index);
@@ -229,7 +253,9 @@ impl Transport for SpoolTransport {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<TransportEvent> {
+    /// Scans the spool directory; when the scan finds nothing, sleeps
+    /// `wait` (files announce nothing, so there is no event to wake on).
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         let mut events = Vec::new();
 
         // New registrations: *.hello files we have not seen yet.
@@ -327,6 +353,9 @@ impl Transport for SpoolTransport {
                     worker: name.clone(),
                 });
             }
+        }
+        if events.is_empty() {
+            std::thread::sleep(wait);
         }
         events
     }

@@ -23,7 +23,8 @@ use mns_core::runner::ShardId;
 
 use crate::protocol::{valid_worker_name, Message};
 use crate::transport::{
-    resolve_worker_binary, worker_name, LaunchOpts, Transport, TransportEvent, WorkerId, FAULT_ENV,
+    drain_or_wait, resolve_worker_binary, worker_name, LaunchOpts, Transport, TransportEvent,
+    WorkerId, FAULT_ENV,
 };
 
 type Writers = Arc<Mutex<HashMap<WorkerId, TcpStream>>>;
@@ -64,6 +65,17 @@ impl TcpTransport {
     /// The address workers connect back to.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Drops what an earlier fleet, reaped by [`Transport::shutdown`],
+    /// left behind: its connections still queued on the listener, and
+    /// the events and writers of its reader threads. A new fleet reuses
+    /// the names `w0`, `w1`, …, so none of it may reach the new one.
+    fn forget_earlier_fleet(&mut self) {
+        while self.listener.accept().is_ok() {}
+        (self.events_tx, self.events_rx) = mpsc::channel();
+        self.writers = Arc::new(Mutex::new(HashMap::new()));
+        self.gone.clear();
     }
 
     fn accept_pending(&mut self) {
@@ -147,6 +159,7 @@ fn connection_loop(mut stream: TcpStream, events: &Sender<TransportEvent>, write
 impl Transport for TcpTransport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         let binary = resolve_worker_binary(opts)?;
+        self.forget_earlier_fleet();
         for index in 0..workers {
             let name = worker_name(index);
             let mut cmd = Command::new(&binary);
@@ -175,7 +188,7 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn poll(&mut self) -> Vec<TransportEvent> {
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         self.accept_pending();
         let mut events = Vec::new();
         // A dead child is Gone even if its connection never opened (a
@@ -192,7 +205,13 @@ impl Transport for TcpTransport {
                 });
             }
         }
-        while let Ok(event) = self.events_rx.try_recv() {
+        // A child exit is news enough: wait only when there is none.
+        let wait = if events.is_empty() {
+            wait
+        } else {
+            Duration::ZERO
+        };
+        for event in drain_or_wait(&self.events_rx, wait) {
             // The connection-closed Gone may duplicate the child-exit
             // Gone; dedupe so the scheduler sees each worker die once.
             if let TransportEvent::Gone { worker } = &event {
@@ -263,5 +282,34 @@ impl Drop for TcpTransport {
             let _ = child.kill();
             let _ = child.wait();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poll_returns_once_an_event_is_queued_and_waits_while_none_is() {
+        let mut transport = TcpTransport::bind().expect("loopback listener");
+        // A worker that connects and says hello, and then stays silent.
+        let mut worker = TcpStream::connect(transport.local_addr()).expect("connect");
+        let hello = Message::Hello {
+            worker: "w0".to_owned(),
+        };
+        write_frame(&mut worker, hello.encode().as_bytes()).expect("hello frame");
+        let started = Instant::now();
+        let events = transport.poll(Duration::from_secs(10));
+        let woke_after = started.elapsed();
+        let started = Instant::now();
+        let idle = transport.poll(Duration::from_millis(30));
+        let idled_for = started.elapsed();
+        let registered = TransportEvent::Registered {
+            worker: "w0".to_owned(),
+        };
+        assert_eq!(events, vec![registered]);
+        assert!(woke_after < Duration::from_secs(2), "took {woke_after:?}");
+        assert!(idle.is_empty());
+        assert!(idled_for >= Duration::from_millis(30), "{idled_for:?}");
     }
 }

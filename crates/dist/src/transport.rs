@@ -1,9 +1,10 @@
 //! The pluggable transport boundary between scheduler and workers.
 //!
 //! A [`Transport`] owns a fleet of worker endpoints and exposes exactly
-//! four capabilities: launch them, poll for [`TransportEvent`]s, deliver
-//! one [`Assign`](crate::protocol::Message::Assign) message, and shut
-//! the fleet down. Everything else — liveness, deadlines, retries,
+//! four capabilities: launch them, wait briefly for
+//! [`TransportEvent`]s, deliver one
+//! [`Assign`](crate::protocol::Message::Assign) message, and shut the
+//! fleet down. Everything else — liveness, deadlines, retries,
 //! requeue, merge — lives in the [`Cluster`](crate::cluster::Cluster)
 //! scheduler and is therefore identical across transports, which is what
 //! makes the byte-identical-digests conformance contract provable per
@@ -11,6 +12,7 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 use mns_core::runner::ShardId;
@@ -174,11 +176,36 @@ pub fn resolve_worker_binary(opts: &LaunchOpts) -> io::Result<PathBuf> {
     })
 }
 
+/// Every event queued on `events`; when none is, the first to arrive
+/// within `wait` and any queued behind it. The poll of a transport whose
+/// events arrive on a channel.
+pub(crate) fn drain_or_wait(
+    events: &Receiver<TransportEvent>,
+    wait: Duration,
+) -> Vec<TransportEvent> {
+    let mut drained: Vec<TransportEvent> = events.try_iter().collect();
+    if drained.is_empty() {
+        if let Ok(first) = events.recv_timeout(wait) {
+            drained.push(first);
+            drained.extend(events.try_iter());
+        }
+    }
+    drained
+}
+
 /// A cluster transport: launches workers, surfaces their events,
 /// delivers assignments. See the module docs for the contract split
 /// between transport and scheduler.
+///
+/// A [`Cluster`](crate::Cluster) launches one fleet per `run` call that
+/// ships work, and shuts it down before `run` returns.
 pub trait Transport {
     /// Launches `workers` endpoints named [`worker_name`]`(0..workers)`.
+    /// A transport is launched again after each [`shutdown`]: nothing the
+    /// earlier fleet left behind may reach the new one, which reuses its
+    /// names.
+    ///
+    /// [`shutdown`]: Transport::shutdown
     ///
     /// # Errors
     ///
@@ -188,9 +215,10 @@ pub trait Transport {
     /// [`TransportEvent::Gone`] instead.
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()>;
 
-    /// Drains every event observed since the previous poll. Never
-    /// blocks.
-    fn poll(&mut self) -> Vec<TransportEvent>;
+    /// Drains every event observed since the previous poll. When none
+    /// is pending, waits up to `wait` for the first one; a channel-backed
+    /// transport returns as soon as it arrives.
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent>;
 
     /// Delivers one shard assignment to `worker`.
     ///

@@ -5,9 +5,11 @@
 //! Runs `conformance_corpus(42)` four ways — serial, in-process
 //! loopback cluster, TCP cluster, spool cluster — and proves the
 //! per-scenario digests identical across all four. Prints per-worker
-//! shard placement and requeue counts for each transport, then kills a
-//! TCP worker mid-shard and shows the survivors absorbing its work
-//! without a single digest moving.
+//! shard placement and requeue counts for each transport, then runs the
+//! corpus again through the same TCP cluster, which serves every outcome
+//! from its cache and assigns nothing, and finally kills a TCP worker
+//! mid-shard and shows the survivors absorbing its work without a single
+//! digest moving.
 //!
 //! The worker binary ships with the package; build it first:
 //!
@@ -45,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ClusterConfig::new().workers(3).shards(6);
 
     let in_process = Cluster::new(InProcess::new(), config).run(&corpus);
-    let tcp = Cluster::new(TcpTransport::bind()?, config).run(&corpus);
+    let mut tcp_cluster = Cluster::new(TcpTransport::bind()?, config);
+    let tcp = tcp_cluster.run(&corpus);
     let spool = Cluster::new(SpoolTransport::ephemeral()?, config).run(&corpus);
 
     let mut t = Table::new(
@@ -100,6 +103,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (mode, report) in [("tcp", &tcp), ("spool", &spool)] {
         println!("{mode} placement: {}", placements(report));
     }
+
+    // The same TCP cluster again: every outcome is cached, so nothing
+    // ships and no worker is launched.
+    let repeat = tcp_cluster.run(&corpus);
+    let same = repeat
+        .outcomes
+        .iter()
+        .map(|o| o.digest())
+        .collect::<Vec<_>>()
+        == digests;
+    println!(
+        "\ntcp repeat: {} of {} outcomes from the cluster's cache, {} assigned; digests {} serial",
+        repeat.stats.cache_hits,
+        repeat.stats.scenarios,
+        repeat.assigned,
+        if same { "match" } else { "DIVERGED from" },
+    );
+    assert_eq!(repeat.assigned, 0, "a cached repeat must ship nothing");
+    assert!(same, "a cached repeat must not move a digest");
 
     // Now kill one TCP worker mid-shard and watch the survivors absorb
     // its work.

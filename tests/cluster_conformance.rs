@@ -22,6 +22,11 @@
 //!    completes every shard in-process with golden digests, and a fleet
 //!    whose second worker registers only after the first has crashed is
 //!    not given up on.
+//! 5. **Reuse**: one cluster reused over two batches, the second
+//!    revisiting the first and repeating scenarios within itself,
+//!    returns the outcomes and totals of one reused serial `Runner` and
+//!    relaunches a healthy fleet on every transport; a batch that ships
+//!    nothing launches no fleet.
 //!
 //! The full corpus runs once per process transport; the wider matrix
 //! uses a cheap-family subset (dilution-ladder scenarios dominate debug
@@ -31,7 +36,8 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Once;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use micronano::core::runner::{
@@ -264,6 +270,109 @@ fn child_process_shards_match_serial_and_golden() {
     }
 }
 
+/// One cluster over `transport`, reused over two batches: the
+/// second revisits part of the first and repeats scenarios within itself.
+/// It must return the outcomes and totals of one serial `Runner` reused
+/// over the same batches, ship only what neither has cached, and
+/// relaunch a healthy fleet for the second batch.
+fn assert_reuse_matches_a_reused_runner<T: Transport + 'static>(name: &str, transport: T) {
+    let corpus = cheap_corpus();
+    let first: Vec<Scenario> = corpus[..6].to_vec();
+    let mut second: Vec<Scenario> = corpus[3..].to_vec();
+    second.extend_from_slice(&corpus[7..9]);
+    let mut runner = Runner::serial();
+    let mut cluster = Cluster::new(transport, ClusterConfig::new().workers(2).shards(4))
+        .with_worker_binary(worker_path());
+    for (round, batch) in [&first, &second].into_iter().enumerate() {
+        let context = format!("{name}, batch {round}");
+        let reference = runner.run(batch);
+        let report = cluster.run(batch);
+        assert_eq!(reference.outcomes, report.outcomes, "{context}");
+        assert_eq!(reference.stats.totals(), report.stats.totals(), "{context}");
+        assert_golden(batch, &report.outcomes);
+        let shipped: u64 = report.shards.iter().map(|s| s.scenarios).sum();
+        assert_eq!(shipped, reference.stats.executed, "{context}");
+        assert!(
+            report.recovered.is_empty(),
+            "{context}: {:?}",
+            report.recovered
+        );
+        assert_eq!(report.requeues, 0, "{context}");
+    }
+}
+
+#[test]
+fn a_reused_in_process_cluster_matches_a_reused_runner() {
+    assert_reuse_matches_a_reused_runner("in-process", InProcess::new());
+}
+
+#[test]
+fn a_reused_tcp_cluster_matches_a_reused_runner() {
+    let transport = TcpTransport::bind().expect("loopback listener");
+    assert_reuse_matches_a_reused_runner("tcp", transport);
+}
+
+#[test]
+fn a_reused_spool_cluster_matches_a_reused_runner() {
+    let transport = SpoolTransport::ephemeral().expect("spool dir");
+    assert_reuse_matches_a_reused_runner("spool", transport);
+}
+
+/// An `InProcess` transport that counts its `launch` calls.
+struct CountingLaunches {
+    inner: InProcess,
+    launches: Arc<AtomicUsize>,
+}
+
+impl Transport for CountingLaunches {
+    fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
+        self.launches.fetch_add(1, Ordering::SeqCst);
+        self.inner.launch(workers, opts)
+    }
+
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
+        self.inner.poll(wait)
+    }
+
+    fn assign(
+        &mut self,
+        worker: &str,
+        shard: ShardId,
+        attempt: u32,
+        manifest: &str,
+    ) -> io::Result<()> {
+        self.inner.assign(worker, shard, attempt, manifest)
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+}
+
+#[test]
+fn a_batch_that_ships_nothing_launches_no_fleet() {
+    let launches = Arc::new(AtomicUsize::new(0));
+    let transport = CountingLaunches {
+        inner: InProcess::new(),
+        launches: Arc::clone(&launches),
+    };
+    let mut cluster = Cluster::new(transport, ClusterConfig::new().workers(2).shards(4));
+    let empty = cluster.run(&[]);
+    assert!(empty.outcomes.is_empty());
+    assert_eq!(empty.assigned, 0);
+    assert_eq!(launches.load(Ordering::SeqCst), 0, "empty batch");
+
+    let corpus = cheap_corpus();
+    let first = cluster.run(&corpus);
+    assert_matches_serial(&corpus, &first, "first pass");
+    assert_eq!(launches.load(Ordering::SeqCst), 1);
+    let repeat = cluster.run(&corpus);
+    assert_eq!(repeat.outcomes, first.outcomes);
+    assert_eq!(repeat.assigned, 0);
+    assert_eq!(repeat.stats.cache_hits, corpus.len() as u64);
+    assert_eq!(launches.load(Ordering::SeqCst), 1, "fully cached repeat");
+}
+
 #[test]
 fn empty_shards_resolve_without_workers() {
     // More shards than scenarios: the overflow shards are empty and must
@@ -469,14 +578,14 @@ impl Transport for LateSecondWorker {
         self.inner.launch(workers, opts)
     }
 
-    fn poll(&mut self) -> Vec<TransportEvent> {
+    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         let release = self.w0_gone;
         let mut events = if release {
             std::mem::take(&mut self.held)
         } else {
             Vec::new()
         };
-        for event in self.inner.poll() {
+        for event in self.inner.poll(wait) {
             match &event {
                 TransportEvent::Registered { worker } if worker == "w1" && !release => {
                     self.held.push(event);

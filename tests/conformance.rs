@@ -213,6 +213,13 @@ fn colliding_fingerprints_never_share_an_outcome() {
             .map(ScenarioOutcome::digest)
             .collect();
         assert_eq!(digests, expected, "one-shard cluster, seeds {a} and {b}");
+
+        let mut cluster = Cluster::new(InProcess::new(), config);
+        cluster.run(&both[..1]);
+        let warm = cluster.run(&both[1..]);
+        let digests: Vec<Digest> = warm.outcomes.iter().map(ScenarioOutcome::digest).collect();
+        assert_eq!(digests, expected[1..], "warm cluster, seed {b}");
+        assert_eq!(warm.stats.cache_hits, 0, "warm cluster, seed {b}");
     }
     // The second pair collides under `Scenario::fingerprint` itself, so
     // the test keeps proving that no cache decision reads the hash.
