@@ -481,7 +481,7 @@ impl Cluster {
                     && (workers.len() >= fleet || started.elapsed() >= config.registration_window));
             for sid in 0..shard_count {
                 let give_up = tracks[sid].state == ShardState::Ready
-                    && (tracks[sid].attempts >= config.max_attempts || fleet_hopeless);
+                    && (tracks[sid].attempts >= config.max_attempts.max(1) || fleet_hopeless);
                 if give_up {
                     let shard = ShardId(sid as u32);
                     results[sid] = Some(local_eval(scenarios, &plan, shard, &config));

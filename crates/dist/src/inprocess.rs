@@ -1,17 +1,16 @@
-//! Loopback reference transport: workers are threads in this process.
+//! Loopback transport: workers are threads in this process.
 //!
 //! The cheapest conformance point of the transport matrix — no sockets,
-//! no files, no child processes — and the executable specification of
-//! the worker contract: register, heartbeat on the interval, answer
-//! assignments with the exact outcome text a real worker process would
-//! send. Telemetry snapshots are never collected here (`metrics` is
-//! always `None` in results): the global telemetry registry cannot be
-//! partitioned per shard while the scheduler — or the enclosing test —
-//! shares it.
+//! no files, no child processes. Each thread runs the loop a
+//! `dist_worker` process runs, [`worker::run`](crate::worker), over a
+//! channel pair that moves [`Message`] values in and
+//! [`TransportEvent`]s out, so nothing is encoded or decoded. Telemetry
+//! snapshots are never collected here (`metrics` is always `None` in
+//! results): the global telemetry registry cannot be partitioned per
+//! shard while the scheduler — or the enclosing test — shares it.
 
 use std::io;
-use std::sync::mpsc;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::Duration;
 
@@ -19,23 +18,14 @@ use mns_core::runner::ShardId;
 
 use crate::protocol::Message;
 use crate::transport::{
-    drain_or_wait, worker_name, FaultMode, LaunchOpts, Transport, TransportEvent, WorkerId,
+    drain_or_wait, worker_name, LaunchOpts, Transport, TransportEvent, WorkerId,
 };
-use crate::worker::{answer_assign, Answer};
-
-enum Command {
-    Assign {
-        shard: ShardId,
-        attempt: u32,
-        manifest: String,
-    },
-    Shutdown,
-}
+use crate::worker::{self, Link};
 
 /// The in-process transport.
 #[derive(Default)]
 pub struct InProcess {
-    workers: Vec<(WorkerId, Sender<Command>)>,
+    workers: Vec<(WorkerId, Sender<Message>)>,
     events: Option<(Sender<TransportEvent>, Receiver<TransportEvent>)>,
     handles: Vec<thread::JoinHandle<()>>,
 }
@@ -47,94 +37,22 @@ impl InProcess {
     }
 }
 
-fn worker_thread(
-    name: WorkerId,
-    threads: usize,
-    interval: Duration,
-    mut fault: Option<FaultMode>,
-    commands: Receiver<Command>,
+/// A worker thread's end of the transport.
+struct ChannelLink {
+    inbound: Receiver<Message>,
     events: Sender<TransportEvent>,
-) {
-    let _ = events.send(TransportEvent::Registered {
-        worker: name.clone(),
-    });
-    let mut seq = 0u64;
-    loop {
-        match commands.recv_timeout(interval) {
-            Ok(Command::Assign {
-                shard,
-                attempt,
-                manifest,
-            }) => {
-                // The stall fault must not leave a sleeping thread in
-                // the test process: model it as silence-until-shutdown
-                // instead of a long sleep.
-                if fault == Some(FaultMode::StallHeartbeat) {
-                    loop {
-                        match commands.recv() {
-                            Ok(Command::Shutdown) | Err(_) => return,
-                            Ok(Command::Assign { .. }) => {}
-                        }
-                    }
-                }
-                let answer = {
-                    let seq = &mut seq;
-                    let events = &events;
-                    let name_ref = &name;
-                    let mut beat = || {
-                        *seq += 1;
-                        let _ = events.send(TransportEvent::Heartbeat {
-                            worker: name_ref.clone(),
-                        });
-                    };
-                    answer_assign(
-                        &name, shard, attempt, manifest, threads,
-                        false, // never collect metrics in-process (module docs)
-                        interval, &mut fault, &mut beat,
-                    )
-                };
-                match answer {
-                    Answer::Reply(Message::Result {
-                        worker,
-                        shard,
-                        attempt,
-                        outcomes,
-                        metrics,
-                    }) => {
-                        if events
-                            .send(TransportEvent::Result {
-                                worker,
-                                shard,
-                                attempt,
-                                outcomes,
-                                metrics,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Answer::Reply(_) => {}
-                    Answer::Die(_) => {
-                        let _ = events.send(TransportEvent::Gone { worker: name });
-                        return;
-                    }
-                }
-            }
-            Ok(Command::Shutdown) => return,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                seq += 1;
-                if events
-                    .send(TransportEvent::Heartbeat {
-                        worker: name.clone(),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+}
+
+impl Link for ChannelLink {
+    fn send(&mut self, message: Message) -> io::Result<()> {
+        let event = TransportEvent::from_worker(message).ok_or(io::ErrorKind::InvalidInput)?;
+        self.events
+            .send(event)
+            .map_err(|_| io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn recv(&mut self, wait: Duration) -> Result<Message, RecvTimeoutError> {
+        self.inbound.recv_timeout(wait)
     }
 }
 
@@ -143,16 +61,23 @@ impl Transport for InProcess {
         let (events_tx, events_rx) = mpsc::channel();
         for index in 0..workers {
             let name = worker_name(index);
-            let (commands_tx, commands_rx) = mpsc::channel();
-            let events = events_tx.clone();
-            let thread_name = name.clone();
+            let (assign_tx, inbound) = mpsc::channel();
+            let mut link = ChannelLink {
+                inbound,
+                events: events_tx.clone(),
+            };
+            let worker = name.clone();
             let threads = opts.threads_per_worker;
             let interval = opts.heartbeat_interval;
             let fault = opts.fault_for(index);
             self.handles.push(thread::spawn(move || {
-                worker_thread(thread_name, threads, interval, fault, commands_rx, events);
+                // Never collect metrics in-process (module docs).
+                worker::run(&mut link, &worker, threads, interval, false, fault);
+                // A thread whose loop has ended is gone, as an exited
+                // child is.
+                let _ = link.events.send(TransportEvent::Gone { worker });
             }));
-            self.workers.push((name, commands_tx));
+            self.workers.push((name, assign_tx));
         }
         self.events = Some((events_tx, events_rx));
         Ok(())
@@ -181,7 +106,7 @@ impl Transport for InProcess {
                 io::Error::new(io::ErrorKind::NotConnected, format!("no worker {worker}"))
             })?;
         sender
-            .send(Command::Assign {
+            .send(Message::Assign {
                 shard,
                 attempt,
                 manifest: manifest.to_owned(),
@@ -191,7 +116,7 @@ impl Transport for InProcess {
 
     fn shutdown(&mut self) {
         for (_, sender) in &self.workers {
-            let _ = sender.send(Command::Shutdown);
+            let _ = sender.send(Message::Shutdown);
         }
         self.workers.clear();
         self.events = None;

@@ -6,9 +6,14 @@
 //!
 //! | transport | medium | use |
 //! |---|---|---|
-//! | [`InProcess`] | threads + channels | loopback reference, conformance baseline |
+//! | [`InProcess`] | threads + channels | loopback: conformance baseline, benchmark cluster pass |
 //! | [`TcpTransport`] | framed loopback TCP | multi-process / multi-machine sweeps |
 //! | [`SpoolTransport`] | shared directory, rename-commit | object-store-style batch clusters |
+//!
+//! Every worker runs the one loop of [`worker`], whichever transport
+//! carries its messages: an [`InProcess`] thread runs exactly what a
+//! `dist_worker` process runs. The two process transports share one
+//! fleet of `dist_worker` children.
 //!
 //! The [`Cluster`] scheduler keeps an
 //! [`OutcomeCache`](mns_core::runner::OutcomeCache) across `run` calls
@@ -34,6 +39,7 @@
 //! ```
 
 pub mod cluster;
+mod fleet;
 pub mod inprocess;
 pub mod protocol;
 pub mod spool;

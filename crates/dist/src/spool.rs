@@ -19,24 +19,32 @@
 //!   stop                      shutdown marker workers poll for
 //!   tmp/                      rename-commit staging
 //! ```
+//!
+//! The scheduler side, [`SpoolTransport`], launches the shared fleet of
+//! `dist_worker` children and turns directory churn into
+//! [`TransportEvent`]s. A worker's side, `SpoolLink`, writes its hello,
+//! heartbeat and result files, reads its inbox, and reads the `stop`
+//! marker as a shutdown.
 
 use std::collections::{HashMap, HashSet};
+use std::ffi::OsStr;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::RecvTimeoutError;
+use std::thread;
+use std::time::Duration;
 
 use mns_core::runner::ShardId;
 
+use crate::fleet::Fleet;
 use crate::protocol::Message;
-use crate::transport::{
-    resolve_worker_binary, worker_name, LaunchOpts, Transport, TransportEvent, WorkerId, FAULT_ENV,
-};
+use crate::transport::{LaunchOpts, Transport, TransportEvent, WorkerId};
+use crate::worker::Link;
 
 /// Directory layout and atomic-write helpers shared by the scheduler
-/// side (this module) and the worker side ([`crate::worker`]).
-pub(crate) mod layout {
+/// side ([`SpoolTransport`]) and the worker side ([`SpoolLink`]).
+mod layout {
     use super::*;
 
     static STAGE_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -134,11 +142,10 @@ pub(crate) mod layout {
 pub struct SpoolTransport {
     dir: PathBuf,
     ephemeral: bool,
-    children: Vec<(WorkerId, Child)>,
+    fleet: Fleet,
     registered: HashSet<WorkerId>,
     hb_seen: HashMap<WorkerId, u64>,
     results_seen: HashSet<PathBuf>,
-    gone: HashSet<WorkerId>,
 }
 
 impl SpoolTransport {
@@ -164,11 +171,10 @@ impl SpoolTransport {
         SpoolTransport {
             dir: dir.into(),
             ephemeral: false,
-            children: Vec::new(),
+            fleet: Fleet::default(),
             registered: HashSet::new(),
             hb_seen: HashMap::new(),
             results_seen: HashSet::new(),
-            gone: HashSet::new(),
         }
     }
 
@@ -195,62 +201,29 @@ impl SpoolTransport {
         self.registered.clear();
         self.hb_seen.clear();
         self.results_seen.clear();
-        self.gone.clear();
     }
+}
 
-    fn reap_grace(&mut self, grace: Duration) {
-        let deadline = Instant::now() + grace;
-        loop {
-            let all_done = self
-                .children
-                .iter_mut()
-                .all(|(_, c)| matches!(c.try_wait(), Ok(Some(_))));
-            if all_done || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (_, child) in &mut self.children {
-            if !matches!(child.try_wait(), Ok(Some(_))) {
-                let _ = child.kill();
-            }
-            let _ = child.wait();
-        }
-        self.children.clear();
-    }
+/// The files in `dir`, sorted.
+fn list(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 impl Transport for SpoolTransport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
-        let binary = resolve_worker_binary(opts)?;
         self.forget_earlier_fleet();
         layout::create_dirs(&self.dir)?;
-        for index in 0..workers {
-            let name = worker_name(index);
-            let mut cmd = Command::new(&binary);
-            cmd.arg("--transport")
-                .arg("spool")
-                .arg("--dir")
-                .arg(&self.dir)
-                .arg("--name")
-                .arg(&name)
-                .arg("--threads")
-                .arg(opts.threads_per_worker.to_string())
-                .arg("--heartbeat-ms")
-                .arg(opts.heartbeat_interval.as_millis().to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if opts.collect_metrics {
-                cmd.arg("--metrics");
-            }
-            if let Some(mode) = opts.fault_for(index) {
-                cmd.env(FAULT_ENV, mode.token());
-            }
-            let child = cmd.spawn()?;
-            self.children.push((name, child));
-        }
-        Ok(())
+        let medium = [
+            OsStr::new("--transport"),
+            OsStr::new("spool"),
+            OsStr::new("--dir"),
+            self.dir.as_os_str(),
+        ];
+        self.fleet.launch(workers, opts, &medium)
     }
 
     /// Scans the spool directory; when the scan finds nothing, sleeps
@@ -258,104 +231,71 @@ impl Transport for SpoolTransport {
     fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         let mut events = Vec::new();
 
-        // New registrations: *.hello files we have not seen yet.
-        if let Ok(entries) = std::fs::read_dir(layout::workers_dir(&self.dir)) {
-            for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
-                let Some(name) = path
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .and_then(|f| f.strip_suffix(".hello"))
-                else {
-                    continue;
-                };
-                if self.registered.contains(name) {
-                    continue;
-                }
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    continue;
-                };
-                if matches!(Message::decode(&text), Ok(Message::Hello { worker }) if worker == name)
-                {
-                    self.registered.insert(name.to_owned());
-                    events.push(TransportEvent::Registered {
-                        worker: name.to_owned(),
-                    });
-                }
+        // A hello not seen yet, and a heartbeat whose seq number
+        // advanced. Sequence numbers, not mtimes — mtime granularity is
+        // filesystem luck. Each file must be the one its sender writes.
+        for path in list(&layout::workers_dir(&self.dir)).unwrap_or_default() {
+            let hello_of = path
+                .file_name()
+                .and_then(|f| f.to_str()?.strip_suffix(".hello"));
+            if hello_of.is_some_and(|name| self.registered.contains(name)) {
+                continue; // a registered worker's hello has nothing new to say
             }
-        }
-
-        // Heartbeats: a *.hb file whose seq number advanced. Sequence
-        // numbers, not mtimes — mtime granularity is filesystem luck.
-        for name in self.registered.clone() {
-            let Ok(text) = std::fs::read_to_string(layout::hb_path(&self.dir, &name)) else {
+            let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;
             };
-            if let Ok(Message::Heartbeat { worker, seq }) = Message::decode(&text) {
-                if worker == name && self.hb_seen.get(&name) != Some(&seq) {
-                    self.hb_seen.insert(name.clone(), seq);
-                    events.push(TransportEvent::Heartbeat { worker: name });
+            let Ok(message) = Message::decode(&text) else {
+                continue;
+            };
+            let fresh = match &message {
+                Message::Hello { worker } => {
+                    path == layout::hello_path(&self.dir, worker)
+                        && self.registered.insert(worker.clone())
                 }
+                Message::Heartbeat { worker, seq } => {
+                    path == layout::hb_path(&self.dir, worker)
+                        && self.hb_seen.insert(worker.clone(), *seq) != Some(*seq)
+                }
+                _ => false,
+            };
+            if fresh {
+                events.extend(TransportEvent::from_worker(message));
             }
         }
 
         // Committed results we have not consumed yet.
-        if let Ok(entries) = std::fs::read_dir(layout::results_dir(&self.dir)) {
-            let mut fresh: Vec<PathBuf> = entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| !self.results_seen.contains(p))
-                .collect();
-            fresh.sort();
-            for path in fresh {
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    continue;
-                };
-                self.results_seen.insert(path.clone());
-                match Message::decode(&text) {
-                    Ok(Message::Result {
-                        worker,
-                        shard,
-                        attempt,
-                        outcomes,
-                        metrics,
-                    }) => events.push(TransportEvent::Result {
-                        worker,
-                        shard,
-                        attempt,
-                        outcomes,
-                        metrics,
-                    }),
-                    // A corrupted result file (the failure injected by
-                    // the conformance suite): recover the shard/attempt
-                    // from the file name so the scheduler can requeue.
-                    _ => {
-                        if let Some((shard, attempt)) = parse_result_name(&path) {
-                            events.push(TransportEvent::Result {
-                                worker: String::new(),
-                                shard,
-                                attempt,
-                                outcomes: String::new(),
-                                metrics: None,
-                            });
-                        }
+        for path in list(&layout::results_dir(&self.dir)).unwrap_or_default() {
+            if self.results_seen.contains(&path) {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
+            };
+            self.results_seen.insert(path.clone());
+            match Message::decode(&text) {
+                Ok(result @ Message::Result { .. }) => {
+                    events.extend(TransportEvent::from_worker(result));
+                }
+                // A result file whose envelope does not decode: recover
+                // the shard/attempt from the file name so the scheduler
+                // can requeue.
+                _ => {
+                    if let Some((shard, attempt)) = parse_result_name(&path) {
+                        events.push(TransportEvent::Result {
+                            worker: String::new(),
+                            shard,
+                            attempt,
+                            outcomes: String::new(),
+                            metrics: None,
+                        });
                     }
                 }
             }
         }
 
-        // Child exits are authoritative Gone signals.
-        for (name, child) in &mut self.children {
-            if self.gone.contains(name) {
-                continue;
-            }
-            if matches!(child.try_wait(), Ok(Some(_)) | Err(_)) {
-                self.gone.insert(name.clone());
-                events.push(TransportEvent::Gone {
-                    worker: name.clone(),
-                });
-            }
-        }
+        events.extend(self.fleet.exits());
         if events.is_empty() {
-            std::thread::sleep(wait);
+            thread::sleep(wait);
         }
         events
     }
@@ -381,19 +321,86 @@ impl Transport for SpoolTransport {
 
     fn shutdown(&mut self) {
         let _ = layout::commit_write(&self.dir, &layout::stop_path(&self.dir), "stop");
-        self.reap_grace(Duration::from_millis(500));
+        self.fleet.reap();
     }
 }
 
 impl Drop for SpoolTransport {
     fn drop(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
         if self.ephemeral {
+            // Children first: a live one could write into the directory
+            // while it is being removed.
+            self.fleet.kill();
             let _ = std::fs::remove_dir_all(&self.dir);
         }
+    }
+}
+
+/// A worker's end of the spool.
+pub(crate) struct SpoolLink {
+    dir: PathBuf,
+    /// The inbox file-name prefix of this worker's assignments.
+    prefix: String,
+}
+
+impl SpoolLink {
+    /// The link of worker `name` over the spool at `dir`.
+    pub(crate) fn new(dir: PathBuf, name: &str) -> SpoolLink {
+        SpoolLink {
+            dir,
+            prefix: format!("{name}."),
+        }
+    }
+}
+
+impl Link for SpoolLink {
+    /// Rename-commits a hello, heartbeat or result file.
+    fn send(&mut self, message: Message) -> io::Result<()> {
+        let target = match &message {
+            Message::Hello { worker } => layout::hello_path(&self.dir, worker),
+            Message::Heartbeat { worker, .. } => layout::hb_path(&self.dir, worker),
+            Message::Result { shard, attempt, .. } => {
+                layout::result_path(&self.dir, *shard, *attempt)
+            }
+            Message::Assign { .. } | Message::Shutdown => {
+                return Err(io::ErrorKind::InvalidInput.into())
+            }
+        };
+        layout::commit_write(&self.dir, &target, &message.encode())
+    }
+
+    /// Reads the `stop` marker as a shutdown, then takes the first
+    /// assignment in the inbox that this worker can claim. A scan that
+    /// finds none sleeps `wait`: files announce nothing. A spool whose
+    /// inbox is gone is a closed link.
+    fn recv(&mut self, wait: Duration) -> Result<Message, RecvTimeoutError> {
+        if layout::stop_path(&self.dir).exists() {
+            return Ok(Message::Shutdown);
+        }
+        let inbox =
+            list(&layout::inbox_dir(&self.dir)).map_err(|_| RecvTimeoutError::Disconnected)?;
+        for path in inbox {
+            let addressed = path
+                .file_name()
+                .and_then(|f| f.to_str())
+                .is_some_and(|f| f.starts_with(&self.prefix));
+            if !addressed {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
+            };
+            let _ = std::fs::remove_file(&path);
+            // Claim the (shard, attempt) before evaluating; another
+            // worker holding the claim means this delivery is stale.
+            if let Ok(assign @ Message::Assign { shard, attempt, .. }) = Message::decode(&text) {
+                if layout::claim(&self.dir, shard, attempt) {
+                    return Ok(assign);
+                }
+            }
+        }
+        thread::sleep(wait);
+        Err(RecvTimeoutError::Timeout)
     }
 }
 

@@ -1,31 +1,32 @@
 //! Streaming transport over `std::net` loopback TCP.
 //!
-//! The scheduler binds an ephemeral 127.0.0.1 listener and spawns one
-//! `dist_worker` process per endpoint, each of which connects back and
-//! opens with a [`Hello`](crate::protocol::Message::Hello) handshake.
-//! Every message travels as one length-prefixed frame
+//! The scheduler binds an ephemeral 127.0.0.1 listener and launches the
+//! shared fleet of `dist_worker` children, each of which connects
+//! back (`TcpLink`) and opens with a
+//! [`Hello`](crate::protocol::Message::Hello) handshake. Every message
+//! travels as one length-prefixed frame
 //! ([`manifest::write_frame`](mns_core::runner::manifest::write_frame)),
-//! so the byte stream can never tear a manifest in half. One blocking
-//! reader thread per connection decodes frames into a shared event
-//! queue; a closed connection or a dead child surfaces as
-//! [`TransportEvent::Gone`].
+//! so the byte stream can never tear a manifest in half. On each side one
+//! blocking reader thread per connection decodes frames; the
+//! scheduler's readers turn them into a shared event queue. A closed
+//! connection and a dead child each surface as
+//! [`TransportEvent::Gone`], counted once per worker.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::thread;
+use std::time::Duration;
 
 use mns_core::runner::manifest::{read_frame, write_frame};
 use mns_core::runner::ShardId;
 
-use crate::protocol::{valid_worker_name, Message};
-use crate::transport::{
-    drain_or_wait, resolve_worker_binary, worker_name, LaunchOpts, Transport, TransportEvent,
-    WorkerId, FAULT_ENV,
-};
+use crate::fleet::Fleet;
+use crate::protocol::Message;
+use crate::transport::{drain_or_wait, LaunchOpts, Transport, TransportEvent, WorkerId};
+use crate::worker::Link;
 
 type Writers = Arc<Mutex<HashMap<WorkerId, TcpStream>>>;
 
@@ -36,8 +37,7 @@ pub struct TcpTransport {
     events_tx: Sender<TransportEvent>,
     events_rx: Receiver<TransportEvent>,
     writers: Writers,
-    children: Vec<(WorkerId, Child)>,
-    gone: HashSet<WorkerId>,
+    fleet: Fleet,
 }
 
 impl TcpTransport {
@@ -57,8 +57,7 @@ impl TcpTransport {
             events_tx,
             events_rx,
             writers: Arc::new(Mutex::new(HashMap::new())),
-            children: Vec::new(),
-            gone: HashSet::new(),
+            fleet: Fleet::default(),
         })
     }
 
@@ -75,7 +74,6 @@ impl TcpTransport {
         while self.listener.accept().is_ok() {}
         (self.events_tx, self.events_rx) = mpsc::channel();
         self.writers = Arc::new(Mutex::new(HashMap::new()));
-        self.gone.clear();
     }
 
     fn accept_pending(&mut self) {
@@ -84,7 +82,7 @@ impl TcpTransport {
                 Ok((stream, _)) => {
                     let events = self.events_tx.clone();
                     let writers = Arc::clone(&self.writers);
-                    std::thread::spawn(move || connection_loop(stream, &events, &writers));
+                    thread::spawn(move || connection_loop(stream, &events, &writers));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => break,
@@ -93,18 +91,26 @@ impl TcpTransport {
     }
 }
 
+/// Reads one frame: `Ok(None)` for a frame that holds no message (the
+/// length prefix keeps the stream in step past it), `Err` once the peer
+/// has hung up.
+fn read_message(stream: &mut TcpStream) -> io::Result<Option<Message>> {
+    let bytes = read_frame(stream)?;
+    Ok(String::from_utf8(bytes)
+        .ok()
+        .and_then(|text| Message::decode(&text).ok()))
+}
+
 /// Per-connection reader: enforce the Hello handshake, then stream
-/// frames into events until the peer hangs up.
+/// messages into events until the peer hangs up.
 fn connection_loop(mut stream: TcpStream, events: &Sender<TransportEvent>, writers: &Writers) {
     let _ = stream.set_nodelay(true);
-    let name = match read_frame(&mut stream)
-        .ok()
-        .and_then(|b| String::from_utf8(b).ok())
-        .and_then(|t| Message::decode(&t).ok())
-    {
-        Some(Message::Hello { worker }) if valid_worker_name(&worker) => worker,
-        _ => return, // not a worker; drop the connection
+    // The first frame must be a hello, which is also the first event.
+    let mut message = read_message(&mut stream).ok().flatten();
+    let Some(Message::Hello { worker }) = &message else {
+        return; // not a worker; drop the connection
     };
+    let name = worker.clone();
     match stream.try_clone() {
         Ok(write_half) => {
             writers
@@ -114,97 +120,75 @@ fn connection_loop(mut stream: TcpStream, events: &Sender<TransportEvent>, write
         }
         Err(_) => return,
     }
-    let _ = events.send(TransportEvent::Registered {
-        worker: name.clone(),
-    });
     loop {
-        match read_frame(&mut stream) {
-            Ok(bytes) => {
-                let Some(message) = String::from_utf8(bytes)
-                    .ok()
-                    .and_then(|t| Message::decode(&t).ok())
-                else {
-                    continue; // garbage frame; the envelope protects us
-                };
-                let event = match message {
-                    Message::Heartbeat { worker, .. } => TransportEvent::Heartbeat { worker },
-                    Message::Result {
-                        worker,
-                        shard,
-                        attempt,
-                        outcomes,
-                        metrics,
-                    } => TransportEvent::Result {
-                        worker,
-                        shard,
-                        attempt,
-                        outcomes,
-                        metrics,
-                    },
-                    _ => continue,
-                };
-                if events.send(event).is_err() {
-                    return;
-                }
+        if let Some(event) = message.and_then(TransportEvent::from_worker) {
+            if events.send(event).is_err() {
+                return;
             }
+        }
+        message = match read_message(&mut stream) {
+            Ok(message) => message,
             Err(_) => {
                 writers.lock().expect("writers lock").remove(&name);
                 let _ = events.send(TransportEvent::Gone { worker: name });
                 return;
             }
-        }
+        };
+    }
+}
+
+/// A worker's end of the TCP transport: frames out on the stream, and a
+/// reader thread that decodes the frames coming in.
+pub(crate) struct TcpLink {
+    stream: TcpStream,
+    inbound: Receiver<Message>,
+}
+
+impl TcpLink {
+    /// Connects to the scheduler's listener at `addr`.
+    pub(crate) fn connect(addr: &str) -> io::Result<TcpLink> {
+        let stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
+        let mut read_half = stream.try_clone()?;
+        let (inbound_tx, inbound) = mpsc::channel();
+        // The reader ends when the scheduler hangs up, and its dropped
+        // sender closes the link.
+        thread::spawn(move || {
+            while let Ok(message) = read_message(&mut read_half) {
+                if let Some(message) = message {
+                    if inbound_tx.send(message).is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        Ok(TcpLink { stream, inbound })
+    }
+}
+
+impl Link for TcpLink {
+    fn send(&mut self, message: Message) -> io::Result<()> {
+        write_frame(&mut self.stream, message.encode().as_bytes())
+    }
+
+    fn recv(&mut self, wait: Duration) -> Result<Message, RecvTimeoutError> {
+        self.inbound.recv_timeout(wait)
     }
 }
 
 impl Transport for TcpTransport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
-        let binary = resolve_worker_binary(opts)?;
         self.forget_earlier_fleet();
-        for index in 0..workers {
-            let name = worker_name(index);
-            let mut cmd = Command::new(&binary);
-            cmd.arg("--transport")
-                .arg("tcp")
-                .arg("--connect")
-                .arg(self.addr.to_string())
-                .arg("--name")
-                .arg(&name)
-                .arg("--threads")
-                .arg(opts.threads_per_worker.to_string())
-                .arg("--heartbeat-ms")
-                .arg(opts.heartbeat_interval.as_millis().to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if opts.collect_metrics {
-                cmd.arg("--metrics");
-            }
-            if let Some(mode) = opts.fault_for(index) {
-                cmd.env(FAULT_ENV, mode.token());
-            }
-            let child = cmd.spawn()?;
-            self.children.push((name, child));
-        }
-        Ok(())
+        let addr = self.addr.to_string();
+        let medium = ["--transport", "tcp", "--connect", &addr];
+        self.fleet.launch(workers, opts, &medium)
     }
 
     fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
         self.accept_pending();
-        let mut events = Vec::new();
-        // A dead child is Gone even if its connection never opened (a
-        // crash before the handshake) — the reader thread can only
-        // report sockets it saw.
-        for (name, child) in &mut self.children {
-            if self.gone.contains(name) {
-                continue;
-            }
-            if matches!(child.try_wait(), Ok(Some(_)) | Err(_)) {
-                self.gone.insert(name.clone());
-                events.push(TransportEvent::Gone {
-                    worker: name.clone(),
-                });
-            }
-        }
+        // A child that died before its connection opened is reported
+        // here: the reader threads can only report sockets they saw.
+        let mut events = self.fleet.exits();
         // A child exit is news enough: wait only when there is none.
         let wait = if events.is_empty() {
             wait
@@ -215,7 +199,7 @@ impl Transport for TcpTransport {
             // The connection-closed Gone may duplicate the child-exit
             // Gone; dedupe so the scheduler sees each worker die once.
             if let TransportEvent::Gone { worker } = &event {
-                if !self.gone.insert(worker.clone()) {
+                if !self.fleet.mark_gone(worker) {
                     continue;
                 }
             }
@@ -255,39 +239,14 @@ impl Transport for TcpTransport {
             }
             writers.clear();
         }
-        let deadline = Instant::now() + Duration::from_millis(500);
-        loop {
-            let all_done = self
-                .children
-                .iter_mut()
-                .all(|(_, c)| matches!(c.try_wait(), Ok(Some(_))));
-            if all_done || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (_, child) in &mut self.children {
-            if !matches!(child.try_wait(), Ok(Some(_))) {
-                let _ = child.kill();
-            }
-            let _ = child.wait();
-        }
-        self.children.clear();
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        self.fleet.reap();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn poll_returns_once_an_event_is_queued_and_waits_while_none_is() {

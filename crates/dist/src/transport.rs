@@ -17,6 +17,8 @@ use std::time::Duration;
 
 use mns_core::runner::ShardId;
 
+use crate::protocol::Message;
+
 /// Worker identity on the wire (see
 /// [`valid_worker_name`](crate::protocol::valid_worker_name)).
 pub type WorkerId = String;
@@ -64,13 +66,42 @@ pub enum TransportEvent {
     },
 }
 
+impl TransportEvent {
+    /// What a worker's message tells the scheduler: `Hello` →
+    /// [`Registered`](TransportEvent::Registered), `Heartbeat` →
+    /// [`Heartbeat`](TransportEvent::Heartbeat), `Result` →
+    /// [`Result`](TransportEvent::Result). `None` for the messages only
+    /// a scheduler sends.
+    pub(crate) fn from_worker(message: Message) -> Option<TransportEvent> {
+        match message {
+            Message::Hello { worker } => Some(TransportEvent::Registered { worker }),
+            Message::Heartbeat { worker, .. } => Some(TransportEvent::Heartbeat { worker }),
+            Message::Result {
+                worker,
+                shard,
+                attempt,
+                outcomes,
+                metrics,
+            } => Some(TransportEvent::Result {
+                worker,
+                shard,
+                attempt,
+                outcomes,
+                metrics,
+            }),
+            Message::Assign { .. } | Message::Shutdown => None,
+        }
+    }
+}
+
 /// A deliberate fault one worker will exhibit (testing only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
     /// Die on the first assignment — a mid-shard crash.
     Crash,
-    /// Stop heartbeating (and never answer) on the first assignment;
-    /// the scheduler's liveness window must catch it.
+    /// Stop heartbeating and answering on the first assignment, until
+    /// a shutdown or a closed link; the scheduler's liveness window
+    /// must catch it.
     StallHeartbeat,
     /// Answer the first assignment with a well-formed envelope whose
     /// outcome payload is garbage, then behave for later assignments.

@@ -1,38 +1,48 @@
-//! Worker-side runtimes: the one shard evaluator, plus the TCP and spool
-//! event loops the `dist_worker` binary runs.
+//! The worker side of `mns-dist`: the shard evaluator, and the one loop
+//! every worker runs, whatever carries its messages.
 //!
 //! A worker's job is identical on every transport: register, heartbeat
-//! on an interval, and answer each
+//! on an interval, answer each
 //! [`Assign`](crate::protocol::Message::Assign) with a
 //! [`Result`](crate::protocol::Message::Result) whose outcome payload is
 //! the shard's outcome file in the
-//! [`manifest`](mns_core::runner::manifest) wire format. The evaluation
-//! itself is [`evaluate_shard`], which the scheduler also calls for the
-//! shards it finishes in its own process.
-//! Evaluation happens on a helper thread so heartbeats keep flowing
-//! during long shards.
+//! [`manifest`](mns_core::runner::manifest) wire format, and exit on a
+//! [`Shutdown`](crate::protocol::Message::Shutdown) or a closed link.
+//! `run` is that loop. A medium supplies only a `Link`, which moves
+//! one message each way: an [`InProcess`](crate::InProcess) thread runs
+//! the loop over a channel pair, and a `dist_worker` process
+//! ([`run_process`]) over a TCP stream or a spool directory. An injected
+//! [`FaultMode`] therefore behaves the same on every transport.
+//!
+//! The evaluation itself is [`evaluate_shard`], which the scheduler also
+//! calls for the shards it finishes in its own process. Evaluation
+//! happens on a helper thread so heartbeats keep flowing during long
+//! shards.
 
-use std::path::Path;
-use std::sync::mpsc;
+use std::io;
+use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mns_core::runner::manifest::{parse_manifest, read_frame, write_frame, write_outcomes};
+use mns_core::runner::manifest::{parse_manifest, write_outcomes};
 use mns_core::runner::{BatchStats, Runner, Scenario, ScenarioOutcome, ShardId};
 
 use crate::protocol::Message;
-use crate::spool::layout;
+use crate::spool::SpoolLink;
+use crate::tcp::TcpLink;
 use crate::transport::{FaultMode, FAULT_ENV};
 
-/// How long a stalled (fault-injected) worker sleeps before giving up;
-/// caps how long an orphan can outlive a forgotten test run.
-const STALL_CAP: Duration = Duration::from_secs(600);
+/// The shortest heartbeat interval a worker keeps. At zero a worker
+/// would heartbeat without pause, and its scheduler would never find its
+/// event queue empty.
+const MIN_HEARTBEAT: Duration = Duration::from_millis(1);
 
 /// Outcome payload a fault-injected worker sends for
 /// [`FaultMode::CorruptResult`]: a valid message envelope around bytes
 /// the scheduler's outcome parser must reject.
-pub(crate) const CORRUPT_PAYLOAD: &str = "# not an outcome file\ngarbage\n";
+const CORRUPT_PAYLOAD: &str = "# not an outcome file\ngarbage\n";
 
 /// Evaluates one shard: its `(global index, scenario)` entries run on a
 /// fresh [`Runner`] with `threads` workers (0 = one per hardware thread),
@@ -92,18 +102,11 @@ pub fn evaluate_manifest(
     Ok((outcomes, metrics))
 }
 
-/// Reads the injected [`FaultMode`] from [`FAULT_ENV`], if any.
-pub(crate) fn fault_from_env() -> Option<FaultMode> {
-    std::env::var(FAULT_ENV)
-        .ok()
-        .and_then(|t| FaultMode::from_token(&t))
-}
-
 /// Runs [`evaluate_manifest`] on a helper thread, invoking `beat` every
 /// `interval` while it runs, so heartbeats keep flowing through a slow
 /// shard. Returns as soon as the evaluation finishes, not on the next
 /// heartbeat tick.
-pub(crate) fn evaluate_with_heartbeats(
+fn evaluate_with_heartbeats(
     manifest: String,
     threads: usize,
     collect_metrics: bool,
@@ -117,8 +120,8 @@ pub(crate) fn evaluate_with_heartbeats(
     let result = loop {
         match done.recv_timeout(interval) {
             Ok(result) => break Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => beat(),
-            Err(mpsc::RecvTimeoutError::Disconnected) => break None,
+            Err(RecvTimeoutError::Timeout) => beat(),
+            Err(RecvTimeoutError::Disconnected) => break None,
         }
     };
     match (handle.join(), result) {
@@ -128,273 +131,148 @@ pub(crate) fn evaluate_with_heartbeats(
     }
 }
 
-/// What one assignment turned into.
-pub(crate) enum Answer {
-    /// Send this result back.
-    Reply(Message),
-    /// The injected fault consumed the worker; exit with this code.
-    Die(i32),
+/// How one medium carries a worker's messages.
+pub(crate) trait Link {
+    /// Sends one message to the scheduler.
+    fn send(&mut self, message: Message) -> io::Result<()>;
+
+    /// Waits up to `wait` for the scheduler's next message, an `Assign`
+    /// or a `Shutdown`. `Timeout` when none came; `Disconnected` once the
+    /// link has closed.
+    fn recv(&mut self, wait: Duration) -> Result<Message, RecvTimeoutError>;
 }
 
-/// Handles one assignment, fault injection included. The fault is
-/// `take`n so only the *first* assignment triggers it — a corrupt-once
-/// worker behaves for every later shard, which is exactly what the
-/// requeue-onto-survivors path needs to converge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn answer_assign(
+/// The worker loop: registers as `name`, heartbeats every `interval`
+/// (at least [`MIN_HEARTBEAT`]), and answers each assignment from
+/// [`evaluate_with_heartbeats`] on `threads` engine threads (0 = one per
+/// hardware thread) until a shutdown or a closed link.
+///
+/// `fault` fires on the first assignment only, so a corrupt-once worker
+/// behaves for every later shard, which is exactly what the
+/// requeue-onto-survivors path needs to converge. A stalled worker stops
+/// heartbeating and answering until it is shut down.
+///
+/// Returns the exit code listed at [`run_process`].
+pub(crate) fn run(
+    link: &mut dyn Link,
     name: &str,
-    shard: ShardId,
-    attempt: u32,
-    manifest: String,
     threads: usize,
-    collect_metrics: bool,
     interval: Duration,
-    fault: &mut Option<FaultMode>,
-    beat: &mut dyn FnMut(),
-) -> Answer {
-    match fault.take() {
-        Some(FaultMode::Crash) => return Answer::Die(3),
-        Some(FaultMode::StallHeartbeat) => {
-            thread::sleep(STALL_CAP);
-            return Answer::Die(4);
-        }
-        Some(FaultMode::CorruptResult) => {
-            return Answer::Reply(Message::Result {
-                worker: name.to_owned(),
-                shard,
-                attempt,
-                outcomes: CORRUPT_PAYLOAD.to_owned(),
-                metrics: None,
-            });
-        }
-        None => {}
-    }
-    // An undecodable manifest becomes an empty-payload result: the
-    // scheduler's validation rejects it and requeues, and this worker
-    // stays available for healthy assignments.
-    let (outcomes, metrics) =
-        evaluate_with_heartbeats(manifest, threads, collect_metrics, interval, beat)
-            .unwrap_or((String::new(), None));
-    Answer::Reply(Message::Result {
-        worker: name.to_owned(),
-        shard,
-        attempt,
-        outcomes,
-        metrics,
-    })
-}
-
-fn send_frame(stream: &mut std::net::TcpStream, message: &Message) -> std::io::Result<()> {
-    write_frame(stream, message.encode().as_bytes())
-}
-
-/// TCP worker loop: connect, handshake, heartbeat, answer assignments.
-/// Returns the process exit code. Faults are read from [`FAULT_ENV`].
-pub fn run_tcp_worker(
-    addr: &str,
-    name: &str,
-    threads: usize,
-    heartbeat_interval: Duration,
     collect_metrics: bool,
+    mut fault: Option<FaultMode>,
 ) -> i32 {
-    let mut fault = fault_from_env();
-    let Ok(stream) = std::net::TcpStream::connect(addr) else {
-        eprintln!("dist_worker: cannot connect to {addr}");
-        return 2;
-    };
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("dist_worker: clone stream: {e}");
-            return 2;
-        }
-    };
+    let interval = interval.max(MIN_HEARTBEAT);
     let hello = Message::Hello {
         worker: name.to_owned(),
     };
-    if send_frame(&mut writer, &hello).is_err() {
+    if link.send(hello).is_err() {
         return 2;
     }
-
-    // Reader thread: frames in, `None` on EOF/error.
-    let (frames_tx, frames) = mpsc::channel::<Option<Vec<u8>>>();
-    let mut read_half = stream;
-    thread::spawn(move || loop {
-        match read_frame(&mut read_half) {
-            Ok(bytes) => {
-                if frames_tx.send(Some(bytes)).is_err() {
-                    return;
-                }
-            }
-            Err(_) => {
-                let _ = frames_tx.send(None);
-                return;
-            }
-        }
-    });
-
     let mut seq = 0u64;
     loop {
-        match frames.recv_timeout(heartbeat_interval) {
-            Ok(Some(bytes)) => {
-                let Ok(text) = String::from_utf8(bytes) else {
-                    continue;
-                };
-                match Message::decode(&text) {
-                    Ok(Message::Assign {
-                        shard,
-                        attempt,
-                        manifest,
-                    }) => {
-                        let answer = {
-                            let seq = &mut seq;
-                            let writer = &mut writer;
-                            let mut beat = || {
-                                *seq += 1;
-                                let beat = Message::Heartbeat {
-                                    worker: name.to_owned(),
-                                    seq: *seq,
-                                };
-                                let _ = send_frame(writer, &beat);
-                            };
-                            answer_assign(
-                                name,
-                                shard,
-                                attempt,
-                                manifest,
-                                threads,
-                                collect_metrics,
-                                heartbeat_interval,
-                                &mut fault,
-                                &mut beat,
-                            )
-                        };
-                        match answer {
-                            Answer::Reply(reply) => {
-                                if send_frame(&mut writer, &reply).is_err() {
-                                    return 1;
-                                }
-                            }
-                            Answer::Die(code) => return code,
-                        }
-                    }
-                    Ok(Message::Shutdown) => return 0,
-                    Ok(_) | Err(_) => {} // not addressed to a worker; ignore
-                }
-            }
-            Ok(None) => return 0, // scheduler hung up
-            Err(mpsc::RecvTimeoutError::Timeout) => {
+        let (shard, attempt, manifest) = match link.recv(interval) {
+            Ok(Message::Assign {
+                shard,
+                attempt,
+                manifest,
+            }) => (shard, attempt, manifest),
+            Ok(Message::Shutdown) | Err(RecvTimeoutError::Disconnected) => return 0,
+            Ok(_) => continue, // not addressed to a worker
+            Err(RecvTimeoutError::Timeout) => {
                 seq += 1;
                 let beat = Message::Heartbeat {
                     worker: name.to_owned(),
                     seq,
                 };
-                if send_frame(&mut writer, &beat).is_err() {
-                    return 0;
+                if link.send(beat).is_err() {
+                    return 0; // the scheduler hung up
                 }
+                continue;
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return 0,
+        };
+        let (outcomes, metrics) = match fault.take() {
+            Some(FaultMode::Crash) => return 3,
+            Some(FaultMode::StallHeartbeat) => loop {
+                if let Ok(Message::Shutdown) | Err(RecvTimeoutError::Disconnected) =
+                    link.recv(interval)
+                {
+                    return 4;
+                }
+            },
+            Some(FaultMode::CorruptResult) => (CORRUPT_PAYLOAD.to_owned(), None),
+            // An undecodable manifest becomes an empty-payload result:
+            // the scheduler's validation rejects it and requeues, and
+            // this worker stays available for healthy assignments.
+            None => {
+                let mut beat = || {
+                    seq += 1;
+                    let _ = link.send(Message::Heartbeat {
+                        worker: name.to_owned(),
+                        seq,
+                    });
+                };
+                evaluate_with_heartbeats(manifest, threads, collect_metrics, interval, &mut beat)
+                    .unwrap_or((String::new(), None))
+            }
+        };
+        let result = Message::Result {
+            worker: name.to_owned(),
+            shard,
+            attempt,
+            outcomes,
+            metrics,
+        };
+        if link.send(result).is_err() {
+            return 1;
         }
     }
 }
 
-/// Spool worker loop: announce a hello file, poll the inbox for
-/// addressed assignment files, claim each shard attempt atomically,
-/// commit results by rename, and bump a heartbeat file on the interval.
-/// Returns the process exit code. Faults are read from [`FAULT_ENV`].
-pub fn run_spool_worker(
-    dir: &Path,
+/// Where a `dist_worker` process meets its scheduler.
+#[derive(Debug, Clone)]
+pub enum Endpoint {
+    /// The listener of a [`TcpTransport`](crate::TcpTransport), as
+    /// `host:port`.
+    Tcp(String),
+    /// The directory of a [`SpoolTransport`](crate::SpoolTransport).
+    Spool(PathBuf),
+}
+
+/// Runs a worker process: opens the link to `endpoint` and runs the
+/// worker loop over it, with the fault named by [`FAULT_ENV`], if any.
+///
+/// Returns the process exit code: 0 after a shutdown or a closed link, 1
+/// when a result cannot be delivered, 2 when the link cannot be opened or
+/// the hello sent, 3 for an injected crash, and 4 for an injected stall,
+/// once it is shut down.
+pub fn run_process(
+    endpoint: &Endpoint,
     name: &str,
     threads: usize,
     heartbeat_interval: Duration,
     collect_metrics: bool,
 ) -> i32 {
-    let mut fault = fault_from_env();
-    let hello = Message::Hello {
-        worker: name.to_owned(),
-    };
-    if layout::commit_write(dir, &layout::hello_path(dir, name), &hello.encode()).is_err() {
-        eprintln!("dist_worker: cannot write hello in {}", dir.display());
-        return 2;
-    }
-
-    let mut seq = 0u64;
-    let write_beat = |dir: &Path, name: &str, seq: u64| {
-        let beat = Message::Heartbeat {
-            worker: name.to_owned(),
-            seq,
-        };
-        let _ = layout::commit_write(dir, &layout::hb_path(dir, name), &beat.encode());
-    };
-    loop {
-        if layout::stop_path(dir).exists() {
-            return 0;
-        }
-        // Scan the inbox for files addressed to this worker.
-        let mut inbox: Vec<std::path::PathBuf> = std::fs::read_dir(layout::inbox_dir(dir))
-            .map(|rd| {
-                rd.filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| {
-                        p.file_name()
-                            .and_then(|f| f.to_str())
-                            .is_some_and(|f| f.starts_with(&format!("{name}.")))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        inbox.sort();
-        for path in inbox {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(Message::Assign {
-                shard,
-                attempt,
-                manifest,
-            }) = Message::decode(&text)
-            else {
-                let _ = std::fs::remove_file(&path);
-                continue;
-            };
-            let _ = std::fs::remove_file(&path);
-            // Claim the (shard, attempt) before evaluating; another
-            // worker holding the claim means this delivery is stale.
-            if !layout::claim(dir, shard, attempt) {
-                continue;
+    let fault = std::env::var(FAULT_ENV)
+        .ok()
+        .and_then(|t| FaultMode::from_token(&t));
+    let mut link: Box<dyn Link> = match endpoint {
+        Endpoint::Tcp(addr) => match TcpLink::connect(addr) {
+            Ok(link) => Box::new(link),
+            Err(e) => {
+                eprintln!("dist_worker: cannot connect to {addr}: {e}");
+                return 2;
             }
-            let answer = {
-                let seq = &mut seq;
-                let mut beat = || {
-                    *seq += 1;
-                    write_beat(dir, name, *seq);
-                };
-                answer_assign(
-                    name,
-                    shard,
-                    attempt,
-                    manifest,
-                    threads,
-                    collect_metrics,
-                    heartbeat_interval,
-                    &mut fault,
-                    &mut beat,
-                )
-            };
-            match answer {
-                Answer::Reply(reply) => {
-                    let result_path = layout::result_path(dir, shard, attempt);
-                    if layout::commit_write(dir, &result_path, &reply.encode()).is_err() {
-                        return 1;
-                    }
-                }
-                Answer::Die(code) => return code,
-            }
-        }
-        seq += 1;
-        write_beat(dir, name, seq);
-        thread::sleep(heartbeat_interval);
-    }
+        },
+        Endpoint::Spool(dir) => Box::new(SpoolLink::new(dir.clone(), name)),
+    };
+    run(
+        link.as_mut(),
+        name,
+        threads,
+        heartbeat_interval,
+        collect_metrics,
+        fault,
+    )
 }
 
 #[cfg(test)]
@@ -429,5 +307,97 @@ mod tests {
         assert!(parse_outcomes(&outcomes).is_ok());
         assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
         assert_eq!(beats, 0, "a quick shard must not wait out a heartbeat");
+    }
+
+    /// A link that plays `inbound` back, one entry per wait (`None`: the
+    /// wait ends idle), then reports itself closed; it records every
+    /// message the worker sends and every wait it asks for.
+    struct Scripted {
+        inbound: std::collections::VecDeque<Option<Message>>,
+        sent: Vec<Message>,
+        waits: Vec<Duration>,
+    }
+
+    impl Scripted {
+        fn new(inbound: impl IntoIterator<Item = Option<Message>>) -> Scripted {
+            Scripted {
+                inbound: inbound.into_iter().collect(),
+                sent: Vec::new(),
+                waits: Vec::new(),
+            }
+        }
+    }
+
+    impl Link for Scripted {
+        fn send(&mut self, message: Message) -> io::Result<()> {
+            self.sent.push(message);
+            Ok(())
+        }
+
+        fn recv(&mut self, wait: Duration) -> Result<Message, RecvTimeoutError> {
+            self.waits.push(wait);
+            match self.inbound.pop_front() {
+                Some(Some(message)) => Ok(message),
+                Some(None) => Err(RecvTimeoutError::Timeout),
+                None => Err(RecvTimeoutError::Disconnected),
+            }
+        }
+    }
+
+    #[test]
+    fn faults_keep_their_contract_and_exit_code() {
+        let assign = |attempt| {
+            Some(Message::Assign {
+                shard: ShardId(0),
+                attempt,
+                manifest: "not a manifest".to_owned(),
+            })
+        };
+        let hello = Message::Hello {
+            worker: "w0".to_owned(),
+        };
+        let result = |attempt, outcomes: &str| Message::Result {
+            worker: "w0".to_owned(),
+            shard: ShardId(0),
+            attempt,
+            outcomes: outcomes.to_owned(),
+            metrics: None,
+        };
+
+        // A stall: silent after the hello, idle waits and later
+        // assignments included, until shut down; a zero interval is
+        // raised to the floor.
+        let script = [assign(1), None, assign(2), Some(Message::Shutdown)];
+        let mut link = Scripted::new(script);
+        let stall = Some(FaultMode::StallHeartbeat);
+        assert_eq!(run(&mut link, "w0", 1, Duration::ZERO, false, stall), 4);
+        assert_eq!(link.sent, std::slice::from_ref(&hello));
+        assert!(
+            link.waits.iter().all(|&w| w == MIN_HEARTBEAT),
+            "{:?}",
+            link.waits
+        );
+
+        // The scripted link never waits; a long interval keeps the
+        // evaluation helper from beating while it fails the manifest.
+        let interval = Duration::from_secs(10);
+        let mut link = Scripted::new([None, assign(1)]);
+        let crash = Some(FaultMode::Crash);
+        assert_eq!(run(&mut link, "w0", 1, interval, false, crash), 3);
+        let beat = Message::Heartbeat {
+            worker: "w0".to_owned(),
+            seq: 1,
+        };
+        assert_eq!(link.sent, [hello.clone(), beat]);
+
+        // Corrupt once, then an honest (empty) answer to a manifest that
+        // does not decode; a closed link ends the loop cleanly.
+        let mut link = Scripted::new([assign(1), assign(2)]);
+        let corrupt = Some(FaultMode::CorruptResult);
+        assert_eq!(run(&mut link, "w0", 1, interval, false, corrupt), 0);
+        assert_eq!(
+            link.sent,
+            [hello, result(1, CORRUPT_PAYLOAD), result(2, "")]
+        );
     }
 }

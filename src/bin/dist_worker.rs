@@ -12,23 +12,26 @@
 //!             --name w0 [--threads 1] [--heartbeat-ms 50] [--metrics]
 //! ```
 //!
-//! Exit codes: 0 clean shutdown, 1 result-delivery failure, 2 usage or
-//! connect/register error, 3 injected crash, 4 stall cap elapsed.
+//! `--threads 0` runs one engine thread per hardware thread, and
+//! `--heartbeat-ms 0` heartbeats every millisecond, exactly as an
+//! in-process worker does: every transport runs the one worker loop of
+//! [`micronano::dist::worker`].
+//!
+//! Exit codes: 0 clean shutdown (or the scheduler hung up), 1
+//! result-delivery failure, 2 usage or connect/register error, 3 injected
+//! crash, 4 injected stall: the worker fell silent at its first
+//! assignment and was then shut down (or the scheduler hung up).
 //!
 //! The `MNS_DIST_FAULT` environment variable (set by recovery tests)
 //! injects faults on the *next* assignment: `crash` exits mid-shard,
-//! `stall` keeps the process alive but silent past the scheduler's
-//! liveness window, `corrupt` delivers an unparseable outcome payload.
+//! `stall` stops heartbeating and answering until the scheduler shuts the
+//! worker down or hangs up, `corrupt` delivers an unparseable outcome
+//! payload.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use micronano::dist::worker::{run_spool_worker, run_tcp_worker};
-
-enum Endpoint {
-    Tcp { connect: String },
-    Spool { dir: PathBuf },
-}
+use micronano::dist::worker::{run_process, Endpoint};
 
 struct Args {
     endpoint: Endpoint,
@@ -63,27 +66,23 @@ fn parse_args() -> Result<Args, String> {
             }
             "--heartbeat-ms" => {
                 let v = value("--heartbeat-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad interval `{v}`"))?;
-                heartbeat = Duration::from_millis(ms.max(1));
+                let ms = v.parse().map_err(|_| format!("bad interval `{v}`"))?;
+                heartbeat = Duration::from_millis(ms);
             }
             "--metrics" => metrics = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     let endpoint = match transport.as_deref() {
-        Some("tcp") => Endpoint::Tcp {
-            connect: connect.ok_or("--connect is required for tcp")?,
-        },
-        Some("spool") => Endpoint::Spool {
-            dir: dir.ok_or("--dir is required for spool")?,
-        },
+        Some("tcp") => Endpoint::Tcp(connect.ok_or("--connect is required for tcp")?),
+        Some("spool") => Endpoint::Spool(dir.ok_or("--dir is required for spool")?),
         Some(other) => return Err(format!("unknown transport `{other}`")),
         None => return Err("--transport is required".to_owned()),
     };
     Ok(Args {
         endpoint,
         name: name.ok_or("--name is required")?,
-        threads: threads.max(1),
+        threads,
         heartbeat,
         metrics,
     })
@@ -91,18 +90,13 @@ fn parse_args() -> Result<Args, String> {
 
 fn main() {
     let code = match parse_args() {
-        Ok(args) => match &args.endpoint {
-            Endpoint::Tcp { connect } => run_tcp_worker(
-                connect,
-                &args.name,
-                args.threads,
-                args.heartbeat,
-                args.metrics,
-            ),
-            Endpoint::Spool { dir } => {
-                run_spool_worker(dir, &args.name, args.threads, args.heartbeat, args.metrics)
-            }
-        },
+        Ok(args) => run_process(
+            &args.endpoint,
+            &args.name,
+            args.threads,
+            args.heartbeat,
+            args.metrics,
+        ),
         Err(message) => {
             eprintln!("dist_worker: {message}");
             2

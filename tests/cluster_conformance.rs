@@ -10,10 +10,12 @@
 //!    Beyond the totals, every cluster report carries the exact stats
 //!    of an independent per-shard reference: a fresh serial `Runner`
 //!    over each planned shard's scenarios, tagged with the shard id.
-//! 2. **Failure recovery**: a TCP worker killed mid-shard, a TCP worker
-//!    whose heartbeats stall past the liveness window, and a spool
-//!    worker that commits a corrupt result file all requeue onto
-//!    survivors — merged digests unchanged, `dist.requeue` nonzero.
+//! 2. **Failure recovery**: every fault mode on every transport — a
+//!    worker killed mid-shard, a worker whose heartbeats stall past the
+//!    liveness window, and a worker that answers with a corrupt result —
+//!    requeues onto survivors: merged digests unchanged, `dist.requeue`
+//!    nonzero, and a stall counted as a heartbeat miss. A stall that a
+//!    lenient liveness window misses trips the shard deadline.
 //! 3. **Telemetry**: merged worker metric *counters* are identical
 //!    across the process-backed transports and agree with the merged
 //!    stats (histograms carry wall-clock timings and are excluded by
@@ -27,6 +29,10 @@
 //!    returns the outcomes and totals of one reused serial `Runner` and
 //!    relaunches a healthy fleet on every transport; a batch that ships
 //!    nothing launches no fleet.
+//! 6. **Settings mean what their docs say**: `threads_per_worker(0)`
+//!    is the hardware default inside every worker on every transport, a
+//!    zero heartbeat interval is raised to the workers' 1 ms floor, and
+//!    `max_attempts = 0` still allows one delivery.
 //!
 //! The full corpus runs once per process transport; the wider matrix
 //! uses a cheap-family subset (dilution-ladder scenarios dominate debug
@@ -37,7 +43,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{mpsc, Arc, Once};
+use std::thread;
 use std::time::Duration;
 
 use micronano::core::runner::{
@@ -452,33 +459,14 @@ fn child_metrics_are_collected_and_merged() {
     );
 }
 
-#[test]
-fn tcp_worker_killed_mid_shard_recovers_on_survivor() {
+/// Runs the cheap corpus over `transport` with worker 0 faulty in `mode`
+/// and asserts the recovery: serial and golden digests, no shard
+/// recovered in-process, at least one requeue with `dist.requeue`
+/// advancing and, for a stall, at least one heartbeat miss with
+/// `dist.heartbeat_miss` advancing.
+fn assert_fault_recovers(name: &str, transport: impl Transport + 'static, mode: FaultMode) {
     enable_telemetry_once();
     let requeues_before = counter("dist.requeue");
-    let corpus = cheap_corpus();
-    let config = ClusterConfig::new().workers(2).shards(4);
-    let transport = TcpTransport::bind().expect("loopback listener");
-    let fault = DistFault {
-        worker: 0,
-        mode: FaultMode::Crash,
-    };
-    let report = run_cluster(transport, config, &corpus, Some(fault));
-    assert_matches_serial(&corpus, &report, "tcp crash recovery");
-    assert!(
-        report.requeues >= 1,
-        "the killed worker's shard must requeue"
-    );
-    assert!(report.recovered.is_empty(), "the survivor absorbs the work");
-    assert!(
-        counter("dist.requeue") > requeues_before,
-        "dist.requeue must advance"
-    );
-}
-
-#[test]
-fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
-    enable_telemetry_once();
     let misses_before = counter("dist.heartbeat_miss");
     let corpus = cheap_corpus();
     let config = ClusterConfig::new()
@@ -486,19 +474,84 @@ fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
         .shards(4)
         .heartbeat_interval(Duration::from_millis(25))
         .liveness_window(Duration::from_millis(400));
-    let transport = TcpTransport::bind().expect("loopback listener");
-    let fault = DistFault {
-        worker: 0,
-        mode: FaultMode::StallHeartbeat,
-    };
+    let fault = DistFault { worker: 0, mode };
     let report = run_cluster(transport, config, &corpus, Some(fault));
-    assert_matches_serial(&corpus, &report, "tcp heartbeat-stall recovery");
-    assert!(report.heartbeat_misses >= 1, "the stall must be detected");
-    assert!(report.requeues >= 1, "the stalled shard must requeue");
+    let context = format!("{name} worker, fault `{}`", mode.token());
+    assert_matches_serial(&corpus, &report, &context);
     assert!(
-        counter("dist.heartbeat_miss") > misses_before,
-        "dist.heartbeat_miss must advance"
+        report.requeues >= 1,
+        "{context}: the faulty worker's shard must requeue"
     );
+    assert!(
+        report.recovered.is_empty(),
+        "{context}: the survivor absorbs the work, recovered {:?}",
+        report.recovered
+    );
+    assert!(
+        counter("dist.requeue") > requeues_before,
+        "{context}: dist.requeue must advance"
+    );
+    if mode == FaultMode::StallHeartbeat {
+        assert!(
+            report.heartbeat_misses >= 1,
+            "{context}: the stall must be detected"
+        );
+        assert!(
+            counter("dist.heartbeat_miss") > misses_before,
+            "{context}: dist.heartbeat_miss must advance"
+        );
+    }
+}
+
+#[test]
+fn in_process_crash_recovers_on_survivor() {
+    assert_fault_recovers("in-process", InProcess::new(), FaultMode::Crash);
+}
+
+#[test]
+fn tcp_worker_killed_mid_shard_recovers_on_survivor() {
+    let transport = TcpTransport::bind().expect("loopback listener");
+    assert_fault_recovers("tcp", transport, FaultMode::Crash);
+}
+
+#[test]
+fn spool_worker_killed_mid_shard_recovers_on_survivor() {
+    let transport = SpoolTransport::ephemeral().expect("spool dir");
+    assert_fault_recovers("spool", transport, FaultMode::Crash);
+}
+
+#[test]
+fn in_process_heartbeat_stall_trips_the_liveness_window() {
+    assert_fault_recovers("in-process", InProcess::new(), FaultMode::StallHeartbeat);
+}
+
+#[test]
+fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
+    let transport = TcpTransport::bind().expect("loopback listener");
+    assert_fault_recovers("tcp", transport, FaultMode::StallHeartbeat);
+}
+
+#[test]
+fn spool_worker_heartbeat_stall_trips_the_liveness_window() {
+    let transport = SpoolTransport::ephemeral().expect("spool dir");
+    assert_fault_recovers("spool", transport, FaultMode::StallHeartbeat);
+}
+
+#[test]
+fn in_process_corrupt_result_is_requeued() {
+    assert_fault_recovers("in-process", InProcess::new(), FaultMode::CorruptResult);
+}
+
+#[test]
+fn tcp_corrupt_result_is_requeued() {
+    let transport = TcpTransport::bind().expect("loopback listener");
+    assert_fault_recovers("tcp", transport, FaultMode::CorruptResult);
+}
+
+#[test]
+fn spool_corrupt_result_is_requeued() {
+    let transport = SpoolTransport::ephemeral().expect("spool dir");
+    assert_fault_recovers("spool", transport, FaultMode::CorruptResult);
 }
 
 #[test]
@@ -525,42 +578,6 @@ fn stalled_worker_trips_the_shard_deadline_when_liveness_is_lenient() {
         report.heartbeat_misses, 0,
         "a 30 s liveness window must not fire first"
     );
-}
-
-#[test]
-fn spool_corrupt_result_is_requeued() {
-    enable_telemetry_once();
-    let requeues_before = counter("dist.requeue");
-    let corpus = cheap_corpus();
-    let config = ClusterConfig::new().workers(2).shards(4);
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    let fault = DistFault {
-        worker: 0,
-        mode: FaultMode::CorruptResult,
-    };
-    let report = run_cluster(transport, config, &corpus, Some(fault));
-    assert_matches_serial(&corpus, &report, "spool corrupt-result recovery");
-    assert!(report.requeues >= 1, "the corrupt result must requeue");
-    assert!(report.recovered.is_empty());
-    assert!(
-        counter("dist.requeue") > requeues_before,
-        "dist.requeue must advance"
-    );
-}
-
-#[test]
-fn in_process_crash_recovers_on_survivor() {
-    let corpus = cheap_corpus();
-    let config = ClusterConfig::new().workers(2).shards(4);
-    let fault = DistFault {
-        worker: 0,
-        mode: FaultMode::Crash,
-    };
-    let report = Cluster::new(InProcess::new(), config)
-        .with_fault(fault)
-        .run(&corpus);
-    assert_matches_serial(&corpus, &report, "in-process crash recovery");
-    assert!(report.requeues >= 1);
 }
 
 /// An `InProcess` fleet whose second worker registers late: `w1`'s
@@ -660,4 +677,92 @@ fn unlaunchable_fleet_degrades_to_local_evaluation() {
         "every shard is recovered in-process"
     );
     assert!(report.placements.iter().all(|p| p.worker.is_none()));
+}
+
+#[test]
+fn hardware_default_threads_give_the_same_worker_rows_on_every_transport() {
+    // `threads_per_worker(0)` is the hardware default inside every
+    // worker, so the (shard, worker) rows of a report cannot depend on
+    // the transport. Keys and outcomes only: each row's counts, and the
+    // steals, vary with scheduling above one thread.
+    let corpus = cheap_corpus();
+    let serial = Runner::serial().run(&corpus).outcomes;
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(2)
+        .threads_per_worker(0);
+    let rows = |name: &str, report: ClusterReport| -> Vec<(ShardId, u32)> {
+        assert_eq!(serial, report.outcomes, "outcome drift: {name}");
+        assert_golden(&corpus, &report.outcomes);
+        assert!(
+            report.recovered.is_empty(),
+            "{name}: {:?}",
+            report.recovered
+        );
+        report
+            .shards
+            .iter()
+            .flat_map(|shard| &shard.per_worker)
+            .map(|row| (row.shard, row.worker))
+            .collect()
+    };
+    let in_process = rows(
+        "in-process",
+        run_cluster(InProcess::new(), config, &corpus, None),
+    );
+    let tcp = TcpTransport::bind().expect("loopback listener");
+    let tcp = rows("tcp", run_cluster(tcp, config, &corpus, None));
+    let spool = SpoolTransport::ephemeral().expect("spool dir");
+    let spool = rows("spool", run_cluster(spool, config, &corpus, None));
+    assert_eq!(in_process, tcp, "tcp worker rows");
+    assert_eq!(in_process, spool, "spool worker rows");
+}
+
+#[test]
+fn a_zero_heartbeat_interval_completes() {
+    // Unfloored, an in-process worker heartbeats without pause and the
+    // scheduler never finds its event queue empty. The cluster runs on a
+    // helper thread with a bounded wait, so a regression fails instead
+    // of hanging.
+    let corpus = cheap_corpus();
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(4)
+        .heartbeat_interval(Duration::ZERO);
+    let (done_tx, done) = mpsc::channel();
+    let batch = corpus.clone();
+    let helper = thread::spawn(move || {
+        let _ = done_tx.send(Cluster::new(InProcess::new(), config).run(&batch));
+    });
+    let report = done
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a zero heartbeat interval must not hang the cluster");
+    helper.join().expect("the cluster thread finishes");
+    assert_matches_serial(&corpus, &report, "zero heartbeat interval");
+    assert!(report.recovered.is_empty(), "{:?}", report.recovered);
+}
+
+#[test]
+fn zero_max_attempts_still_delivers_every_shard_once() {
+    // `max_attempts` is at least 1 where it is used, not only in its
+    // builder: set to 0, no shard may be given up before its first
+    // delivery.
+    let corpus = cheap_corpus();
+    let mut config = ClusterConfig::new().workers(2).shards(4);
+    config.max_attempts = 0;
+    let report = Cluster::new(InProcess::new(), config).run(&corpus);
+    assert_matches_serial(&corpus, &report, "max_attempts = 0");
+    assert!(
+        report.recovered.is_empty(),
+        "recovered in-process: {:?}",
+        report.recovered
+    );
+    assert!(
+        report
+            .placements
+            .iter()
+            .all(|p| p.worker.is_some() && p.attempts == 1),
+        "every shard lands on a worker in one attempt: {:?}",
+        report.placements
+    );
 }
