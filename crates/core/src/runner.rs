@@ -928,10 +928,11 @@ pub struct RunnerConfig {
 
 /// Cluster-level parameters for the `mns-dist` scheduler. The thread
 /// count inside each worker and the shard count live in
-/// [`ClusterConfig::runner`]; this struct
-/// adds only what a *fleet* of workers needs: how many endpoints, how
-/// long a shard may take, how liveness is judged, and how retries back
-/// off.
+/// [`ClusterConfig::runner`]; this struct adds only what a *fleet* of
+/// workers needs: how many endpoints, how long a shard may take, how
+/// liveness is judged, and whether workers report telemetry. How
+/// retries back off, how many attempts a shard gets and how long the
+/// fleet may take to register are fixed in the scheduler.
 ///
 /// ```
 /// use std::time::Duration;
@@ -960,20 +961,6 @@ pub struct ClusterConfig {
     /// A busy worker silent for longer than this is declared dead and
     /// its shard requeued.
     pub liveness_window: Duration,
-    /// How long the scheduler waits for launched workers to register.
-    /// Once every launched worker has registered or gone, or this window
-    /// has passed, a fleet with no live worker is given up and its
-    /// remaining shards are evaluated in-process.
-    pub registration_window: Duration,
-    /// Maximum delivery attempts per shard before it is recovered
-    /// in-process (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Base delay of the capped exponential backoff between attempts.
-    pub backoff_base: Duration,
-    /// Ceiling of the exponential backoff.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
     /// Ask dedicated worker processes for per-shard telemetry snapshots
     /// and merge them into the cluster report.
     pub collect_metrics: bool,
@@ -990,11 +977,6 @@ impl Default for ClusterConfig {
             shard_deadline: Duration::from_secs(120),
             heartbeat_interval: Duration::from_millis(50),
             liveness_window: Duration::from_secs(2),
-            registration_window: Duration::from_secs(10),
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(1),
-            seed: 0,
             collect_metrics: false,
         }
     }
@@ -1049,36 +1031,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets how long the scheduler waits for every launched worker to
-    /// register (see [`ClusterConfig::registration_window`]).
-    #[must_use]
-    pub fn registration_window(mut self, window: Duration) -> ClusterConfig {
-        self.registration_window = window;
-        self
-    }
-
-    /// Sets the per-shard attempt cap (clamped to at least 1).
-    #[must_use]
-    pub fn max_attempts(mut self, attempts: u32) -> ClusterConfig {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the backoff base and cap.
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> ClusterConfig {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the seed of the deterministic backoff jitter.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> ClusterConfig {
-        self.seed = seed;
-        self
-    }
-
     /// Asks workers for per-shard telemetry snapshots.
     #[must_use]
     pub fn collect_metrics(mut self, collect: bool) -> ClusterConfig {
@@ -1107,7 +1059,9 @@ pub struct WorkerBatchStats {
 /// Shard- and worker-layout-independent batch counters: the unit of
 /// cross-mode stats comparison. Serial, parallel and cluster runs of
 /// the same batch must agree on these even though their `per_worker`
-/// layouts reflect different topologies.
+/// layouts reflect different topologies. Steals are not among them:
+/// they are 0 in a serial run and depend on thread scheduling above one
+/// thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTotals {
     /// Scenarios submitted.
@@ -1118,8 +1072,6 @@ pub struct BatchTotals {
     pub cache_hits: u64,
     /// Duplicate submissions collapsed in-batch.
     pub deduped: u64,
-    /// Jobs taken from a sibling worker's queue.
-    pub steals: u64,
 }
 
 /// Per-batch execution breakdown carried by [`BatchReport`].
@@ -1180,7 +1132,6 @@ impl BatchStats {
             executed: self.executed,
             cache_hits: self.cache_hits,
             deduped: self.deduped,
-            steals: self.steals,
         }
     }
 
@@ -1438,6 +1389,11 @@ impl Runner {
     /// the tail of a sibling's queue. Because every scenario is a pure
     /// function of its own fields, the schedule cannot affect the result
     /// — only the wall clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a batch holding a scenario that [`Scenario::run`] panics
+    /// on (its `# Panics` section lists them).
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         let lookup = self.cache.lookup(scenarios);
@@ -1919,10 +1875,6 @@ mod tests {
             .shard_deadline(Duration::from_secs(9))
             .heartbeat_interval(Duration::from_millis(10))
             .liveness_window(Duration::from_millis(500))
-            .registration_window(Duration::from_secs(3))
-            .max_attempts(0) // clamped
-            .backoff(Duration::from_millis(5), Duration::from_millis(80))
-            .seed(42)
             .collect_metrics(true);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.runner.workers, 3);
@@ -1934,10 +1886,6 @@ mod tests {
             ClusterConfig::default().shard_deadline,
             Duration::from_secs(120)
         );
-        assert_eq!(cfg.max_attempts, 1);
-        assert_eq!(cfg.backoff_base, Duration::from_millis(5));
-        assert_eq!(cfg.backoff_cap, Duration::from_millis(80));
-        assert_eq!(cfg.seed, 42);
         assert!(cfg.collect_metrics);
     }
 

@@ -8,24 +8,26 @@
 //! Those are split with the engine's own stage-sharing [`ShardPlan`];
 //! shards are assigned to registered workers; per-shard deadlines and
 //! heartbeat liveness are watched; failed deliveries retry with capped
-//! exponential backoff (deterministic, seed-derived jitter); and work
-//! from dead, hung or corrupt workers is requeued onto survivors. A
-//! batch with no miss launches no fleet. The scheduler waits on
-//! [`Transport::poll`], which returns as soon as an event arrives, for at
-//! most 2 ms between liveness and deadline sweeps. Results merge through
-//! the associative [`BatchStats`] / [`MetricsSnapshot`] merge, so the
-//! final report is **byte-identical to a serial run** at any worker
-//! count, over any transport, under any injected failure — the same
-//! detect-requeue-converge discipline the fault-tolerant biochip
-//! literature applies to electrode failures, applied to the experiment
-//! engine itself.
+//! exponential backoff (deterministic jitter hashed from the shard and
+//! attempt); and work from dead, hung or corrupt workers is requeued
+//! onto survivors. A batch with no miss launches no fleet. The scheduler
+//! waits on [`Transport::poll`], which returns as soon as an event
+//! arrives, for at most 2 ms between liveness and deadline sweeps.
+//! Results merge through the associative [`BatchStats`] /
+//! [`MetricsSnapshot`] merge, so the final report is **byte-identical to
+//! a serial run** at any worker count, over any transport, under any
+//! injected failure — the same detect-requeue-converge discipline the
+//! fault-tolerant biochip literature applies to electrode failures,
+//! applied to the experiment engine itself.
 //!
-//! Completion is unconditional: a shard that exhausts its attempts (or
-//! outlives every worker) is recovered in-process through
-//! [`evaluate_shard`], the function every worker evaluates its shards
-//! with, and listed in [`ClusterReport::recovered`]. A fleet that cannot
-//! be launched at all (no worker binary) degrades the whole sweep this
-//! way.
+//! Completion does not depend on the fleet: a shard that exhausts its
+//! four attempts (or outlives every worker) is recovered in-process
+//! through [`evaluate_shard`], the function every worker evaluates its
+//! shards with, and listed in [`ClusterReport::recovered`]. A fleet that
+//! cannot be launched at all (no worker binary) degrades the whole sweep
+//! this way. The retry budget, the backoff and the 10 s registration
+//! window are fixed; the settings a caller may change are those of
+//! [`ClusterConfig`].
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -74,12 +76,11 @@ pub struct ClusterReport {
     /// Per-shard placement (worker, attempts) of the shipped misses, in
     /// shard order.
     pub placements: Vec<ShardPlacement>,
-    /// Assignments delivered (mirrors the `dist.assign` counter).
+    /// Assignments delivered.
     pub assigned: u64,
-    /// Shards requeued after a failure (mirrors `dist.requeue`).
+    /// Shards requeued after a failure.
     pub requeues: u64,
-    /// Busy workers declared dead for silence past the liveness window
-    /// (mirrors `dist.heartbeat_miss`).
+    /// Busy workers declared dead for silence past the liveness window.
     pub heartbeat_misses: u64,
     /// Shards recovered in-process after exhausting their attempts or
     /// outliving every worker, in shard order.
@@ -91,28 +92,43 @@ pub struct ClusterReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Deterministic capped exponential backoff with seed-derived jitter:
-/// `min(cap, base·2^(attempt-1)) + jitter`, where the jitter is an
-/// FNV-1a hash of `(seed, shard, attempt)` folded into `[0, base/2]`.
-/// Pure — the same `(seed, shard, attempt)` always waits the same time,
-/// so a failure schedule is reproducible run to run.
-pub fn backoff_delay(
-    base: Duration,
-    cap: Duration,
-    seed: u64,
-    shard: ShardId,
-    attempt: u32,
-) -> Duration {
+/// How long the scheduler waits for launched workers to register. Once
+/// every launched worker has registered or gone, or this window has
+/// passed, a fleet with no live worker is given up and its remaining
+/// shards are evaluated in-process.
+const REGISTRATION_WINDOW: Duration = Duration::from_secs(10);
+
+/// Delivery attempts per shard before it is recovered in-process.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Base delay of the capped exponential backoff between attempts.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
+/// Ceiling of the exponential backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
+
+/// Longest the scheduler waits for a transport event before it sweeps
+/// liveness, deadlines and backoffs again.
+const POLL_WAIT: Duration = Duration::from_millis(2);
+
+/// Deterministic capped exponential backoff:
+/// `min(BACKOFF_CAP, BACKOFF_BASE·2^(attempt-1)) + jitter`, where the
+/// jitter is an FNV-1a hash of `(shard, attempt)` folded into
+/// `[0, BACKOFF_BASE/2)`. Pure, so a failure schedule is reproducible run
+/// to run, and shards failing together retry apart.
+fn backoff_delay(shard: ShardId, attempt: u32) -> Duration {
     let exponent = attempt.saturating_sub(1).min(16);
-    let scaled = base.saturating_mul(1u32 << exponent).min(cap);
+    let scaled = BACKOFF_BASE
+        .saturating_mul(1u32 << exponent)
+        .min(BACKOFF_CAP);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in [seed, u64::from(shard.0), u64::from(attempt)] {
+    for chunk in [u64::from(shard.0), u64::from(attempt)] {
         for byte in chunk.to_le_bytes() {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    let span_ns = (base.as_nanos() as u64 / 2).max(1);
+    let span_ns = (BACKOFF_BASE.as_nanos() as u64 / 2).max(1);
     scaled + Duration::from_nanos(hash % span_ns)
 }
 
@@ -120,36 +136,44 @@ pub fn backoff_delay(
 /// the shard's stats row — exactly what [`evaluate_shard`] returns.
 type ShardResult = (Vec<(usize, ScenarioOutcome)>, BatchStats);
 
-/// Why a shard went back on the queue (for the `dist.requeue` counter's
-/// sibling logs in telemetry spans; the scheduler treats all the same).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a shard is in its life. The worker carrying a shard, and the
+/// shard's result, are recorded here and nowhere else: a worker is busy
+/// exactly while some shard is `Assigned` to it, so settling or
+/// requeueing a shard frees its carrier.
 enum ShardState {
-    /// Waiting for a worker; not eligible before the backoff instant.
-    Ready,
-    /// In flight on a worker.
-    Assigned,
-    /// Result accepted (or recovered in-process).
-    Done,
+    /// Waiting for a worker; not eligible before `not_before` (the
+    /// backoff after a failure).
+    Ready { not_before: Instant },
+    /// In flight on `worker`, which is declared dead if it still holds
+    /// the shard at `deadline`.
+    Assigned { worker: WorkerId, deadline: Instant },
+    /// `result` accepted from `worker`, or evaluated in-process (`None`).
+    Done {
+        worker: Option<WorkerId>,
+        result: ShardResult,
+    },
 }
 
 struct ShardTrack {
     state: ShardState,
-    not_before: Instant,
-    deadline: Instant,
-    worker: Option<WorkerId>,
     attempts: u32,
     last_failed_on: Option<WorkerId>,
+}
+
+impl ShardTrack {
+    fn is_done(&self) -> bool {
+        matches!(self.state, ShardState::Done { .. })
+    }
+
+    fn carried_by(&self, name: &str) -> bool {
+        matches!(&self.state, ShardState::Assigned { worker, .. } if worker == name)
+    }
 }
 
 struct WorkerTrack {
     live: bool,
     last_heartbeat: Instant,
-    busy: Option<ShardId>,
 }
-
-/// Longest the scheduler waits for a transport event before it sweeps
-/// liveness, deadlines and backoffs again.
-const POLL_WAIT: Duration = Duration::from_millis(2);
 
 /// A cluster scheduler bound to one transport.
 pub struct Cluster {
@@ -198,6 +222,14 @@ impl Cluster {
     /// distinct misses are planned and shipped; a batch without any
     /// launches no fleet.
     ///
+    /// # Panics
+    ///
+    /// Panics on a batch holding a scenario that [`Scenario::run`] panics
+    /// on (its `# Panics` section lists them). Such a shard is shipped
+    /// first: every worker answers it with an empty result, so it spends
+    /// all four attempts and their backoff before its in-process recovery
+    /// panics on the caller's thread.
+    ///
     /// [`Runner::run`]: mns_core::runner::Runner::run
     pub fn run(&mut self, scenarios: &[Scenario]) -> ClusterReport {
         let _span = mns_telemetry::span("dist.run");
@@ -229,17 +261,7 @@ impl Cluster {
         let shard_count = plan.shards();
         let now = Instant::now();
 
-        let mut tracks: Vec<ShardTrack> = (0..shard_count)
-            .map(|_| ShardTrack {
-                state: ShardState::Ready,
-                not_before: now,
-                deadline: now,
-                worker: None,
-                attempts: 0,
-                last_failed_on: None,
-            })
-            .collect();
-        let mut results: Vec<Option<ShardResult>> = (0..shard_count).map(|_| None).collect();
+        let mut tracks: Vec<ShardTrack> = Vec::with_capacity(shard_count);
         let mut manifests: Vec<String> = Vec::with_capacity(shard_count);
         let mut recovered: Vec<ShardId> = Vec::new();
         let mut assigned = 0u64;
@@ -254,11 +276,19 @@ impl Cluster {
             let entries: Vec<(usize, &Scenario)> =
                 indices.iter().map(|&i| (i, &scenarios[i])).collect();
             manifests.push(write_manifest(shard, &entries));
-            if indices.is_empty() {
-                let sid = shard.0 as usize;
-                results[sid] = Some(local_eval(scenarios, &plan, shard, &config));
-                tracks[sid].state = ShardState::Done;
-            }
+            let state = if indices.is_empty() {
+                ShardState::Done {
+                    worker: None,
+                    result: local_eval(scenarios, &plan, shard, &config),
+                }
+            } else {
+                ShardState::Ready { not_before: now }
+            };
+            tracks.push(ShardTrack {
+                state,
+                attempts: 0,
+                last_failed_on: None,
+            });
         }
         let fleet = config.workers.max(1);
 
@@ -271,16 +301,13 @@ impl Cluster {
         };
         // A batch whose every shard is already done ships nothing, so it
         // launches no fleet.
-        let shipping = tracks.iter().any(|t| t.state != ShardState::Done);
+        let shipping = !tracks.iter().all(ShardTrack::is_done);
         let launched = shipping && self.transport.launch(fleet, &opts).is_ok();
         let started = Instant::now();
         // Every worker that registered or went, live or not.
         let mut workers: BTreeMap<WorkerId, WorkerTrack> = BTreeMap::new();
 
-        loop {
-            if tracks.iter().all(|t| t.state == ShardState::Done) {
-                break;
-            }
+        while !tracks.iter().all(ShardTrack::is_done) {
             let now = Instant::now();
 
             if launched {
@@ -290,7 +317,6 @@ impl Cluster {
                             workers.entry(worker).or_insert(WorkerTrack {
                                 live: true,
                                 last_heartbeat: now,
-                                busy: None,
                             });
                         }
                         TransportEvent::Heartbeat { worker } => {
@@ -302,23 +328,15 @@ impl Cluster {
                             // A worker that goes before its registration
                             // is seen still counts toward the fleet, and
                             // a late `Registered` cannot revive it.
-                            let track = workers.entry(worker.clone()).or_insert(WorkerTrack {
-                                live: false,
-                                last_heartbeat: now,
-                                busy: None,
-                            });
-                            if track.live {
-                                track.live = false;
-                                if let Some(shard) = track.busy.take() {
-                                    requeue(
-                                        &mut tracks[shard.0 as usize],
-                                        shard,
-                                        Some(worker),
-                                        &config,
-                                        now,
-                                        &mut requeues,
-                                    );
-                                }
+                            workers
+                                .entry(worker.clone())
+                                .or_insert(WorkerTrack {
+                                    live: false,
+                                    last_heartbeat: now,
+                                })
+                                .live = false;
+                            if let Some(sid) = tracks.iter().position(|t| t.carried_by(&worker)) {
+                                requeue(&mut tracks[sid], sid, worker, now, &mut requeues);
                             }
                         }
                         TransportEvent::Result {
@@ -336,22 +354,17 @@ impl Cluster {
                                 continue; // hostile or corrupt shard id
                             }
                             let track = &mut tracks[sid];
-                            // Accept only the current attempt; a result
-                            // from a superseded attempt would still be
-                            // byte-identical (evaluation is pure) but
-                            // matching on attempt keeps corrupt retries
-                            // from racing their replacements.
-                            if track.state == ShardState::Done || attempt != track.attempts {
+                            // Accept only the current attempt, whether it
+                            // is still in flight or was requeued and not
+                            // yet reassigned. A result from a superseded
+                            // attempt would still be byte-identical
+                            // (evaluation is pure), but matching on
+                            // attempt keeps corrupt retries from racing
+                            // their replacements. Settling the shard
+                            // either way frees its carrier, even when a
+                            // corrupt spool result names no worker.
+                            if track.is_done() || attempt != track.attempts {
                                 continue;
-                            }
-                            // Free whichever worker carried this attempt —
-                            // a corrupt spool result arrives without a
-                            // trustworthy worker name, and a beached busy
-                            // flag would starve a one-worker fleet.
-                            for carrier in workers.values_mut() {
-                                if carrier.busy == Some(shard) {
-                                    carrier.busy = None;
-                                }
                             }
                             match validate_outcomes(&outcomes, shard, &plan, scenarios.len()) {
                                 Some(parsed) => {
@@ -365,63 +378,43 @@ impl Cluster {
                                             aggregate.merge(&snap);
                                         }
                                     }
-                                    results[sid] = Some(parsed);
-                                    track.state = ShardState::Done;
-                                    track.worker = Some(worker);
+                                    track.state = ShardState::Done {
+                                        worker: Some(worker),
+                                        result: parsed,
+                                    };
                                 }
                                 None => {
                                     mns_telemetry::counter_add("dist.corrupt_result", 1);
-                                    requeue(
-                                        track,
-                                        shard,
-                                        Some(worker),
-                                        &config,
-                                        now,
-                                        &mut requeues,
-                                    );
+                                    requeue(track, sid, worker, now, &mut requeues);
                                 }
                             }
                         }
                     }
                 }
 
-                // Liveness and deadline sweep.
-                for (name, track) in workers.iter_mut() {
-                    if !track.live {
+                // Deadline and liveness sweep: a busy worker silent past
+                // the liveness window counts a heartbeat miss; one past
+                // its shard's deadline dies without one. Either way its
+                // shard is requeued.
+                for (sid, track) in tracks.iter_mut().enumerate() {
+                    let ShardState::Assigned { worker, deadline } = &track.state else {
                         continue;
+                    };
+                    let carrier = workers.get_mut(worker).expect("a carrier is registered");
+                    let silent =
+                        now.duration_since(carrier.last_heartbeat) > config.liveness_window;
+                    if silent || now >= *deadline {
+                        heartbeat_misses += u64::from(silent);
+                        carrier.live = false;
+                        let worker = worker.clone();
+                        requeue(track, sid, worker, now, &mut requeues);
                     }
-                    let silent_for = now.duration_since(track.last_heartbeat);
-                    if let Some(shard) = track.busy {
-                        let sid = shard.0 as usize;
-                        if silent_for > config.liveness_window {
-                            heartbeat_misses += 1;
-                            mns_telemetry::counter_add("dist.heartbeat_miss", 1);
-                            track.live = false;
-                            track.busy = None;
-                            requeue(
-                                &mut tracks[sid],
-                                shard,
-                                Some(name.clone()),
-                                &config,
-                                now,
-                                &mut requeues,
-                            );
-                        } else if tracks[sid].state == ShardState::Assigned
-                            && now >= tracks[sid].deadline
-                        {
-                            track.live = false;
-                            track.busy = None;
-                            requeue(
-                                &mut tracks[sid],
-                                shard,
-                                Some(name.clone()),
-                                &config,
-                                now,
-                                &mut requeues,
-                            );
-                        }
-                    } else if silent_for > config.liveness_window {
-                        track.live = false; // idle death; no shard to save
+                }
+                // A silent idle worker dies without a miss: it has no
+                // shard to save.
+                for track in workers.values_mut() {
+                    if now.duration_since(track.last_heartbeat) > config.liveness_window {
+                        track.live = false;
                     }
                 }
 
@@ -429,43 +422,36 @@ impl Cluster {
                 // survivor over the worker that just failed the shard.
                 let idle: Vec<WorkerId> = workers
                     .iter()
-                    .filter(|(_, t)| t.live && t.busy.is_none())
+                    .filter(|(name, t)| t.live && !tracks.iter().any(|s| s.carried_by(name)))
                     .map(|(name, _)| name.clone())
                     .collect();
                 let live_count = workers.values().filter(|t| t.live).count();
                 for worker in idle {
-                    let candidate = tracks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.state == ShardState::Ready && now >= t.not_before)
-                        .find(|(_, t)| {
-                            live_count <= 1 || t.last_failed_on.as_deref() != Some(worker.as_str())
-                        })
-                        .map(|(sid, _)| sid);
+                    let candidate = tracks.iter().position(|t| {
+                        matches!(t.state, ShardState::Ready { not_before } if now >= not_before)
+                            && (live_count <= 1
+                                || t.last_failed_on.as_deref() != Some(worker.as_str()))
+                    });
                     let Some(sid) = candidate else { continue };
                     let shard = ShardId(sid as u32);
                     let attempt = tracks[sid].attempts + 1;
+                    let carrier = workers
+                        .get_mut(&worker)
+                        .expect("idle workers are registered");
                     match self
                         .transport
                         .assign(&worker, shard, attempt, &manifests[sid])
                     {
                         Ok(()) => {
                             assigned += 1;
-                            mns_telemetry::counter_add("dist.assign", 1);
-                            let track = &mut tracks[sid];
-                            track.attempts = attempt;
-                            track.state = ShardState::Assigned;
-                            track.deadline = now + config.shard_deadline;
-                            if let Some(w) = workers.get_mut(&worker) {
-                                w.busy = Some(shard);
-                                w.last_heartbeat = now;
-                            }
+                            carrier.last_heartbeat = now;
+                            tracks[sid].attempts = attempt;
+                            tracks[sid].state = ShardState::Assigned {
+                                worker,
+                                deadline: now + config.shard_deadline,
+                            };
                         }
-                        Err(_) => {
-                            if let Some(w) = workers.get_mut(&worker) {
-                                w.live = false;
-                            }
-                        }
+                        Err(_) => carrier.live = false,
                     }
                 }
             }
@@ -478,21 +464,17 @@ impl Cluster {
             let live_count = workers.values().filter(|t| t.live).count();
             let fleet_hopeless = !launched
                 || (live_count == 0
-                    && (workers.len() >= fleet || started.elapsed() >= config.registration_window));
-            for sid in 0..shard_count {
-                let give_up = tracks[sid].state == ShardState::Ready
-                    && (tracks[sid].attempts >= config.max_attempts.max(1) || fleet_hopeless);
-                if give_up {
+                    && (workers.len() >= fleet || started.elapsed() >= REGISTRATION_WINDOW));
+            for (sid, track) in tracks.iter_mut().enumerate() {
+                let ready = matches!(track.state, ShardState::Ready { .. });
+                if ready && (track.attempts >= MAX_ATTEMPTS || fleet_hopeless) {
                     let shard = ShardId(sid as u32);
-                    results[sid] = Some(local_eval(scenarios, &plan, shard, &config));
-                    tracks[sid].state = ShardState::Done;
-                    tracks[sid].worker = None;
+                    track.state = ShardState::Done {
+                        worker: None,
+                        result: local_eval(scenarios, &plan, shard, &config),
+                    };
                     recovered.push(shard);
                 }
-            }
-
-            if tracks.iter().all(|t| t.state == ShardState::Done) {
-                break;
             }
         }
 
@@ -503,22 +485,25 @@ impl Cluster {
 
         let mut pairs: Vec<(usize, ScenarioOutcome)> = Vec::with_capacity(scenarios.len());
         let mut shards: Vec<BatchStats> = Vec::with_capacity(shard_count);
-        for slot in results {
-            let (shard_pairs, stats) = slot.expect("every shard is Done");
+        let mut placements: Vec<ShardPlacement> = Vec::with_capacity(shard_count);
+        for (sid, track) in tracks.into_iter().enumerate() {
+            let ShardState::Done {
+                worker,
+                result: (shard_pairs, stats),
+            } = track.state
+            else {
+                unreachable!("the loop ends once every shard is Done");
+            };
             pairs.extend(shard_pairs);
             shards.push(stats);
+            placements.push(ShardPlacement {
+                shard: ShardId(sid as u32),
+                worker,
+                attempts: track.attempts,
+            });
         }
         pairs.sort_unstable_by_key(|(i, _)| *i);
         let outcomes = pairs.into_iter().map(|(_, outcome)| outcome).collect();
-        let placements = tracks
-            .iter()
-            .enumerate()
-            .map(|(sid, track)| ShardPlacement {
-                shard: ShardId(sid as u32),
-                worker: track.worker.clone(),
-                attempts: track.attempts,
-            })
-            .collect();
         ClusterReport {
             outcomes,
             stats: BatchStats::merged(&shards),
@@ -536,25 +521,15 @@ impl Cluster {
 /// Puts a shard back on the queue after a failure, with its backoff.
 fn requeue(
     track: &mut ShardTrack,
-    shard: ShardId,
-    failed_on: Option<WorkerId>,
-    config: &ClusterConfig,
+    sid: usize,
+    failed_on: WorkerId,
     now: Instant,
     requeues: &mut u64,
 ) {
     *requeues += 1;
-    mns_telemetry::counter_add("dist.requeue", 1);
-    track.state = ShardState::Ready;
-    track.worker = None;
-    track.last_failed_on = failed_on;
-    track.not_before = now
-        + backoff_delay(
-            config.backoff_base,
-            config.backoff_cap,
-            config.seed,
-            shard,
-            track.attempts.max(1),
-        );
+    let not_before = now + backoff_delay(ShardId(sid as u32), track.attempts.max(1));
+    track.state = ShardState::Ready { not_before };
+    track.last_failed_on = Some(failed_on);
 }
 
 /// Evaluates one shard in this process through [`evaluate_shard`] on the
@@ -604,29 +579,22 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_capped() {
-        let base = Duration::from_millis(25);
-        let cap = Duration::from_millis(400);
-        let first = backoff_delay(base, cap, 7, ShardId(2), 1);
-        assert_eq!(first, backoff_delay(base, cap, 7, ShardId(2), 1));
+        let first = backoff_delay(ShardId(2), 1);
+        assert_eq!(first, backoff_delay(ShardId(2), 1));
         // Exponential growth until the cap (modulo bounded jitter).
         for attempt in 1..10u32 {
-            let delay = backoff_delay(base, cap, 7, ShardId(2), attempt);
-            let exponential = base.saturating_mul(1u32 << (attempt - 1).min(16)).min(cap);
+            let delay = backoff_delay(ShardId(2), attempt);
+            let exponential = BACKOFF_BASE
+                .saturating_mul(1u32 << (attempt - 1).min(16))
+                .min(BACKOFF_CAP);
             assert!(delay >= exponential, "attempt {attempt} under its floor");
             assert!(
-                delay <= cap + base / 2,
+                delay <= BACKOFF_CAP + BACKOFF_BASE / 2,
                 "attempt {attempt} over cap + max jitter"
             );
         }
-        // Jitter decorrelates shards and seeds.
-        assert_ne!(
-            backoff_delay(base, cap, 7, ShardId(0), 1),
-            backoff_delay(base, cap, 7, ShardId(1), 1)
-        );
-        assert_ne!(
-            backoff_delay(base, cap, 7, ShardId(0), 1),
-            backoff_delay(base, cap, 8, ShardId(0), 1)
-        );
+        // Jitter decorrelates shards.
+        assert_ne!(backoff_delay(ShardId(0), 1), backoff_delay(ShardId(1), 1));
     }
 
     #[test]

@@ -21,12 +21,15 @@
 //! [`ShardPlan`](mns_core::runner::ShardPlan) shards, which keep
 //! scenarios sharing a stage together, to registered workers; watches
 //! heartbeats and per-shard deadlines; retries with deterministic capped
-//! exponential backoff; and requeues work from dead, hung or corrupt
-//! workers onto survivors. Because every shard's evaluation is pure and
-//! the stats/metrics merge is associative, the merged [`ClusterReport`]
-//! is **byte-identical to a serial run** — at any worker count, over any
-//! transport, under any injected failure — and a cluster reused over a
-//! series of batches reports what one reused `Runner` would.
+//! exponential backoff, up to four attempts a shard; and requeues work
+//! from dead, hung or corrupt workers onto survivors. Its assignment,
+//! requeue and heartbeat-miss counts are fields of the
+//! [`ClusterReport`], not global telemetry counters. Because every
+//! shard's evaluation is pure and the stats/metrics merge is
+//! associative, the merged report is **byte-identical to a serial run**
+//! — at any worker count, over any transport, under any injected
+//! failure — and a cluster reused over a series of batches reports what
+//! one reused `Runner` would.
 //!
 //! ```no_run
 //! use mns_core::runner::{conformance_corpus, ClusterConfig};
@@ -47,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 pub mod worker;
 
-pub use cluster::{backoff_delay, Cluster, ClusterReport, ShardPlacement};
+pub use cluster::{Cluster, ClusterReport, ShardPlacement};
 pub use inprocess::InProcess;
 pub use protocol::Message;
 pub use spool::SpoolTransport;
