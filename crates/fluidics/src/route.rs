@@ -50,38 +50,72 @@
 //!
 //! ## Waiting droplets
 //!
-//! A droplet with an [earliest arrival](RoutingRequest::earliest_arrival)
-//! often reaches its goal before the window opens. The full search would
-//! then pop every reachable `(cell, t)` until it does. Instead, the goal
-//! state `(goal, t)` with `t < earliest` is accepted with `earliest − t`
-//! stalls appended on the goal when all of these hold:
+//! A droplet whose [earliest arrival](RoutingRequest::earliest_arrival)
+//! is later than `depart + h0`, with `h0` the Manhattan distance from
+//! start to goal, must spend its slack somewhere. The full search pops
+//! every reachable `(cell, t)` until the window opens. Such a wait is
+//! usually a walk along a shortest path with stalls, so before its search
+//! loop the planner first asks whether such a walk reaches
+//! `(goal, earliest)`.
 //!
-//! - its `moves` equal `h0`, the Manhattan distance from start to goal;
-//! - the goal is not a degraded electrode;
-//! - every tick `τ` in `(t, earliest]` passes the checks a stall successor
-//!   gets: obstacles, reservations and pending seeds, all on the goal.
+//! The **corridor pass** answers that question layer by layer. Its states
+//! are the `(c, t)` with `c` in the box spanned by start and goal and `t`
+//! running from `depart` to `earliest`. It marks a state reached exactly
+//! when the full search reaches it with `manhattan(start, c)` moves; call
+//! that a corridor state. Layer `t` is built from layers `t − 1` and
+//! `t − 2`:
 //!
-//! Otherwise the node is expanded as before, and later goal states are
-//! tested the same way. A search whose earliest arrival lies past its
-//! horizon returns at once: no node past the horizon is ever pushed, so
-//! the full search accepts nothing either, and every appended stall then
-//! lies inside the horizon. The result is the route the full search
-//! returns:
+//! - a *stall* from `(c, t − 1)`;
+//! - a *step* onto a cell that is not degraded, from a box neighbour one
+//!   step nearer the start at `t − 1`;
+//! - a *dwell* onto a degraded cell, from such a neighbour at `t − 2`.
 //!
-//! 1. Up to this pop the loop has done exactly what the full search does;
-//!    only the accept test differs, and it had not fired.
-//! 2. With `moves == h0`, every state on the node's chain holds the fewest
-//!    moves it can have. The search rewrites a parent only on strictly
-//!    fewer moves, so this chain is final.
-//! 3. For each `τ` in `(t, earliest]`, the stall predecessor `(goal, τ−1)`
-//!    has `f = τ−1`, and any move into the goal has `f = τ`. The stall
-//!    pops first, so the full search gives `(goal, τ)` the stall as its
-//!    parent. A degraded goal breaks this step: a two-tick dwell into it
-//!    ties the stall on `f` with one move fewer, and wins. Hence the
-//!    exclusion.
-//! 4. `(goal, earliest)` with `h0` moves has the least `f` an acceptable
-//!    goal state can have, and the fewest moves win the tie, so it is the
-//!    state the full search accepts.
+//! Each transition passes the checks the search gives that successor: the
+//! horizon test, then obstacles, reservations and pending seeds on `c` at
+//! every tick it occupies (`t` for a stall or a step, `t − 1` and `t` for
+//! a dwell). Each reached state gets the parent the search's pop order
+//! gives it:
+//!
+//! - into a cell that is not degraded, the stall if `(c, t − 1)` is
+//!   reached, because its `f` is one lower; otherwise the reached step
+//!   predecessor with the smaller `(x, y)`;
+//! - into a degraded cell, the reached dwell predecessor with the smaller
+//!   `(x, y)`, because it ties the stall on `f` with one move fewer;
+//!   otherwise the stall.
+//!
+//! The pass keeps one byte per state, the link to its parent, in a table
+//! over the box and the wait. It leaves the search's slab alone: that
+//! slab spans the whole array, and filling it up to the earliest arrival
+//! would grow it to the full wait for every waiting search. One back-walk
+//! rebuilds a route from either's parent links. If layer `earliest` lacks
+//! the goal, or two consecutive layers are empty (one is not enough,
+//! because a dwell spans two ticks), the search runs unchanged. A reached
+//! `(goal, earliest)` gives the route the full search returns:
+//!
+//! 1. Every successor's key exceeds its parent's: a stall adds 1 to `f`,
+//!    a step toward the goal keeps `f` and adds a move, a step away adds
+//!    2 to `f`, and a dwell adds at least 1 to `f`. So nodes pop in
+//!    increasing key order, and a state's parent is its least-key
+//!    predecessor among those that offer its fewest moves; the `best`
+//!    test refuses any later one.
+//! 2. A state in the box needs at least `manhattan(start, c)` moves. Only
+//!    corridor predecessors offer exactly that many, and the pass admits
+//!    exactly those predecessors, under the search's own checks.
+//! 3. The search accepts the first goal state it pops with `t ≥ earliest`.
+//!    Goal states pop in order of `t`, and `h0` is the fewest moves any of
+//!    them has. So if `(goal, earliest)` is reached with `h0` moves, it is
+//!    the accepted state.
+//! 4. Every predecessor the parent rule compares pops before that accept:
+//!    each has `f ≤ earliest`, and where `f = earliest` it has fewer moves
+//!    than `h0`. So the rule compares the same candidates the search does.
+//! 5. When the pass falls back, the loop runs the search of
+//!    [`reference`](mod@reference), which differs only in speed.
+//!
+//! The pass visits at most (box cells) × (`earliest − depart`) states,
+//! once per waiting search, and pushes nothing on the heap. A search
+//! whose earliest arrival lies past its horizon returns at once: no node
+//! past the horizon is ever pushed, so the full search accepts nothing
+//! either.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -106,8 +140,11 @@ pub struct RoutingRequest {
     pub deadline: Option<u32>,
     /// Earliest acceptable arrival tick: until then the droplet waits by
     /// stall moves (protected by the pairwise droplet constraints), often
-    /// on the goal itself. Used by the assay compiler so droplets only park
-    /// inside a consumer module once its landing window has opened.
+    /// on the goal itself. The router first tries to spend the wait along
+    /// a shortest path, with its corridor pass, and searches only when no
+    /// such walk arrives at this tick (module docs, "Waiting droplets").
+    /// Used by the assay compiler so droplets only park inside a consumer
+    /// module once its landing window has opened.
     pub earliest_arrival: Option<u32>,
     /// Obstacle tags this droplet may pass through (its own source and
     /// destination modules in the assay compiler).
@@ -417,13 +454,26 @@ pub fn route_with_environment(
     degraded: &[Cell],
     config: &RoutingConfig,
 ) -> Result<RoutingOutcome, RouteError> {
-    let mut expansions = 0u64;
-    let result =
-        route_environment_inner(grid, requests, obstacles, degraded, config, &mut expansions);
-    if expansions > 0 {
-        mns_telemetry::counter_add("fluidics.route.expansions", expansions);
+    let mut counts = SearchCounts::default();
+    let result = route_environment_inner(grid, requests, obstacles, degraded, config, &mut counts);
+    if counts.expansions > 0 {
+        mns_telemetry::counter_add("fluidics.route.expansions", counts.expansions);
+    }
+    if counts.corridor_hits > 0 {
+        mns_telemetry::counter_add("fluidics.route.corridor_hits", counts.corridor_hits);
     }
     result
+}
+
+/// The router's work counts of one routing call, flushed to telemetry
+/// once per call.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SearchCounts {
+    /// A\* pops (`fluidics.route.expansions`).
+    expansions: u64,
+    /// Waiting searches the corridor pass answered
+    /// (`fluidics.route.corridor_hits`).
+    corridor_hits: u64,
 }
 
 fn route_environment_inner(
@@ -432,7 +482,7 @@ fn route_environment_inner(
     obstacles: &[Obstacle],
     degraded: &[Cell],
     config: &RoutingConfig,
-    expansions: &mut u64,
+    counts: &mut SearchCounts,
 ) -> Result<RoutingOutcome, RouteError> {
     for r in requests {
         if !grid.contains(r.start) || !grid.contains(r.goal) {
@@ -465,7 +515,7 @@ fn route_environment_inner(
             config,
             &mut reservations,
             &mut slab,
-            expansions,
+            counts,
         ) {
             Ok(mut routes_by_index) => {
                 let routes: Vec<Route> = routes_by_index
@@ -867,10 +917,43 @@ impl SearchSlab {
         };
     }
 
+    /// The parent state of a visited state, or `None` for the emergence
+    /// seed.
     #[inline]
-    fn parent(&self, cell: Cell, t_rel: u32) -> (u32, u32) {
+    fn parent(&self, cell: Cell, t_rel: u32) -> Option<(Cell, u32)> {
         let s = self.slots[self.index(cell, t_rel)];
-        (s.parent_cell, s.parent_t)
+        let pc = s.parent_cell as i32;
+        (s.parent_cell != NO_PARENT)
+            .then(|| (Cell::new(pc % self.width, pc / self.width), s.parent_t))
+    }
+}
+
+/// The route that ends in state `(cell, t)`, rebuilt from its `parent`
+/// links back to the emergence seed, whose parent is `None`. The route
+/// starts on the array at that instant (`Route::depart`), any earlier
+/// time having been spent inside the producer module. A link may span two
+/// ticks (a dwell on a degraded electrode), in which case the droplet
+/// occupies the destination cell for every intermediate tick.
+fn walk_back(
+    id: u32,
+    cell: Cell,
+    t: u32,
+    parent: impl Fn(Cell, u32) -> Option<(Cell, u32)>,
+) -> Route {
+    let mut path = vec![cell];
+    let mut cur = (cell, t);
+    while let Some(prev) = parent(cur.0, cur.1) {
+        for _ in 1..(cur.1 - prev.1) {
+            path.push(cur.0);
+        }
+        path.push(prev.0);
+        cur = prev;
+    }
+    path.reverse();
+    Route {
+        id,
+        depart: cur.1,
+        path,
     }
 }
 
@@ -906,7 +989,7 @@ fn try_order(
     config: &RoutingConfig,
     reservations: &mut ReservationIndex,
     slab: &mut SearchSlab,
-    expansions: &mut u64,
+    counts: &mut SearchCounts,
 ) -> Result<Vec<Option<Route>>, usize> {
     reservations.reset();
     let mut planned: Vec<(Route, Option<u32>)> = Vec::new();
@@ -932,7 +1015,7 @@ fn try_order(
             config,
             reservations,
             slab,
-            expansions,
+            counts,
         ) {
             Some(route) => {
                 // Reservations are only ever read by the searches that
@@ -984,10 +1067,13 @@ fn pending_ok(
 
 /// Space-time A\* for one droplet against the reservation index.
 ///
-/// The node ordering, successor enumeration and reject conditions are
-/// identical to [`reference`]'s planner, and the accept test differs only
-/// by the waiting shortcut (module docs), so the two produce
-/// byte-identical routes.
+/// A waiting request is first put to the corridor pass (module docs,
+/// "Waiting droplets"), which answers it with no A\* pop when a walk
+/// along a shortest path with stalls reaches the goal at the earliest
+/// arrival. Otherwise the search runs. Its node ordering, successor
+/// enumeration, reject conditions and accept test (`t ≥ earliest`) are
+/// those of [`reference`]'s planner, so the two produce byte-identical
+/// routes.
 #[allow(clippy::too_many_arguments)]
 fn astar(
     grid: &Grid,
@@ -999,7 +1085,7 @@ fn astar(
     config: &RoutingConfig,
     reservations: &ReservationIndex,
     slab: &mut SearchSlab,
-    expansions: &mut u64,
+    counts: &mut SearchCounts,
 ) -> Option<Route> {
     let height = grid.height();
     let relative_cap = req.depart.saturating_add(config.max_time);
@@ -1007,13 +1093,10 @@ fn astar(
     let h0 = req.start.manhattan(req.goal) as u32;
     let earliest = req.earliest_arrival.unwrap_or(0);
     // No node past the horizon is ever pushed, so no arrival could be
-    // accepted; this also keeps every waiting stall inside the horizon.
+    // accepted.
     if req.depart + h0 > horizon || earliest > horizon {
         return None;
     }
-
-    slab.reset();
-    let mut open = BinaryHeap::new();
 
     // The droplet is physically on the array from `depart` on: there is
     // exactly one search seed, and any waiting happens as explicit stall
@@ -1048,60 +1131,38 @@ fn astar(
                     || req.start.chebyshev(p.cell) >= MIN_SEPARATION
             })
     };
-    if emergence_legal {
-        let seed = node_key(req.depart + h0, 0, req.depart, req.start, height);
-        open.push(Reverse(seed));
-        slab.visit(req.start, 0, 0, NO_PARENT, 0);
+    if !emergence_legal {
+        return None;
+    }
+    // May the droplet occupy `cell` at tick `tau`? A successor must pass
+    // this for every tick it occupies: the move-in arrival, plus (for a
+    // dwell) the stay after it. All three checks are pure.
+    let clear = |cell: Cell, tau: u32| {
+        !walls.blocked(cell, tau, &req.ignore_tags)
+            && !reservations.blocked(cell, tau, req.merge_group)
+            && pending_ok(cell, tau, pending, req.merge_group, config.lookahead)
+    };
+    if req.depart + h0 < earliest {
+        if let Some(route) = corridor(req, slow, horizon, earliest, clear) {
+            counts.corridor_hits += 1;
+            return Some(route);
+        }
     }
 
+    slab.reset();
+    let mut open = BinaryHeap::new();
+    let seed = node_key(req.depart + h0, 0, req.depart, req.start, height);
+    open.push(Reverse(seed));
+    slab.visit(req.start, 0, 0, NO_PARENT, 0);
     while let Some(Reverse(key)) = open.pop() {
         let (moves, t, cell) = node_of(key, height);
         if moves > slab.best(cell, t - req.depart) {
             continue; // stale heap entry
         }
-        *expansions += 1;
-        // An early goal state on a shortest path waits on the goal when the
-        // full search would do the same (module docs, "Waiting droplets").
-        let parks = || {
-            moves == h0
-                && !slow.contains(cell)
-                && (t + 1..=earliest).all(|tau| {
-                    !walls.blocked(cell, tau, &req.ignore_tags)
-                        && !reservations.blocked(cell, tau, req.merge_group)
-                        && pending_ok(cell, tau, pending, req.merge_group, config.lookahead)
-                })
-        };
-        if cell == req.goal && (t >= earliest || parks()) {
-            // Reconstruct back to the emergence seed; the route starts on
-            // the array at that instant (`Route::depart`), any earlier
-            // time having been spent inside the producer module. A link
-            // may span two ticks (a dwell on a degraded electrode), in
-            // which case the droplet occupies the destination cell for
-            // every intermediate tick. The path is built backwards, so
-            // the waiting stalls come first.
-            let mut path = vec![cell; (earliest.saturating_sub(t) + 1) as usize];
-            let mut cur = (cell, t);
-            loop {
-                let (pc, pt) = slab.parent(cur.0, cur.1 - req.depart);
-                if pc == NO_PARENT {
-                    break;
-                }
-                let prev = (
-                    Cell::new(pc as i32 % grid.width(), pc as i32 / grid.width()),
-                    pt,
-                );
-                for _ in 1..(cur.1 - prev.1) {
-                    path.push(cur.0);
-                }
-                path.push(prev.0);
-                cur = prev;
-            }
-            path.reverse();
-            return Some(Route {
-                id: req.id,
-                depart: cur.1,
-                path,
-            });
+        counts.expansions += 1;
+        if cell == req.goal && t >= earliest {
+            let parent = |c: Cell, tau: u32| slab.parent(c, tau - req.depart);
+            return Some(walk_back(req.id, cell, t, parent));
         }
         if t >= horizon {
             continue;
@@ -1127,17 +1188,7 @@ fn astar(
             if new_moves >= slab.best(next, t_next - req.depart) {
                 continue;
             }
-            if (1..=dt).any(|d| walls.blocked(next, t + d, &req.ignore_tags)) {
-                continue;
-            }
-            // Each occupied tick must clear the planned droplets (one
-            // reservation-slot load per tick) and the pending emergence
-            // seeds: the move-in arrival at t+1, plus (for a dwell) the
-            // stay at t+2.
-            if (1..=dt).any(|d| {
-                reservations.blocked(next, t + d, req.merge_group)
-                    || !pending_ok(next, t + d, pending, req.merge_group, config.lookahead)
-            }) {
+            if !(1..=dt).all(|d| clear(next, t + d)) {
                 continue;
             }
             let parent_cell = (cell.y * grid.width() + cell.x) as u32;
@@ -1147,6 +1198,101 @@ fn astar(
         }
     }
     None
+}
+
+/// How the corridor pass reached a state.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// Not a corridor state.
+    Unreached,
+    /// The emergence seed.
+    Seed,
+    /// A stall from the same cell one tick earlier.
+    Stall,
+    /// A step, or a dwell onto a degraded cell, from the box neighbour one
+    /// step nearer the start along `x`.
+    AlongX,
+    /// The same along `y`.
+    AlongY,
+}
+
+/// The corridor pass of a waiting search (module docs, "Waiting
+/// droplets"). It marks every corridor state up to tick `earliest` with
+/// the link the full search gives it, and returns the route to
+/// `(goal, earliest)` if that state is one of them. `clear(c, τ)` is the
+/// search's check that the droplet may occupy `c` at tick `τ`.
+fn corridor(
+    req: &RoutingRequest,
+    slow: &DegradedGrid,
+    horizon: u32,
+    earliest: u32,
+    clear: impl Fn(Cell, u32) -> bool,
+) -> Option<Route> {
+    let (start, goal, depart) = (req.start, req.goal, req.depart);
+    let (sx, sy) = ((goal.x - start.x).signum(), (goal.y - start.y).signum());
+    let (x0, y0) = (start.x.min(goal.x), start.y.min(goal.y));
+    let width = start.x.abs_diff(goal.x) as usize + 1;
+    let cells = width * (start.y.abs_diff(goal.y) as usize + 1);
+    // One byte per state, layer by layer.
+    let at = |c: Cell, t: u32| {
+        (t - depart) as usize * cells + (c.y - y0) as usize * width + (c.x - x0) as usize
+    };
+    let mut links = vec![Link::Unreached; (earliest - depart + 1) as usize * cells];
+    links[at(start, depart)] = Link::Seed;
+    let reached = |links: &[Link], c: Cell, t: u32| links[at(c, t)] != Link::Unreached;
+    let mut empty_layers = 0;
+    for t in depart + 1..=earliest {
+        let mut empty = true;
+        for x in x0..=start.x.max(goal.x) {
+            for y in y0..=start.y.max(goal.y) {
+                let c = Cell::new(x, y);
+                if t + c.manhattan(goal) as u32 > horizon {
+                    continue;
+                }
+                // The box neighbour one step nearer the start that is
+                // reached at tick `tp`, the smaller `(x, y)` if both are.
+                let nearer = |tp: u32| {
+                    let along_x = (x != start.x).then(|| (Cell::new(x - sx, y), Link::AlongX));
+                    let along_y = (y != start.y).then(|| (Cell::new(x, y - sy), Link::AlongY));
+                    [along_x, along_y]
+                        .into_iter()
+                        .flatten()
+                        .filter(|&(p, _)| reached(&links, p, tp))
+                        .min_by_key(|&(p, _)| p)
+                        .map(|(_, link)| link)
+                };
+                let stall = reached(&links, c, t - 1);
+                let link = if slow.contains(c) {
+                    match (t >= depart + 2).then(|| nearer(t - 2)).flatten() {
+                        Some(link) if clear(c, t - 1) && clear(c, t) => Some(link),
+                        _ => (stall && clear(c, t)).then_some(Link::Stall),
+                    }
+                } else if stall {
+                    clear(c, t).then_some(Link::Stall)
+                } else {
+                    nearer(t - 1).filter(|_| clear(c, t))
+                };
+                if let Some(link) = link {
+                    links[at(c, t)] = link;
+                    empty = false;
+                }
+            }
+        }
+        empty_layers = if empty { empty_layers + 1 } else { 0 };
+        if empty_layers == 2 {
+            return None;
+        }
+    }
+    let parent = |c: Cell, t: u32| {
+        let dt = if slow.contains(c) { 2 } else { 1 };
+        match links[at(c, t)] {
+            Link::Stall => Some((c, t - 1)),
+            Link::AlongX => Some((Cell::new(c.x - sx, c.y), t - dt)),
+            Link::AlongY => Some((Cell::new(c.x, c.y - sy), t - dt)),
+            Link::Seed | Link::Unreached => None,
+        }
+    };
+    reached(&links, goal, earliest).then(|| walk_back(req.id, goal, earliest, parent))
 }
 
 /// The pre-reservation-index planner, frozen as the differential-test
@@ -1796,10 +1942,10 @@ mod tests {
         };
         let req = RoutingRequest::new(5, Cell::new(0, 0), Cell::new(7, 0)).with_deadline(9);
         let run = |cfg: &RoutingConfig| {
-            let mut expansions = 0;
+            let mut counts = SearchCounts::default();
             let reqs = std::slice::from_ref(&req);
-            let out = route_environment_inner(&g, reqs, &[wall], &[], cfg, &mut expansions);
-            (out, expansions)
+            let out = route_environment_inner(&g, reqs, &[wall], &[], cfg, &mut counts);
+            (out, counts.expansions)
         };
         let (out, expansions) = run(&RoutingConfig::default());
         let (out_none, expansions_none) = run(&RoutingConfig::new().max_priority_rotations(0));
@@ -1829,10 +1975,10 @@ mod tests {
         let sched = schedule_with_keepout(&assay, &g, &cfg.library, &cfg.schedule, &[]).unwrap();
         let (reqs, walls) = transport_plan(&assay, &sched);
         let run = |rotations: u32| {
-            let mut expansions = 0;
+            let mut counts = SearchCounts::default();
             let routing = cfg.routing.max_priority_rotations(rotations);
-            let out = route_environment_inner(&g, &reqs, &walls, &[], &routing, &mut expansions);
-            (out, expansions)
+            let out = route_environment_inner(&g, &reqs, &walls, &[], &routing, &mut counts);
+            (out, counts.expansions)
         };
         let (out, expansions) = run(cfg.routing.max_priority_rotations);
         assert!(matches!(out, Err(RouteError::Unroutable(_))), "{out:?}");
@@ -1843,40 +1989,123 @@ mod tests {
     }
 
     /// Routes with both planners, asserts that they agree, and returns the
-    /// outcome with the A\* expansions it cost.
+    /// outcome with the router's work counts.
     fn against_oracle(
         g: &Grid,
         reqs: &[RoutingRequest],
         walls: &[Obstacle],
         degraded: &[Cell],
         cfg: &RoutingConfig,
-    ) -> (Result<RoutingOutcome, RouteError>, u64) {
-        let mut expansions = 0;
-        let out = route_environment_inner(g, reqs, walls, degraded, cfg, &mut expansions);
+    ) -> (Result<RoutingOutcome, RouteError>, SearchCounts) {
+        let mut counts = SearchCounts::default();
+        let out = route_environment_inner(g, reqs, walls, degraded, cfg, &mut counts);
         let oracle = reference::route_with_environment(g, reqs, walls, degraded, cfg);
         assert_eq!(out, oracle);
-        (out, expansions)
+        (out, counts)
     }
+
+    /// The counts of a routing call the corridor pass answered in full.
+    const ANSWERED: SearchCounts = SearchCounts {
+        expansions: 0,
+        corridor_hits: 1,
+    };
 
     #[test]
     fn waiting_on_an_open_goal_costs_no_extra_search() {
         // A lone droplet with 100 ticks of slack on an empty array parks
-        // on its goal: it costs exactly the search of the same request
-        // with no earliest arrival, plus 100 stalls on the goal.
+        // on its goal: the corridor pass answers it with no A* pop, and
+        // the route is the one of the same request with no earliest
+        // arrival, plus 100 stalls on the goal.
         let (g, cfg) = (grid(8, 8), RoutingConfig::default());
         let goal = Cell::new(5, 3);
         let req = RoutingRequest::new(0, Cell::new(0, 0), goal);
         let waiting = req.clone().arriving_no_earlier_than(108);
-        let (direct, cost) = against_oracle(&g, &[req], &[], &[], &cfg);
+        let (direct, _) = against_oracle(&g, &[req], &[], &[], &cfg);
         let (parked, parked_cost) = against_oracle(&g, &[waiting], &[], &[], &cfg);
-        assert_eq!(parked_cost, cost);
+        assert_eq!(parked_cost, ANSWERED);
         let mut path = direct.unwrap().routes[0].path.clone();
         path.extend([goal; 100]);
         assert_eq!(parked.unwrap().routes[0].path, path);
     }
 
     #[test]
-    fn waiting_after_a_detour_falls_back_to_the_full_search() {
+    fn a_closed_goal_is_answered_with_no_search() {
+        // The golden corpus's costliest wait: the droplet could reach its
+        // goal at tick 9, but an earlier module's wall covers the goal and
+        // its ring from tick 35 to 104, and the landing window opens at
+        // 140. The full search pops every reachable state until then.
+        let g = grid(16, 16);
+        let goal = Cell::new(6, 7);
+        let module = Obstacle::region(goal, goal, 35, 105, 1);
+        let req = RoutingRequest::new(0, Cell::new(6, 0), goal)
+            .departing(2)
+            .arriving_no_earlier_than(140);
+        let (out, counts) = against_oracle(&g, &[req], &[module], &[], &RoutingConfig::default());
+        assert_eq!(counts, ANSWERED);
+        // It waits just below the ring and lands once the wall is gone.
+        let route = &out.unwrap().routes[0];
+        assert_eq!((route.moves(), route.arrival()), (7, 140));
+        assert_eq!(route.position_at(104), Some(Cell::new(6, 5)));
+        assert_eq!(route.position_at(106), Some(goal));
+    }
+
+    #[test]
+    fn a_box_walled_across_for_the_whole_wait_falls_back_to_the_search() {
+        // A ring-less wall crosses the start–goal box for the whole wait,
+        // so no walk along a shortest path arrives: the search runs and
+        // goes round the wall's end.
+        let g = grid(8, 8);
+        let wall = Obstacle {
+            min: Cell::new(3, 0),
+            max: Cell::new(3, 2),
+            from: 0,
+            until: 60,
+            tag: 0,
+            ring: false,
+        };
+        let req =
+            RoutingRequest::new(0, Cell::new(0, 0), Cell::new(5, 2)).arriving_no_earlier_than(30);
+        let (out, counts) = against_oracle(&g, &[req], &[wall], &[], &RoutingConfig::default());
+        assert_eq!(counts.corridor_hits, 0);
+        assert!(counts.expansions > 0);
+        let out = out.unwrap();
+        assert_eq!((out.total_moves, out.makespan), (9, 30));
+    }
+
+    #[test]
+    fn a_dwell_across_an_empty_layer_still_reaches_the_goal() {
+        // The goal is degraded and the start is walled at tick 1, so the
+        // corridor's layer 1 is empty while the droplet dwells into the
+        // goal. One empty layer must not end the pass.
+        let (start, goal) = (Cell::new(0, 0), Cell::new(1, 0));
+        let fault = Obstacle::cell(start, 1, 2);
+        let req = RoutingRequest::new(0, start, goal).arriving_no_earlier_than(6);
+        let cfg = RoutingConfig::default();
+        let (out, counts) = against_oracle(&grid(4, 3), &[req], &[fault], &[goal], &cfg);
+        assert_eq!(counts, ANSWERED);
+        let mut path = vec![start];
+        path.extend([goal; 6]);
+        assert_eq!(out.unwrap().routes[0].path, path);
+    }
+
+    #[test]
+    fn a_wait_on_the_start_cell_is_a_run_of_stalls() {
+        let cell = Cell::new(2, 1);
+        let req = RoutingRequest::new(0, cell, cell)
+            .departing(3)
+            .arriving_no_earlier_than(9);
+        let reqs = std::slice::from_ref(&req);
+        for degraded in [&[][..], &[cell][..]] {
+            let cfg = RoutingConfig::default();
+            let (out, counts) = against_oracle(&grid(5, 3), reqs, &[], degraded, &cfg);
+            assert_eq!(counts, ANSWERED);
+            let route = &out.unwrap().routes[0];
+            assert_eq!((route.depart, route.path.clone()), (3, vec![cell; 7]));
+        }
+    }
+
+    #[test]
+    fn waiting_for_a_wall_to_fall_beats_an_earlier_detour() {
         // A ring-less wall in column 3 leaves only row 7 open until tick
         // 25. The detour reaches the goal first, with 20 moves; waiting for
         // the wall to fall and crossing straight takes 6.
@@ -1897,7 +2126,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_on_a_degraded_goal_falls_back_to_the_full_search() {
+    fn waiting_on_a_degraded_goal_dwells_into_it_last() {
         // The droplet reaches its degraded goal on a shortest path at tick
         // 4, but the full search waits next to the goal and dwells into it
         // last: the dwell ties a stall on `f` with one move fewer.
@@ -1911,7 +2140,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_through_a_walled_tick_falls_back_to_the_full_search() {
+    fn waiting_through_a_walled_tick_keeps_off_the_goal() {
         // A fault covers the goal at ticks 6 and 7 of the wait.
         let goal = Cell::new(3, 0);
         let fault = Obstacle::cell(goal, 6, 8);
@@ -1925,7 +2154,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_through_a_reserved_tick_falls_back_to_the_full_search() {
+    fn waiting_through_a_reserved_tick_keeps_off_the_goal() {
         // Droplet 0 is planned first and passes next to droplet 1's goal
         // at ticks 10–12, while droplet 1 waits there for tick 20.
         let goal = Cell::new(5, 3);
@@ -1941,7 +2170,7 @@ mod tests {
     }
 
     #[test]
-    fn waiting_through_a_pending_seed_falls_back_to_the_full_search() {
+    fn waiting_through_a_pending_seed_keeps_off_the_goal() {
         // Droplet 1 is planned second and emerges next to droplet 0's goal
         // at tick 10, while droplet 0 waits there for tick 20.
         let goal = Cell::new(5, 0);

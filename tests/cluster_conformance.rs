@@ -328,20 +328,41 @@ fn a_reused_spool_cluster_matches_a_reused_runner() {
     assert_reuse_matches_a_reused_runner("spool", transport);
 }
 
-/// An `InProcess` transport that counts its `launch` calls.
-struct CountingLaunches {
+/// An `InProcess` fleet with two test hooks: `on_launch` runs before
+/// every `launch`, and `filter` rewrites every batch of polled events. A
+/// filter may keep state, so it can hold an event back for a later poll.
+struct Hooked<L, F> {
     inner: InProcess,
-    launches: Arc<AtomicUsize>,
+    on_launch: L,
+    filter: F,
 }
 
-impl Transport for CountingLaunches {
+impl<L, F> Hooked<L, F>
+where
+    L: FnMut(),
+    F: FnMut(Vec<TransportEvent>) -> Vec<TransportEvent>,
+{
+    fn new(on_launch: L, filter: F) -> Self {
+        Hooked {
+            inner: InProcess::new(),
+            on_launch,
+            filter,
+        }
+    }
+}
+
+impl<L, F> Transport for Hooked<L, F>
+where
+    L: FnMut(),
+    F: FnMut(Vec<TransportEvent>) -> Vec<TransportEvent>,
+{
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
-        self.launches.fetch_add(1, Ordering::SeqCst);
+        (self.on_launch)();
         self.inner.launch(workers, opts)
     }
 
     fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
-        self.inner.poll(wait)
+        (self.filter)(self.inner.poll(wait))
     }
 
     fn assign(
@@ -362,10 +383,13 @@ impl Transport for CountingLaunches {
 #[test]
 fn a_batch_that_ships_nothing_launches_no_fleet() {
     let launches = Arc::new(AtomicUsize::new(0));
-    let transport = CountingLaunches {
-        inner: InProcess::new(),
-        launches: Arc::clone(&launches),
-    };
+    let counter = Arc::clone(&launches);
+    let transport = Hooked::new(
+        move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        },
+        |events| events,
+    );
     let mut cluster = Cluster::new(transport, ClusterConfig::new().workers(2).shards(4));
     let empty = cluster.run(&[]);
     assert!(empty.outcomes.is_empty());
@@ -571,58 +595,6 @@ fn stalled_worker_trips_the_shard_deadline_when_liveness_is_lenient() {
     );
 }
 
-/// An `InProcess` fleet whose second worker registers late: `w1`'s
-/// `Registered` event is held back until a poll after the one that
-/// delivered `w0`'s `Gone`.
-#[derive(Default)]
-struct LateSecondWorker {
-    inner: InProcess,
-    held: Vec<TransportEvent>,
-    w0_gone: bool,
-}
-
-impl Transport for LateSecondWorker {
-    fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
-        self.inner.launch(workers, opts)
-    }
-
-    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
-        let release = self.w0_gone;
-        let mut events = if release {
-            std::mem::take(&mut self.held)
-        } else {
-            Vec::new()
-        };
-        for event in self.inner.poll(wait) {
-            match &event {
-                TransportEvent::Registered { worker } if worker == "w1" && !release => {
-                    self.held.push(event);
-                }
-                TransportEvent::Gone { worker } if worker == "w0" => {
-                    self.w0_gone = true;
-                    events.push(event);
-                }
-                _ => events.push(event),
-            }
-        }
-        events
-    }
-
-    fn assign(
-        &mut self,
-        worker: &str,
-        shard: ShardId,
-        attempt: u32,
-        manifest: &str,
-    ) -> io::Result<()> {
-        self.inner.assign(worker, shard, attempt, manifest)
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-}
-
 #[test]
 fn a_worker_registering_after_a_crash_still_takes_the_work() {
     // `w0` registers, takes a shard and crashes before `w1` registers.
@@ -634,7 +606,34 @@ fn a_worker_registering_after_a_crash_still_takes_the_work() {
         worker: 0,
         mode: FaultMode::Crash,
     };
-    let report = Cluster::new(LateSecondWorker::default(), config)
+    // `w1`'s `Registered` event is held back until a poll after the one
+    // that delivered `w0`'s `Gone`.
+    let (mut held, mut w0_gone) = (Vec::new(), false);
+    let late_second_worker = Hooked::new(
+        || {},
+        move |polled: Vec<TransportEvent>| {
+            let release = w0_gone;
+            let mut events = if release {
+                std::mem::take(&mut held)
+            } else {
+                Vec::new()
+            };
+            for event in polled {
+                match &event {
+                    TransportEvent::Registered { worker } if worker == "w1" && !release => {
+                        held.push(event);
+                    }
+                    TransportEvent::Gone { worker } if worker == "w0" => {
+                        w0_gone = true;
+                        events.push(event);
+                    }
+                    _ => events.push(event),
+                }
+            }
+            events
+        },
+    );
+    let report = Cluster::new(late_second_worker, config)
         .with_fault(fault)
         .run(&corpus);
     assert_matches_serial(&corpus, &report, "late registration");
@@ -723,50 +722,25 @@ fn a_zero_heartbeat_interval_completes() {
     assert!(report.recovered.is_empty(), "{:?}", report.recovered);
 }
 
-/// An `InProcess` fleet whose every result arrives with a garbage
-/// payload, as if the wire had mangled it.
-#[derive(Default)]
-struct GarbledResults {
-    inner: InProcess,
-}
-
-impl Transport for GarbledResults {
-    fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
-        self.inner.launch(workers, opts)
-    }
-
-    fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
-        let mut events = self.inner.poll(wait);
-        for event in &mut events {
-            if let TransportEvent::Result { outcomes, .. } = event {
-                *outcomes = "garbage".to_owned();
-            }
-        }
-        events
-    }
-
-    fn assign(
-        &mut self,
-        worker: &str,
-        shard: ShardId,
-        attempt: u32,
-        manifest: &str,
-    ) -> io::Result<()> {
-        self.inner.assign(worker, shard, attempt, manifest)
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-}
-
 #[test]
 fn a_shard_that_exhausts_its_attempts_is_recovered_in_process() {
-    // Every answer is rejected, so each of the four shards is assigned
-    // and requeued four times, then evaluated in this process.
+    // Every result arrives with a garbage payload, as if the wire had
+    // mangled it. Every answer is rejected, so each of the four shards is
+    // assigned and requeued four times, then evaluated in this process.
     let corpus = cheap_corpus();
     let config = ClusterConfig::new().workers(2).shards(4);
-    let report = Cluster::new(GarbledResults::default(), config).run(&corpus);
+    let garbled_results = Hooked::new(
+        || {},
+        |mut events: Vec<TransportEvent>| {
+            for event in &mut events {
+                if let TransportEvent::Result { outcomes, .. } = event {
+                    *outcomes = "garbage".to_owned();
+                }
+            }
+            events
+        },
+    );
+    let report = Cluster::new(garbled_results, config).run(&corpus);
     assert_matches_serial(&corpus, &report, "attempts exhausted");
     assert_eq!(report.recovered, (0..4).map(ShardId).collect::<Vec<_>>());
     assert!(

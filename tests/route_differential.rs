@@ -3,8 +3,9 @@
 //! generators produce — spread random instances decorated with departures,
 //! deadlines, merge groups, obstacles and degraded electrodes, spread
 //! instances whose droplets wait for an earliest arrival under short
-//! horizons, and the transport batches real `random_protocol`
-//! compilations hand the router —
+//! horizons, spread instances whose goals are walled for part of a long
+//! wait, and the transport batches real `random_protocol` compilations
+//! hand the router —
 //! both planners must return byte-identical results: the same `Route`
 //! sequences, the same `RoutingOutcome` stats, or the same error. Every
 //! batch a fault-free compile of the golden corpus routes is pinned too,
@@ -111,6 +112,67 @@ fn make_wait(
     (obstacles, degraded)
 }
 
+/// Closes the goals of a spread instance while its droplets wait, derived
+/// deterministically from `seed`. Each request waits up to 60 ticks past
+/// its Manhattan arrival, sometimes under a deadline. Its goal, or the
+/// goal with its eight neighbours, may be walled for a window inside the
+/// wait, and ring-less walls and degraded electrodes fall inside its
+/// start–goal box. Some goals are degraded, and the first two droplets
+/// may be merge partners heading for one goal. Separate from
+/// [`decorate`] and [`make_wait`], so the cases of the other proptests
+/// replay unchanged.
+fn close_goals(
+    seed: u64,
+    requests: &mut [micronano::fluidics::route::RoutingRequest],
+) -> (Vec<Obstacle>, Vec<Cell>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    if requests.len() >= 2 && rng.gen_bool(0.3) {
+        let goal = requests[0].goal;
+        requests[0].merge_group = Some(7);
+        requests[1].goal = goal;
+        requests[1].merge_group = Some(7);
+    }
+    let mut obstacles = Vec::new();
+    let mut degraded = Vec::new();
+    for req in requests.iter_mut() {
+        req.depart = rng.gen_range(0..4);
+        let arrival = req.depart + req.start.manhattan(req.goal) as u32;
+        let earliest = arrival + rng.gen_range(0..=60);
+        req.earliest_arrival = Some(earliest);
+        if rng.gen_bool(0.2) {
+            req.deadline = Some(rng.gen_range(arrival..=earliest + 5));
+        }
+        if rng.gen_bool(0.7) {
+            let from = rng.gen_range(req.depart..=earliest);
+            let until = rng.gen_range(from..=earliest + 1);
+            obstacles.push(if rng.gen_bool(0.5) {
+                Obstacle::cell(req.goal, from, until)
+            } else {
+                Obstacle::region(req.goal, req.goal, from, until, 0)
+            });
+        }
+        let (lo, hi) = (
+            Cell::new(req.start.x.min(req.goal.x), req.start.y.min(req.goal.y)),
+            Cell::new(req.start.x.max(req.goal.x), req.start.y.max(req.goal.y)),
+        );
+        let in_box = |rng: &mut ChaCha8Rng| {
+            Cell::new(rng.gen_range(lo.x..=hi.x), rng.gen_range(lo.y..=hi.y))
+        };
+        for _ in 0..3 {
+            let cell = in_box(&mut rng);
+            let from = rng.gen_range(req.depart..=earliest);
+            obstacles.push(Obstacle::cell(cell, from, from + rng.gen_range(1..20)));
+        }
+        for _ in 0..3 {
+            degraded.push(in_box(&mut rng));
+        }
+        if rng.gen_bool(0.3) {
+            degraded.push(req.goal);
+        }
+    }
+    (obstacles, degraded)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -169,9 +231,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Droplets that arrive early and wait, under short horizons: the
-    // waiting shortcut and its fall-backs (detours, degraded goals,
-    // walled, reserved or pending-seed stall ticks, earliest arrivals
-    // past the horizon) must return exactly what the oracle's full search returns.
+    // corridor pass and its fall-backs (detours, degraded goals, walled,
+    // reserved or pending-seed stall ticks, earliest arrivals past the
+    // horizon) must return exactly what the oracle's full search returns.
     #[test]
     fn matches_oracle_on_waiting_instances(
         seed in 0u64..100_000,
@@ -184,6 +246,41 @@ proptest! {
         let (grid, mut requests) = random_routing_instance(&w, &mut rng);
         let (obstacles, degraded) = make_wait(seed ^ 0x3a17, &mut requests);
         let cfg = RoutingConfig::new().lookahead(lookahead).max_time(max_time);
+        let fast = route::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
+        let oracle =
+            route::reference::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
+        prop_assert_eq!(fast, oracle);
+    }
+}
+
+proptest! {
+    // Waits of up to 60 ticks make the oracle slow in a debug build: 300
+    // cases take about 30 s.
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    // Droplets whose goals close for part of a long wait, with walls and
+    // degraded electrodes inside their start–goal boxes: the corridor
+    // pass (its dwells and their two checked ticks, its parent rule) and
+    // the search it falls back to must return exactly what the oracle's
+    // full search returns.
+    #[test]
+    fn matches_oracle_on_closed_goal_instances(
+        seed in 0u64..100_000,
+        side in 6i32..13,
+        droplets in 1usize..6,
+        lookahead in 0u32..3,
+        max_time in 20u32..140,
+        rotations in 0u32..4,
+    ) {
+        let droplets = droplets.min((side * side / 9) as usize);
+        let w = RoutingWorkload { grid_side: side, droplets };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (grid, mut requests) = random_routing_instance(&w, &mut rng);
+        let (obstacles, degraded) = close_goals(seed ^ 0xc105e, &mut requests);
+        let cfg = RoutingConfig::new()
+            .lookahead(lookahead)
+            .max_time(max_time)
+            .max_priority_rotations(rotations);
         let fast = route::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
         let oracle =
             route::reference::route_with_environment(&grid, &requests, &obstacles, &degraded, &cfg);
