@@ -10,11 +10,14 @@
 //! rewrites the baseline instead, mirroring the golden-corpus drift gate
 //! and its `[golden-update]` commit marker.
 //!
-//! Everything here is dependency-free string work (no serde in the
-//! vendored set), kept as pure functions so the gate itself is unit- and
+//! Both files are read with the workspace's JSON reader
+//! ([`mns_telemetry::json`]; no serde in the vendored set), and the
+//! gate is kept as pure functions so it is unit- and
 //! differential-testable.
 
 use std::collections::BTreeMap;
+
+use mns_telemetry::json::{self, Json};
 
 /// Median nanoseconds per benchmark label, ordered by label.
 pub type BenchTable = BTreeMap<String, u64>;
@@ -40,29 +43,17 @@ impl GateReport {
     }
 }
 
-/// Extracts the string value of `"key":"…"` from a JSON object line.
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\"");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    // Labels never contain escaped quotes; escape_default only produces
-    // backslash sequences we do not need to reverse for comparison keys.
-    rest.split('"').next()
+/// A median read from JSON: a whole, non-negative number of nanoseconds
+/// small enough (at most 2^53) to be exact in the reader's `f64`.
+fn median_ns(value: &Json) -> Option<u64> {
+    let ns = value.as_f64()?;
+    (ns >= 0.0 && ns.fract() == 0.0 && ns <= 9_007_199_254_740_992.0).then_some(ns as u64)
 }
 
-/// Extracts the non-negative integer value of `"key":123`.
-fn json_int_field(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\"");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Parses the JSONL emitted via `MNS_BENCH_JSON` (one record per line;
-/// blank lines ignored). Duplicate labels keep the **last** record, so a
-/// re-run appending to an existing file self-corrects.
+/// Parses the JSONL emitted via `MNS_BENCH_JSON` (one
+/// `{"name":…,"median_ns":…}` object per line; blank lines ignored).
+/// Duplicate labels keep the **last** record, so a re-run appending to
+/// an existing file self-corrects.
 ///
 /// # Errors
 ///
@@ -74,8 +65,9 @@ pub fn parse_jsonl(text: &str) -> Result<BenchTable, String> {
         if line.is_empty() {
             continue;
         }
-        let name = json_str_field(line, "name");
-        let median = json_int_field(line, "median_ns");
+        let record = json::parse(line).ok();
+        let name = record.as_ref().and_then(|r| r.get("name")?.as_str());
+        let median = record.as_ref().and_then(|r| median_ns(r.get("median_ns")?));
         match (name, median) {
             (Some(n), Some(m)) => {
                 table.insert(n.to_owned(), m);
@@ -98,32 +90,17 @@ pub fn parse_jsonl(text: &str) -> Result<BenchTable, String> {
 ///
 /// Returns a message describing the first malformed entry.
 pub fn parse_baseline(text: &str) -> Result<BenchTable, String> {
-    let body = text.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or_else(|| "baseline is not a JSON object".to_owned())?;
-    let mut table = BenchTable::new();
-    for entry in body.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let wrapped = format!("\"name\":{entry}");
-        let name = json_str_field(&wrapped, "name").map(str::to_owned);
-        let value = entry
-            .rsplit(':')
-            .next()
-            .map(str::trim)
-            .and_then(|v| v.parse::<u64>().ok());
-        match (name, value) {
-            (Some(n), Some(v)) => {
-                table.insert(n, v);
-            }
-            _ => return Err(format!("malformed baseline entry: {entry}")),
-        }
-    }
-    Ok(table)
+    let doc = json::parse(text).map_err(|e| format!("baseline: {e}"))?;
+    let Json::Obj(entries) = doc else {
+        return Err("baseline is not a JSON object".to_owned());
+    };
+    entries
+        .into_iter()
+        .map(|(name, value)| match median_ns(&value) {
+            Some(ns) => Ok((name, ns)),
+            None => Err(format!("malformed baseline entry: {name:?}: {value:?}")),
+        })
+        .collect()
 }
 
 /// Renders a baseline table as the committed `BENCH_6.json` format:
@@ -132,7 +109,9 @@ pub fn render_baseline(table: &BenchTable) -> String {
     let mut out = String::from("{\n");
     for (i, (name, ns)) in table.iter().enumerate() {
         let sep = if i + 1 == table.len() { "" } else { "," };
-        out.push_str(&format!("  \"{}\": {ns}{sep}\n", name.escape_default()));
+        out.push_str("  \"");
+        json::escape_into(name, &mut out);
+        out.push_str(&format!("\": {ns}{sep}\n"));
     }
     out.push_str("}\n");
     out
@@ -204,6 +183,37 @@ mod tests {
     fn baseline_rejects_malformed() {
         assert!(parse_baseline("[]").is_err());
         assert!(parse_baseline("{\"a\": }").is_err());
+        assert!(parse_baseline("{\"a\": -1}").is_err());
+        assert!(parse_baseline("{\"a\": 1.5}").is_err());
+    }
+
+    #[test]
+    fn baseline_round_trips_labels_with_json_metacharacters() {
+        // Each label holds a character that a line- or comma-based
+        // reader, or `escape_default` (which writes `\'`, not JSON), gets
+        // wrong.
+        let t = table(&[
+            ("group/a,b", 1),
+            ("say \"hi\"", 2),
+            ("back\\slash", 3),
+            ("tab\there\n", 4),
+            ("it's", 5),
+        ]);
+        assert_eq!(parse_baseline(&render_baseline(&t)), Ok(t));
+    }
+
+    #[test]
+    fn jsonl_rejects_medians_that_are_not_whole_nanoseconds() {
+        for median in ["12abc", "-5", "1.5", "\"7\""] {
+            let line = format!("{{\"name\":\"a\",\"median_ns\":{median}}}\n");
+            assert!(parse_jsonl(&line).is_err(), "{median}");
+        }
+    }
+
+    #[test]
+    fn jsonl_reads_a_string_value_that_names_the_median_key() {
+        let text = "{\"name\":\"median_ns\",\"median_ns\":5}\n";
+        assert_eq!(parse_jsonl(text), Ok(table(&[("median_ns", 5)])));
     }
 
     #[test]

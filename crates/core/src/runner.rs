@@ -69,7 +69,7 @@ use std::time::Duration;
 use mns_fluidics::compiler::{compile_with_faults, CompilerConfig};
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
-use mns_grn::models::{arabidopsis, organ_repertoire, t_helper, th_fates, FloralInputs};
+use mns_grn::models::{arabidopsis, organ_fates, repertoire, t_helper, th_fates, FloralInputs};
 use mns_grn::{BooleanNetwork, Perturbation};
 use mns_noc::graph::CommGraph;
 use mns_noc::power::{area_proxy, PowerModel};
@@ -560,34 +560,28 @@ impl Scenario {
                         .with_perturbation(&Perturbation::knock_out(g))
                         .expect("knockout gene exists in model"),
                 };
-                let annotation = match s.model {
+                // One fixed-point analysis yields both the bits and the
+                // labels.
+                let (mut bits, labels): (Vec<u64>, Vec<String>) = match s.model {
                     GrnModel::THelper => {
                         let fates = th_fates(&net).expect("fate analysis");
-                        fates
-                            .iter()
-                            .map(|(_, f)| format!("{f:?}"))
-                            .collect::<Vec<_>>()
-                            .join("/")
+                        (
+                            fates.iter().map(|(st, _)| st.bits()).collect(),
+                            fates.iter().map(|(_, f)| format!("{f:?}")).collect(),
+                        )
                     }
                     GrnModel::Arabidopsis { .. } => {
-                        let organs = organ_repertoire(&net).expect("organ analysis");
-                        organs
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("/")
+                        let fates = organ_fates(&net).expect("organ analysis");
+                        (
+                            fates.iter().map(|(st, _)| st.bits()).collect(),
+                            repertoire(&fates).iter().map(ToString::to_string).collect(),
+                        )
                     }
                 };
-                let mut sym = mns_grn::symbolic::SymbolicDynamics::new(&net);
-                let mut bits: Vec<u64> = sym
-                    .fixed_point_states()
-                    .iter()
-                    .map(|st| st.bits())
-                    .collect();
                 bits.sort_unstable();
                 ScenarioOutcome::Knockout {
                     fixed_points: bits,
-                    annotation,
+                    annotation: labels.join("/"),
                 }
             }
         }
@@ -683,8 +677,8 @@ pub enum ScenarioOutcome {
     Knockout {
         /// Fixed-point state bitmasks, ascending.
         fixed_points: Vec<u64>,
-        /// Domain annotation (T-helper fates or floral organs, joined
-        /// with `/` in fixed-point order).
+        /// Domain annotation joined with `/`: the T-helper fates in
+        /// fixed-point order, or the distinct floral organs by name.
         annotation: String,
     },
 }
@@ -1050,10 +1044,6 @@ pub struct WorkerBatchStats {
     pub executed: u64,
     /// Jobs this worker took from a sibling's queue.
     pub steals: u64,
-    /// Cache hits attributed to this worker. Hits resolve on the
-    /// submitting thread before the pool spins up, so they are all
-    /// charged to worker 0 of the shard.
-    pub cache_hits: u64,
 }
 
 /// Shard- and worker-layout-independent batch counters: the unit of
@@ -1160,7 +1150,6 @@ impl BatchStats {
                 .and_modify(|r| {
                     r.executed += w.executed;
                     r.steals += w.steals;
-                    r.cache_hits += w.cache_hits;
                 })
                 .or_insert(w);
         }
@@ -1398,30 +1387,22 @@ impl Runner {
         let _batch_span = mns_telemetry::span("runner.run");
         let lookup = self.cache.lookup(scenarios);
         let (fresh, per_worker) = self.execute(scenarios, lookup.misses());
-        let mut stats = BatchStats {
+        let stats = BatchStats {
             scenarios: scenarios.len() as u64,
             executed: fresh.len() as u64,
             cache_hits: lookup.cache_hits(),
             deduped: lookup.deduped(),
             steals: per_worker.iter().map(|w| w.steals).sum(),
+            per_worker: per_worker
+                .into_iter()
+                .enumerate()
+                .map(|(w, ws)| WorkerBatchStats {
+                    worker: u32::try_from(w).expect("worker count fits in u32"),
+                    ..ws
+                })
+                .collect(),
             ..BatchStats::default()
         };
-        stats.per_worker = per_worker
-            .into_iter()
-            .enumerate()
-            .map(|(w, ws)| WorkerBatchStats {
-                worker: u32::try_from(w).expect("worker count fits in u32"),
-                ..ws
-            })
-            .collect();
-        if let Some(w0) = stats.per_worker.first_mut() {
-            // Hits resolve on the submitting thread: charge worker 0.
-            w0.cache_hits = stats.cache_hits;
-        }
-        mns_telemetry::counter_add("runner.executed", stats.executed);
-        mns_telemetry::counter_add("runner.cache_hits", stats.cache_hits);
-        mns_telemetry::counter_add("runner.deduped", stats.deduped);
-        mns_telemetry::counter_add("runner.steals", stats.steals);
         BatchReport {
             outcomes: self.cache.fill(lookup, fresh),
             stats,
@@ -1989,14 +1970,13 @@ mod tests {
         }
         assert!((0.0..=1.0).contains(&stats.balance()));
 
-        // A repeat sweep is all cache hits, charged to worker 0, and
-        // vacuously balanced (nothing executed).
+        // A repeat sweep is all cache hits and vacuously balanced
+        // (nothing executed).
         let again = runner.run(&batch);
         assert_eq!(again.outcomes, out);
         let cached = again.stats;
         assert_eq!(cached.executed, 0);
         assert_eq!(cached.cache_hits, batch.len() as u64);
-        assert_eq!(cached.per_worker[0].cache_hits, batch.len() as u64);
         assert_eq!(cached.max_worker_executed(), 0);
         assert_eq!(cached.balance(), 1.0);
     }
@@ -2191,7 +2171,6 @@ mod tests {
                 shard: ShardId(0),
                 worker: 0,
                 executed: 1,
-                cache_hits: 1,
                 ..WorkerBatchStats::default()
             }],
             ..BatchStats::default()

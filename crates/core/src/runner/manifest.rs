@@ -45,7 +45,7 @@ use super::{
 /// First line of every shard manifest.
 pub const MANIFEST_HEADER: &str = "# mns shard manifest v1";
 /// First line of every shard outcome file.
-pub const OUTCOMES_HEADER: &str = "# mns shard outcomes v1";
+pub const OUTCOMES_HEADER: &str = "# mns shard outcomes v2";
 
 /// A parse failure, with the 1-based line number it occurred on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -831,8 +831,8 @@ pub fn write_outcomes(stats: &BatchStats, entries: &[(usize, ScenarioOutcome)]) 
     ));
     for w in &stats.per_worker {
         out.push_str(&format!(
-            "#worker {} {} {} {} {}\n",
-            w.shard.0, w.worker, w.executed, w.steals, w.cache_hits
+            "#worker {} {} {} {}\n",
+            w.shard.0, w.worker, w.executed, w.steals
         ));
     }
     for (index, outcome) in entries {
@@ -896,7 +896,6 @@ pub fn parse_outcomes(
                     worker: t.u32()?,
                     executed: t.u64()?,
                     steals: t.u64()?,
-                    cache_hits: t.u64()?,
                 };
                 t.done()?;
                 Ok(row)

@@ -66,8 +66,7 @@ pub struct ClusterReport {
     /// duplicates the cluster resolved before shipping, with `scenarios`
     /// counting the whole submitted batch. Its
     /// [`totals`](BatchStats::totals) equal those of one `Runner` reused
-    /// over the same batches. The cluster's own hits are charged to no
-    /// `per_worker` row.
+    /// over the same batches.
     pub stats: BatchStats,
     /// Per-shard stats in shard order. Shards hold only the distinct
     /// misses the cluster shipped, so a fully cached batch has only empty
@@ -368,13 +367,13 @@ impl Cluster {
                             }
                             match validate_outcomes(&outcomes, shard, &plan, scenarios.len()) {
                                 Some(parsed) => {
-                                    if let (Some(aggregate), Some(wire)) =
+                                    if let (Some(aggregate), Some(text)) =
                                         (metrics.as_mut(), shard_metrics)
                                     {
                                         // Telemetry is best-effort: a
                                         // bad snapshot degrades silently,
                                         // outcomes are the contract.
-                                        if let Ok(snap) = MetricsSnapshot::from_wire(&wire) {
+                                        if let Ok(snap) = MetricsSnapshot::from_text(&text) {
                                             aggregate.merge(&snap);
                                         }
                                     }

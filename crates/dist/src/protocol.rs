@@ -51,7 +51,7 @@ pub enum Message {
         attempt: u32,
         /// The outcome-file wire text.
         outcomes: String,
-        /// `MetricsSnapshot::to_wire` text when metrics were requested.
+        /// `MetricsSnapshot::to_text` text when metrics were requested.
         metrics: Option<String>,
     },
     /// Scheduler → worker: drain and exit cleanly.

@@ -97,7 +97,7 @@ pub fn evaluate_manifest(
         mns_telemetry::disable();
         let snap = mns_telemetry::snapshot();
         mns_telemetry::reset();
-        snap.to_wire()
+        snap.to_text()
     });
     Ok((outcomes, metrics))
 }

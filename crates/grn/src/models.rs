@@ -299,20 +299,40 @@ pub fn classify_organ(net: &BooleanNetwork, s: State) -> Organ {
     }
 }
 
-/// The set of organ identities appearing among the fixed points of `net`.
-/// Uses symbolic (BDD) fixed-point computation.
+/// Fixed points of an Arabidopsis (or perturbed Arabidopsis) network,
+/// each with its organ identity, in ascending state order. Uses symbolic
+/// (BDD) fixed-point computation.
+///
+/// # Errors
+///
+/// Currently infallible; the `Result` keeps the signature stable if larger
+/// model variants are added.
+pub fn organ_fates(net: &BooleanNetwork) -> Result<Vec<(State, Organ)>, NetworkError> {
+    let mut sym = SymbolicDynamics::new(net);
+    let fps = sym.fixed_point_states();
+    Ok(fps
+        .into_iter()
+        .map(|s| (s, classify_organ(net, s)))
+        .collect())
+}
+
+/// The distinct organ identities among `fates`, sorted by name.
+pub fn repertoire(fates: &[(State, Organ)]) -> Vec<Organ> {
+    let mut organs: Vec<Organ> = fates.iter().map(|&(_, o)| o).collect();
+    organs.sort_by_key(|o| format!("{o}"));
+    organs.dedup();
+    organs
+}
+
+/// The set of organ identities appearing among the fixed points of `net`
+/// ([`repertoire`] of [`organ_fates`]).
 ///
 /// # Errors
 ///
 /// Currently infallible; the `Result` keeps the signature stable if larger
 /// model variants are added.
 pub fn organ_repertoire(net: &BooleanNetwork) -> Result<Vec<Organ>, NetworkError> {
-    let mut sym = SymbolicDynamics::new(net);
-    let fps = sym.fixed_point_states();
-    let mut organs: Vec<Organ> = fps.iter().map(|&s| classify_organ(net, s)).collect();
-    organs.sort_by_key(|o| format!("{o}"));
-    organs.dedup();
-    Ok(organs)
+    Ok(repertoire(&organ_fates(net)?))
 }
 
 /// Builds the Boolean mammalian cell-cycle network of Fauré, Naldi,

@@ -25,23 +25,9 @@ fn tid_of(track: u64) -> u64 {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_event(out: &mut String, name: &str, phase: char, ts_ns: u64, tid: u64) {
     out.push_str("  {\"name\":\"");
-    escape_into(name, out);
+    json::escape_into(name, out);
     // Trace-event timestamps are microseconds; keep nanosecond
     // resolution with a fractional part.
     out.push_str(&format!(

@@ -1,11 +1,11 @@
-//! A minimal JSON reader for validating exported traces.
+//! A minimal JSON reader, and the string escaper its writers share.
 //!
 //! The workspace is dependency-free, so the Chrome-trace round-trip
-//! check (emit → parse → verify begin/end nesting) needs its own
-//! parser. This is a strict recursive-descent reader for the subset of
-//! JSON the exporter emits — objects, arrays, strings with `\"`/`\\`/
-//! `\n`/`\t`/`\u` escapes, numbers, booleans and null — kept small and
-//! obvious rather than fast.
+//! check (emit → parse → verify begin/end nesting) and the bench gate's
+//! baseline and records need their own parser. This is a strict
+//! recursive-descent reader for the subset of JSON those writers emit —
+//! objects, arrays, strings with `\"`/`\\`/`\n`/`\t`/`\u` escapes,
+//! numbers, booleans and null — kept small and obvious rather than fast.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -77,6 +77,22 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Appends `s` to `out` as the body of a JSON string literal: `"`, `\`
+/// and control characters are escaped, everything else is copied.
+pub fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
 
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).

@@ -15,9 +15,11 @@
 //!   be golden-tested (see [`Trace::structure`]).
 //! * **Three exporters**: Chrome-trace JSON ([`chrome_trace`]) for
 //!   `chrome://tracing`/Perfetto, flamegraph folded stacks
-//!   ([`folded_stacks`]), and a plain-text metrics snapshot
-//!   ([`MetricsSnapshot::to_text`]) for regression diffs — each with a
-//!   matching validator used by CI.
+//!   ([`folded_stacks`]), and a lossless plain-text metrics snapshot
+//!   ([`MetricsSnapshot::to_text`]) for regression diffs and for worker
+//!   processes to ship — each with a matching reader or validator used
+//!   by CI ([`validate_chrome_trace`], [`validate_folded`],
+//!   [`MetricsSnapshot::from_text`]).
 //!
 //! ## Usage
 //!
@@ -57,7 +59,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use export::{
     chrome_trace, folded_stacks, validate_chrome_trace, validate_folded, ChromeTraceSummary,
 };
-pub use metrics::{validate_snapshot_text, Histogram, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsSnapshot};
 pub use span::{Span, SpanNode, Trace, UNTRACKED};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -253,7 +255,7 @@ mod tests {
             let h = &snap.histograms["x.ns"];
             assert_eq!(h.count, 2);
             assert_eq!(h.sum, 32);
-            metrics::validate_snapshot_text(&snap.to_text()).expect("valid snapshot text");
+            assert_eq!(MetricsSnapshot::from_text(&snap.to_text()), Ok(snap));
         });
     }
 

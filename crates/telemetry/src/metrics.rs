@@ -99,6 +99,9 @@ pub(crate) fn observe(name: &str, value: u64) {
     }
 }
 
+/// First line of [`MetricsSnapshot::to_text`].
+const SNAPSHOT_HEADER: &str = "# mns-telemetry metrics snapshot v2";
+
 /// A point-in-time copy of every counter and histogram, in name order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -120,29 +123,98 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Plain-text rendering, one metric per line, stable ordering —
-    /// the unit of regression diffing:
+    /// Plain-text rendering, one metric per line in name order: the unit
+    /// of regression diffing and the form worker processes ship.
+    /// Lossless: [`from_text`](MetricsSnapshot::from_text) reads it back
+    /// exactly. A histogram line carries the raw `min` (`u64::MAX` when
+    /// empty) and its non-empty buckets as `<bit length>:<count>` pairs:
     ///
     /// ```text
-    /// counter runner.executed 23
-    /// hist runner.evaluate_ns count=23 sum=412345 min=102 max=99021 mean=17928.04
+    /// # mns-telemetry metrics snapshot v2
+    /// counter wsn.harvest_slots 1440
+    /// hist runner.evaluate_ns count=3 sum=150000 min=102 max=99021 buckets=7:1,16:1,17:1
     /// ```
+    ///
+    /// Metric names must not contain whitespace (names in this workspace
+    /// are dotted identifiers).
     pub fn to_text(&self) -> String {
-        let mut out = String::from("# mns-telemetry metrics snapshot v1\n");
+        let mut out = format!("{SNAPSHOT_HEADER}\n");
         for (name, value) in &self.counters {
             out.push_str(&format!("counter {name} {value}\n"));
         }
         for (name, h) in &self.histograms {
+            let buckets: Vec<String> = (0..HISTOGRAM_BUCKETS)
+                .filter(|&i| h.buckets[i] != 0)
+                .map(|i| format!("{i}:{}", h.buckets[i]))
+                .collect();
             out.push_str(&format!(
-                "hist {name} count={} sum={} min={} max={} mean={:.2}\n",
+                "hist {name} count={} sum={} min={} max={} buckets={}\n",
                 h.count,
                 h.sum,
-                if h.count == 0 { 0 } else { h.min },
+                h.min,
                 h.max,
-                h.mean()
+                buckets.join(",")
             ));
         }
         out
+    }
+
+    /// Parses a rendering produced by [`to_text`](MetricsSnapshot::to_text).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformed line.
+    pub fn from_text(text: &str) -> Result<MetricsSnapshot, String> {
+        let mut lines = text.lines();
+        match lines.next() {
+            Some(SNAPSHOT_HEADER) => {}
+            other => return Err(format!("bad snapshot header: {other:?}")),
+        }
+        let mut snap = MetricsSnapshot::default();
+        for (i, line) in lines.enumerate() {
+            let bad = |what: &str| format!("line {}: {what} in `{line}`", i + 2);
+            let value = |token: &str, key: &str| -> Result<u64, String> {
+                token
+                    .strip_prefix(key)
+                    .and_then(|rest| rest.strip_prefix('='))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| bad(&format!("bad `{key}=`")))
+            };
+            let repeated = match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [] => false,
+                ["counter", name, count] => {
+                    let count = count.parse().map_err(|_| bad("bad counter value"))?;
+                    snap.counters.insert(name.to_owned(), count).is_some()
+                }
+                ["hist", name, count, sum, min, max, buckets] => {
+                    let mut h = Histogram {
+                        count: value(count, "count")?,
+                        sum: value(sum, "sum")?,
+                        min: value(min, "min")?,
+                        max: value(max, "max")?,
+                        buckets: [0; HISTOGRAM_BUCKETS],
+                    };
+                    let pairs = buckets
+                        .strip_prefix("buckets=")
+                        .ok_or_else(|| bad("bad `buckets=`"))?;
+                    for pair in pairs.split_terminator(',') {
+                        let (bucket, n) = pair.split_once(':').ok_or_else(|| bad("bad bucket"))?;
+                        let bucket = bucket
+                            .parse::<usize>()
+                            .ok()
+                            .filter(|&b| b < HISTOGRAM_BUCKETS)
+                            .ok_or_else(|| bad("bad bucket index"))?;
+                        h.buckets[bucket] = n.parse().map_err(|_| bad("bad bucket count"))?;
+                    }
+                    snap.histograms.insert(name.to_owned(), h).is_some()
+                }
+                _ => return Err(bad("unknown record")),
+            };
+            if repeated {
+                return Err(bad("repeated metric"));
+            }
+        }
+        Ok(snap)
     }
 
     /// Folds another snapshot into this one: counters are summed
@@ -158,154 +230,6 @@ impl MetricsSnapshot {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
     }
-
-    /// Lossless wire rendering for cross-process metrics merge. Unlike
-    /// [`to_text`](MetricsSnapshot::to_text) (a human/regression-diff
-    /// format that drops buckets), this round-trips through
-    /// [`from_wire`](MetricsSnapshot::from_wire) exactly: histogram
-    /// lines carry count/sum/min/max plus sparse `bucket:count` pairs.
-    /// Metric names must not contain whitespace (no name in this
-    /// workspace does; names are dotted identifiers).
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("# mns-telemetry metrics wire v1\n");
-        for (name, value) in &self.counters {
-            out.push_str(&format!("counter {name} {value}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "hist {name} {} {} {} {}",
-                h.count, h.sum, h.min, h.max
-            ));
-            for (i, &b) in h.buckets.iter().enumerate() {
-                if b != 0 {
-                    out.push_str(&format!(" {i}:{b}"));
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a rendering produced by [`to_wire`](MetricsSnapshot::to_wire).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_wire(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("# mns-telemetry metrics wire v1") => {}
-            other => return Err(format!("bad wire header: {other:?}")),
-        }
-        let mut snap = MetricsSnapshot::default();
-        for (i, line) in lines.enumerate() {
-            let lineno = i + 2;
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            match fields.next() {
-                Some("counter") => {
-                    let name = fields
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: counter without name"))?;
-                    let value: u64 = fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("line {lineno}: bad counter value"))?;
-                    if fields.next().is_some() {
-                        return Err(format!("line {lineno}: trailing counter tokens"));
-                    }
-                    let slot = snap.counters.entry(name.to_owned()).or_insert(0);
-                    *slot = slot.saturating_add(value);
-                }
-                Some("hist") => {
-                    let name = fields
-                        .next()
-                        .ok_or_else(|| format!("line {lineno}: hist without name"))?;
-                    let mut summary = [0u64; 4];
-                    for slot in &mut summary {
-                        *slot = fields
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| format!("line {lineno}: bad hist summary"))?;
-                    }
-                    let mut h = Histogram {
-                        count: summary[0],
-                        sum: summary[1],
-                        min: summary[2],
-                        max: summary[3],
-                        buckets: [0; HISTOGRAM_BUCKETS],
-                    };
-                    for pair in fields {
-                        let (bucket, count) = pair
-                            .split_once(':')
-                            .ok_or_else(|| format!("line {lineno}: bad bucket `{pair}`"))?;
-                        let bucket: usize = bucket
-                            .parse()
-                            .map_err(|_| format!("line {lineno}: bad bucket index `{pair}`"))?;
-                        if bucket >= HISTOGRAM_BUCKETS {
-                            return Err(format!("line {lineno}: bucket {bucket} out of range"));
-                        }
-                        h.buckets[bucket] = count
-                            .parse()
-                            .map_err(|_| format!("line {lineno}: bad bucket count `{pair}`"))?;
-                    }
-                    snap.histograms
-                        .entry(name.to_owned())
-                        .or_default()
-                        .merge(&h);
-                }
-                _ => return Err(format!("line {lineno}: unknown wire record `{line}`")),
-            }
-        }
-        Ok(snap)
-    }
-}
-
-/// Checks that `text` is a well-formed snapshot rendering and returns
-/// the number of metric lines.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed line.
-pub fn validate_snapshot_text(text: &str) -> Result<usize, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(header) if header.starts_with("# mns-telemetry metrics snapshot") => {}
-        other => return Err(format!("bad snapshot header: {other:?}")),
-    }
-    let mut metrics = 0usize;
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.first() {
-            Some(&"counter") => {
-                if fields.len() != 3 || fields[2].parse::<u64>().is_err() {
-                    return Err(format!("line {}: bad counter line `{line}`", i + 2));
-                }
-            }
-            Some(&"hist") => {
-                if fields.len() != 7 {
-                    return Err(format!("line {}: bad hist line `{line}`", i + 2));
-                }
-                for (field, key) in fields[2..6].iter().zip(["count", "sum", "min", "max"]) {
-                    let ok = field
-                        .strip_prefix(key)
-                        .and_then(|rest| rest.strip_prefix('='))
-                        .is_some_and(|v| v.parse::<u64>().is_ok());
-                    if !ok {
-                        return Err(format!("line {}: bad `{key}` in `{line}`", i + 2));
-                    }
-                }
-            }
-            _ => return Err(format!("line {}: unknown record `{line}`", i + 2)),
-        }
-        metrics += 1;
-    }
-    Ok(metrics)
 }
 
 pub(crate) fn snapshot() -> MetricsSnapshot {
@@ -355,42 +279,55 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_text_round_trip_validates() {
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("a.b".to_owned(), 7);
-        let mut h = Histogram::default();
-        h.record(3);
-        snap.histograms.insert("c.d_ns".to_owned(), h);
-        let text = snap.to_text();
-        assert_eq!(validate_snapshot_text(&text), Ok(2));
-        assert!(validate_snapshot_text("garbage").is_err());
-        assert!(
-            validate_snapshot_text("# mns-telemetry metrics snapshot v1\ncounter x y\n").is_err()
-        );
-    }
-
-    #[test]
     fn empty_histogram_mean_is_nan() {
         assert!(Histogram::default().mean().is_nan());
     }
 
     #[test]
-    fn wire_format_round_trips_losslessly() {
+    fn text_round_trips_losslessly() {
         let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("runner.executed".to_owned(), 23);
+        snap.counters.insert("a.b".to_owned(), 23);
+        snap.counters.insert("a.max".to_owned(), u64::MAX);
         let mut h = Histogram::default();
         for v in [0u64, 1, 7, 1000, u64::MAX] {
             h.record(v);
         }
-        snap.histograms.insert("runner.evaluate_ns".to_owned(), h);
+        snap.histograms.insert("c.d_ns".to_owned(), h);
         // An empty histogram (min = u64::MAX sentinel) must survive too.
         snap.histograms
-            .insert("runner.queue_wait_ns".to_owned(), Histogram::default());
-        let wire = snap.to_wire();
-        let back = MetricsSnapshot::from_wire(&wire).expect("wire parses");
-        assert_eq!(back, snap, "wire format must be lossless");
-        assert!(MetricsSnapshot::from_wire("garbage").is_err());
-        assert!(MetricsSnapshot::from_wire("# mns-telemetry metrics wire v1\nhist x 1\n").is_err());
+            .insert("c.empty_ns".to_owned(), Histogram::default());
+        let text = snap.to_text();
+        assert_eq!(MetricsSnapshot::from_text(&text), Ok(snap));
+        assert_eq!(
+            MetricsSnapshot::from_text(&MetricsSnapshot::default().to_text()),
+            Ok(MetricsSnapshot::default())
+        );
+    }
+
+    #[test]
+    fn from_text_rejects_malformed_snapshots() {
+        let v2 = "# mns-telemetry metrics snapshot v2";
+        let hist = "hist h count=1 sum=3 min=3 max=3";
+        for (text, why) in [
+            ("garbage".to_owned(), "no header"),
+            (
+                "# mns-telemetry metrics snapshot v1\ncounter a 1\n".to_owned(),
+                "v1 header",
+            ),
+            (format!("{v2}\ncounter a x\n"), "bad counter value"),
+            (format!("{v2}\ncounter a 1\ncounter a 2\n"), "repeated name"),
+            (
+                format!("{v2}\nhist h 1 3 3 3 buckets=2:1\n"),
+                "missing `count=`",
+            ),
+            (format!("{v2}\n{hist} 2:1\n"), "missing `buckets=`"),
+            (format!("{v2}\n{hist} buckets=64:1\n"), "bucket 64"),
+            (format!("{v2}\n{hist} buckets=2\n"), "bucket without count"),
+            (format!("{v2}\nhist h count=1 sum=3\n"), "truncated hist"),
+            (format!("{v2}\ngauge g 1\n"), "unknown record"),
+        ] {
+            assert!(MetricsSnapshot::from_text(&text).is_err(), "{why}");
+        }
     }
 
     #[test]

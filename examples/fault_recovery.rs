@@ -129,11 +129,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &report.faults.injected_transient.to_string(),
     ]);
     e2e.row(&["makespan (ticks)", &report.routing.makespan.to_string()]);
-    e2e.row(&["forced stalls", &report.faults.forced_stalls.to_string()]);
-    e2e.row(&["reroute attempts", &report.faults.reroutes.to_string()]);
+    e2e.row(&["forced stalls", &report.routing.forced_stalls.to_string()]);
+    e2e.row(&["reroute attempts", &report.routing.reroutes.to_string()]);
     e2e.row(&[
         "abandoned transports",
-        &report.faults.abandoned_transports.to_string(),
+        &report.routing.abandoned.to_string(),
     ]);
     e2e.row(&[
         "samples dropped",

@@ -3,7 +3,8 @@
 //! Enables telemetry with the wall clock, runs a mixed batch (fluidics
 //! compiles, a lab-on-chip pipeline, NoC design points, WSN lifetimes,
 //! a harvesting policy and a GRN knockout) across every hardware thread,
-//! then exports all three profile formats and validates each one:
+//! then exports all three profile formats and validates each one (the
+//! metrics snapshot by reading it back):
 //!
 //! * `target/profile/trace.json` — Chrome Trace Event JSON; load in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -94,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for ws in &stats.per_worker {
         println!(
-            "  worker {}: executed {:>2}  steals {:>2}  cache hits {:>2}",
-            ws.worker, ws.executed, ws.steals, ws.cache_hits
+            "  worker {}: executed {:>2}  steals {:>2}",
+            ws.worker, ws.executed, ws.steals
         );
     }
     println!("  load balance: {:.2}\n", stats.balance());
@@ -120,9 +121,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("folded.txt    {stacks} distinct stacks — valid");
 
     let text = snap.to_text();
-    let series = telemetry::validate_snapshot_text(&text).map_err(|e| format!("metrics: {e}"))?;
     std::fs::write(dir.join("metrics.txt"), &text)?;
-    println!("metrics.txt   {series} series — valid\n");
+    let back =
+        telemetry::MetricsSnapshot::from_text(&std::fs::read_to_string(dir.join("metrics.txt"))?)
+            .map_err(|e| format!("metrics: {e}"))?;
+    assert_eq!(back, snap, "metrics.txt must read back exactly");
+    println!(
+        "metrics.txt   {} series — reads back exactly\n",
+        back.counters.len() + back.histograms.len()
+    );
 
     println!("deepest span chain: {} levels", deepest(&trace));
     println!("metrics snapshot:\n{text}");

@@ -19,9 +19,8 @@
 //!    deadline. Every count is read from the `ClusterReport`; the suite
 //!    never touches the process-global telemetry registry.
 //! 3. **Telemetry**: merged worker metric *counters* are identical
-//!    across the process-backed transports and agree with the merged
-//!    stats (histograms carry wall-clock timings and are excluded by
-//!    design).
+//!    across the process-backed transports and agree with the outcomes
+//!    (histograms carry wall-clock timings and are excluded by design).
 //! 4. **Degradation**: a cluster whose fleet cannot launch, a shard
 //!    whose every attempt comes back garbled, and a fleet whose only
 //!    worker crashes each still complete in-process with golden digests;
@@ -445,9 +444,9 @@ fn metrics_counters_identical_across_process_transports() {
     let spool_metrics = spool.metrics.as_ref().expect("spool metrics collected");
     for (metrics, report) in [(tcp_metrics, &tcp), (spool_metrics, &spool)] {
         assert_eq!(
-            metrics.counter("runner.executed"),
-            report.stats.executed,
-            "merged worker telemetry must agree with the merged stats"
+            metrics.counter("wsn.harvest_slots"),
+            harvest_slots(report),
+            "merged worker telemetry must agree with the outcomes"
         );
     }
     let tcp_counters = &tcp_metrics.counters;
@@ -462,15 +461,37 @@ fn metrics_counters_identical_across_process_transports() {
     );
 }
 
+/// The `wsn.harvest_slots` a report's harvest runs add up to. The
+/// batches here hold no repeated scenario, so every outcome was
+/// evaluated once.
+fn harvest_slots(report: &ClusterReport) -> u64 {
+    let slots: u64 = report
+        .outcomes
+        .iter()
+        .map(|o| match o {
+            ScenarioOutcome::Harvest { total_slots, .. } => *total_slots,
+            _ => 0,
+        })
+        .sum();
+    assert!(slots > 0, "the batch holds harvest runs");
+    slots
+}
+
 #[test]
 fn child_metrics_are_collected_and_merged() {
-    // Every family but lab-chip pipelines, so the merged counters span
-    // more families than the cheap subset.
+    // Two scenarios of every family but lab-chip pipelines, so the
+    // merged counters span more families than the cheap subset.
+    let mut taken: BTreeMap<&str, usize> = BTreeMap::new();
     let batch: Vec<Scenario> = conformance_corpus(CORPUS_SEED)
         .into_iter()
         .filter(|s| !matches!(s, Scenario::LabChip(_)))
-        .take(8)
+        .filter(|s| {
+            let n = taken.entry(s.family()).or_default();
+            *n += 1;
+            *n <= 2
+        })
         .collect();
+    assert_eq!(taken.len(), 5, "five families");
     let config = ClusterConfig::new()
         .workers(2)
         .shards(2)
@@ -478,11 +499,14 @@ fn child_metrics_are_collected_and_merged() {
     let transport = TcpTransport::bind().expect("loopback listener");
     let report = run_cluster(transport, config, &batch, None);
     assert!(report.recovered.is_empty());
-    let metrics = report.metrics.expect("collect_metrics fills the snapshot");
+    let metrics = report
+        .metrics
+        .as_ref()
+        .expect("collect_metrics fills the snapshot");
     assert_eq!(
-        metrics.counter("runner.executed"),
-        report.stats.executed,
-        "merged child telemetry must agree with the merged stats"
+        metrics.counter("wsn.harvest_slots"),
+        harvest_slots(&report),
+        "merged child telemetry must agree with the outcomes"
     );
 }
 

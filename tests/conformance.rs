@@ -390,7 +390,6 @@ fn random_stats(seed: u64) -> BatchStats {
             worker: rng.gen_range(0..4u32),
             executed: rng.gen_range(0..40),
             steals: rng.gen_range(0..10),
-            cache_hits: rng.gen_range(0..10),
         })
         .collect();
     BatchStats {

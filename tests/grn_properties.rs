@@ -1,8 +1,12 @@
 //! Property-based tests on gene-network analysis: the explicit and
-//! implicit (BDD) engines must agree on every random network, and the
-//! continuous abstraction must be consistent with the Boolean one.
+//! implicit (BDD) engines must agree on every random network, the
+//! continuous abstraction must be consistent with the Boolean one, and
+//! the runner's knockout screen must match a two-pass oracle on every
+//! single-gene knockout of both case-study models.
 
+use micronano::core::runner::{GrnModel, KnockoutScenario, Scenario, ScenarioOutcome};
 use micronano::grn::dynamics::{fixed_points, sync_attractors};
+use micronano::grn::models::{arabidopsis, classify_organ, t_helper, th_fates, FloralInputs};
 use micronano::grn::ode::{OdeConfig, OdeSystem};
 use micronano::grn::random::{random_network, RandomNetworkConfig};
 use micronano::grn::symbolic::SymbolicDynamics;
@@ -142,4 +146,65 @@ fn reachability_is_monotone_under_union() {
         s
     };
     assert_eq!(states_union, ab);
+}
+
+/// The knockout evaluation with the domain analysis and the fixed-point
+/// bits taken from two separate symbolic passes over the same network.
+fn two_pass_knockout(s: &KnockoutScenario) -> ScenarioOutcome {
+    let wild = match s.model {
+        GrnModel::THelper => t_helper(),
+        GrnModel::Arabidopsis { whorl } => arabidopsis(FloralInputs::whorls()[whorl]),
+    };
+    let net = match &s.knockout {
+        None => wild,
+        Some(g) => wild
+            .with_perturbation(&Perturbation::knock_out(g))
+            .expect("gene exists"),
+    };
+    let annotation: Vec<String> = match s.model {
+        GrnModel::THelper => th_fates(&net)
+            .expect("fate analysis")
+            .iter()
+            .map(|(_, f)| format!("{f:?}"))
+            .collect(),
+        GrnModel::Arabidopsis { .. } => {
+            let fps = SymbolicDynamics::new(&net).fixed_point_states();
+            let mut organs: Vec<_> = fps.iter().map(|&st| classify_organ(&net, st)).collect();
+            organs.sort_by_key(|o| format!("{o}"));
+            organs.dedup();
+            organs.iter().map(ToString::to_string).collect()
+        }
+    };
+    let mut bits: Vec<u64> = SymbolicDynamics::new(&net)
+        .fixed_point_states()
+        .iter()
+        .map(|st| st.bits())
+        .collect();
+    bits.sort_unstable();
+    ScenarioOutcome::Knockout {
+        fixed_points: bits,
+        annotation: annotation.join("/"),
+    }
+}
+
+#[test]
+fn knockout_screen_matches_the_two_pass_oracle() {
+    let mut models = vec![(GrnModel::THelper, t_helper())];
+    for (whorl, inputs) in FloralInputs::whorls().into_iter().enumerate() {
+        models.push((GrnModel::Arabidopsis { whorl }, arabidopsis(inputs)));
+    }
+    let mut checked = 0;
+    for (model, net) in models {
+        let knockouts = std::iter::once(None).chain(net.genes().iter().cloned().map(Some));
+        for knockout in knockouts {
+            let point = KnockoutScenario { model, knockout };
+            assert_eq!(
+                Scenario::Knockout(point.clone()).run(),
+                two_pass_knockout(&point),
+                "{point:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, (1 + 23) + 4 * (1 + 15));
 }
