@@ -85,9 +85,9 @@ pub struct ClusterReport {
     /// outliving every worker, in shard order.
     pub recovered: Vec<ShardId>,
     /// Merged per-shard worker telemetry when
-    /// [`ClusterConfig::collect_metrics`] was set. Counters are
-    /// deterministic across transports; histogram values are
-    /// wall-clock-dependent.
+    /// [`ClusterConfig::collect_metrics`] was set. Counters depend on
+    /// the shard plan, not on how many workers ran it; histogram values
+    /// are wall-clock-dependent.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -360,8 +360,9 @@ impl Cluster {
                             // (evaluation is pure), but matching on
                             // attempt keeps corrupt retries from racing
                             // their replacements. Settling the shard
-                            // either way frees its carrier, even when a
-                            // corrupt spool result names no worker.
+                            // either way frees its carrier, even when the
+                            // result names a worker the scheduler does not
+                            // know.
                             if track.is_done() || attempt != track.attempts {
                                 continue;
                             }

@@ -1,14 +1,12 @@
-//! The `dist_worker` children behind the process transports.
+//! The `dist_worker` children behind [`TcpTransport`](crate::TcpTransport).
 //!
-//! [`TcpTransport`](crate::TcpTransport) and
-//! [`SpoolTransport`](crate::SpoolTransport) differ only in how one
-//! message travels; the processes behind them are one [`Fleet`]. It
-//! spawns one child per worker, reports each child's exit once as
-//! [`TransportEvent::Gone`], gives a shut-down fleet a grace period to
-//! exit before killing it, and kills whatever is left when dropped.
+//! A [`Fleet`] owns the children's lifecycle: it spawns one child per
+//! worker, reports each child's exit once as [`TransportEvent::Gone`],
+//! gives a shut-down fleet a grace period to exit before killing it, and
+//! kills whatever is left when dropped. How messages reach the children
+//! is the transport's business.
 
 use std::collections::HashSet;
-use std::ffi::OsStr;
 use std::io;
 use std::process::{Child, Command, Stdio};
 use std::thread;
@@ -21,7 +19,7 @@ use crate::transport::{
 /// How long a shut-down fleet may take to exit before it is killed.
 const REAP_GRACE: Duration = Duration::from_millis(500);
 
-/// A process transport's `dist_worker` children.
+/// The TCP transport's `dist_worker` children.
 #[derive(Default)]
 pub(crate) struct Fleet {
     children: Vec<(WorkerId, Child)>,
@@ -32,13 +30,13 @@ pub(crate) struct Fleet {
 
 impl Fleet {
     /// Spawns `workers` children named [`worker_name`]`(0..workers)`, each
-    /// with `medium`'s flags, then `--name --threads --heartbeat-ms
-    /// [--metrics]`, and [`FAULT_ENV`] on the faulty index.
-    pub(crate) fn launch<S: AsRef<OsStr>>(
+    /// with `--connect addr --name --threads --heartbeat-ms [--metrics]`,
+    /// and [`FAULT_ENV`] on the faulty index.
+    pub(crate) fn launch(
         &mut self,
         workers: usize,
         opts: &LaunchOpts,
-        medium: &[S],
+        addr: &str,
     ) -> io::Result<()> {
         let binary = resolve_worker_binary(opts)?;
         self.gone.clear();
@@ -47,8 +45,7 @@ impl Fleet {
         for index in 0..workers {
             let name = worker_name(index);
             let mut cmd = Command::new(&binary);
-            cmd.args(medium)
-                .args(["--name", &name, "--threads", &threads])
+            cmd.args(["--connect", addr, "--name", &name, "--threads", &threads])
                 .args(["--heartbeat-ms", &heartbeat_ms])
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())

@@ -1,19 +1,17 @@
 //! # mns-dist — transport-agnostic cluster scheduler
 //!
 //! Ships the deterministic experiment engine's shards to workers —
-//! loopback threads, local `dist_worker` processes, or a cluster —
-//! behind a pluggable [`Transport`]:
+//! loopback threads or local `dist_worker` processes — behind a
+//! pluggable [`Transport`]:
 //!
 //! | transport | medium | use |
 //! |---|---|---|
 //! | [`InProcess`] | threads + channels | loopback: conformance baseline, benchmark cluster pass |
-//! | [`TcpTransport`] | framed loopback TCP | multi-process / multi-machine sweeps |
-//! | [`SpoolTransport`] | shared directory, rename-commit | object-store-style batch clusters |
+//! | [`TcpTransport`] | framed loopback TCP | multi-process sweeps |
 //!
 //! Every worker runs the one loop of [`worker`], whichever transport
 //! carries its messages: an [`InProcess`] thread runs exactly what a
-//! `dist_worker` process runs. The two process transports share one
-//! fleet of `dist_worker` children.
+//! `dist_worker` process runs.
 //!
 //! The [`Cluster`] scheduler keeps an
 //! [`OutcomeCache`](mns_core::runner::OutcomeCache) across `run` calls
@@ -45,7 +43,6 @@ pub mod cluster;
 mod fleet;
 pub mod inprocess;
 pub mod protocol;
-pub mod spool;
 pub mod tcp;
 pub mod transport;
 pub mod worker;
@@ -53,7 +50,6 @@ pub mod worker;
 pub use cluster::{Cluster, ClusterReport, ShardPlacement};
 pub use inprocess::InProcess;
 pub use protocol::Message;
-pub use spool::SpoolTransport;
 pub use tcp::TcpTransport;
 pub use transport::{
     DistFault, FaultMode, LaunchOpts, Transport, TransportEvent, WorkerId, DIST_WORKER_ENV,

@@ -1,12 +1,13 @@
 //! Transport-agnostic scheduler ⇄ worker messages.
 //!
-//! One codec serves every transport: the same [`Message`] bytes travel
-//! inside a length-prefixed TCP frame
-//! ([`manifest::write_frame`](mns_core::runner::manifest::write_frame))
-//! or as the whole content of a spooled file. The envelope is a single
-//! ASCII header line; messages that carry payloads (`assign`, `result`)
-//! append them after the newline with their byte lengths declared in the
-//! header, so decoding never scans for terminators inside payload text.
+//! One codec serves the wire: each [`Message`] travels as one
+//! length-prefixed TCP frame
+//! ([`manifest::write_frame`](mns_core::runner::manifest::write_frame));
+//! in-process workers pass the values themselves. The envelope is a
+//! single ASCII header line; messages that carry payloads (`assign`,
+//! `result`) append them after the newline with their byte lengths
+//! declared in the header, so decoding never scans for terminators
+//! inside payload text.
 //!
 //! Like the manifest format itself, decoding is **total**: corrupt bytes
 //! come back as `Err`, never a panic — a hostile or truncated message is
@@ -23,13 +24,10 @@ pub enum Message {
         /// The worker's launch name (see [`valid_worker_name`]).
         worker: String,
     },
-    /// Worker → scheduler: liveness beacon with a monotonic sequence
-    /// number (spool transports diff the number, never file mtimes).
+    /// Worker → scheduler: liveness beacon.
     Heartbeat {
         /// Sending worker.
         worker: String,
-        /// Monotonic per-worker sequence number.
-        seq: u64,
     },
     /// Scheduler → worker: evaluate one shard manifest.
     Assign {
@@ -59,8 +57,7 @@ pub enum Message {
 }
 
 /// Whether `name` is a legal worker name: non-empty, at most 64 bytes,
-/// drawn from `[A-Za-z0-9_-]` — safe inside file names and header lines
-/// on every transport.
+/// drawn from `[A-Za-z0-9_-]`, so it is one token of a header line.
 pub fn valid_worker_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
@@ -74,7 +71,7 @@ impl Message {
     pub fn encode(&self) -> String {
         match self {
             Message::Hello { worker } => format!("hello {worker}"),
-            Message::Heartbeat { worker, seq } => format!("hb {worker} {seq}"),
+            Message::Heartbeat { worker } => format!("hb {worker}"),
             Message::Assign {
                 shard,
                 attempt,
@@ -122,7 +119,6 @@ impl Message {
             },
             "hb" => Message::Heartbeat {
                 worker: take_worker(&mut fields)?,
-                seq: take_u64(&mut fields, "seq")?,
             },
             "assign" => {
                 let shard = ShardId(take_u32(&mut fields, "shard")?);
@@ -189,11 +185,6 @@ fn take_worker(fields: &mut std::str::SplitWhitespace) -> Result<String, String>
     Ok(name.to_owned())
 }
 
-fn take_u64(fields: &mut std::str::SplitWhitespace, what: &str) -> Result<u64, String> {
-    let t = fields.next().ok_or_else(|| format!("missing {what}"))?;
-    t.parse().map_err(|_| format!("bad {what} `{t}`"))
-}
-
 fn take_u32(fields: &mut std::str::SplitWhitespace, what: &str) -> Result<u32, String> {
     let t = fields.next().ok_or_else(|| format!("missing {what}"))?;
     t.parse().map_err(|_| format!("bad {what} `{t}`"))
@@ -221,7 +212,6 @@ mod tests {
         });
         round_trip(Message::Heartbeat {
             worker: "w1".into(),
-            seq: 981,
         });
         round_trip(Message::Assign {
             shard: ShardId(3),
@@ -269,9 +259,9 @@ mod tests {
             "hello",
             "hello two words",
             "hello ../../etc/passwd",
-            "hb w0",
-            "hb w0 notanumber",
-            "hb w0 1 extra",
+            "hb",
+            "hb w0 1",
+            "hb w0\nsurprise payload",
             "hello w0\nsurprise payload",
             "assign 0 1",
             "assign 0 1 10\nshort",
@@ -288,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_names_are_filesystem_safe() {
+    fn worker_names_are_single_header_tokens() {
         assert!(valid_worker_name("w0"));
         assert!(valid_worker_name("node-3_b"));
         assert!(!valid_worker_name(""));

@@ -1,7 +1,7 @@
 //! Streaming transport over `std::net` loopback TCP.
 //!
-//! The scheduler binds an ephemeral 127.0.0.1 listener and launches the
-//! shared fleet of `dist_worker` children, each of which connects
+//! The scheduler binds an ephemeral 127.0.0.1 listener and launches a
+//! fleet of local `dist_worker` children, each of which connects
 //! back (`TcpLink`) and opens with a
 //! [`Hello`](crate::protocol::Message::Hello) handshake. Every message
 //! travels as one length-prefixed frame
@@ -179,9 +179,7 @@ impl Link for TcpLink {
 impl Transport for TcpTransport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()> {
         self.forget_earlier_fleet();
-        let addr = self.addr.to_string();
-        let medium = ["--transport", "tcp", "--connect", &addr];
-        self.fleet.launch(workers, opts, &medium)
+        self.fleet.launch(workers, opts, &self.addr.to_string())
     }
 
     fn poll(&mut self, wait: Duration) -> Vec<TransportEvent> {
@@ -270,5 +268,28 @@ mod tests {
         assert!(woke_after < Duration::from_secs(2), "took {woke_after:?}");
         assert!(idle.is_empty());
         assert!(idled_for >= Duration::from_millis(30), "{idled_for:?}");
+    }
+
+    #[test]
+    fn a_connection_that_does_not_open_with_hello_yields_no_event() {
+        let mut transport = TcpTransport::bind().expect("loopback listener");
+        let frame = |stream: &mut TcpStream, message: Message| {
+            write_frame(stream, message.encode().as_bytes()).expect("frame");
+        };
+        // A heartbeat, then garbage, then a hello: the connection is
+        // dropped at its first frame, so even the hello never registers.
+        let mut impostor = TcpStream::connect(transport.local_addr()).expect("connect");
+        let w0 = "w0".to_owned();
+        frame(&mut impostor, Message::Heartbeat { worker: w0.clone() });
+        write_frame(&mut impostor, b"\xff garbage").expect("garbage frame");
+        frame(&mut impostor, Message::Hello { worker: w0 });
+        // A real worker connecting behind it still registers.
+        let mut worker = TcpStream::connect(transport.local_addr()).expect("connect");
+        let w1 = "w1".to_owned();
+        frame(&mut worker, Message::Hello { worker: w1.clone() });
+        let events = transport.poll(Duration::from_secs(10));
+        let later = transport.poll(Duration::from_millis(200));
+        assert_eq!(events, vec![TransportEvent::Registered { worker: w1 }]);
+        assert!(later.is_empty(), "{later:?}");
     }
 }

@@ -75,7 +75,7 @@ impl TransportEvent {
     pub(crate) fn from_worker(message: Message) -> Option<TransportEvent> {
         match message {
             Message::Hello { worker } => Some(TransportEvent::Registered { worker }),
-            Message::Heartbeat { worker, .. } => Some(TransportEvent::Heartbeat { worker }),
+            Message::Heartbeat { worker } => Some(TransportEvent::Heartbeat { worker }),
             Message::Result {
                 worker,
                 shard,
@@ -247,8 +247,8 @@ pub trait Transport {
     fn launch(&mut self, workers: usize, opts: &LaunchOpts) -> io::Result<()>;
 
     /// Drains every event observed since the previous poll. When none
-    /// is pending, waits up to `wait` for the first one; a channel-backed
-    /// transport returns as soon as it arrives.
+    /// is pending, waits up to `wait` for the first one and returns as
+    /// soon as it arrives.
     fn poll(&mut self, wait: Duration) -> Vec<TransportEvent>;
 
     /// Delivers one shard assignment to `worker`.

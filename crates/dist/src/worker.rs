@@ -11,8 +11,8 @@
 //! `run` is that loop. A medium supplies only a `Link`, which moves
 //! one message each way: an [`InProcess`](crate::InProcess) thread runs
 //! the loop over a channel pair, and a `dist_worker` process
-//! ([`run_process`]) over a TCP stream or a spool directory. An injected
-//! [`FaultMode`] therefore behaves the same on every transport.
+//! ([`run_process`]) over a TCP stream. An injected [`FaultMode`]
+//! therefore behaves the same on every transport.
 //!
 //! The evaluation itself is [`evaluate_shard`], which the scheduler also
 //! calls for the shards it finishes in its own process. Evaluation
@@ -20,7 +20,6 @@
 //! shards.
 
 use std::io;
-use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
@@ -30,7 +29,6 @@ use mns_core::runner::manifest::{parse_manifest, write_outcomes};
 use mns_core::runner::{BatchStats, Runner, Scenario, ScenarioOutcome, ShardId};
 
 use crate::protocol::Message;
-use crate::spool::SpoolLink;
 use crate::tcp::TcpLink;
 use crate::transport::{FaultMode, FAULT_ENV};
 
@@ -168,7 +166,9 @@ pub(crate) fn run(
     if link.send(hello).is_err() {
         return 2;
     }
-    let mut seq = 0u64;
+    let heartbeat = || Message::Heartbeat {
+        worker: name.to_owned(),
+    };
     loop {
         let (shard, attempt, manifest) = match link.recv(interval) {
             Ok(Message::Assign {
@@ -179,12 +179,7 @@ pub(crate) fn run(
             Ok(Message::Shutdown) | Err(RecvTimeoutError::Disconnected) => return 0,
             Ok(_) => continue, // not addressed to a worker
             Err(RecvTimeoutError::Timeout) => {
-                seq += 1;
-                let beat = Message::Heartbeat {
-                    worker: name.to_owned(),
-                    seq,
-                };
-                if link.send(beat).is_err() {
+                if link.send(heartbeat()).is_err() {
                     return 0; // the scheduler hung up
                 }
                 continue;
@@ -205,11 +200,7 @@ pub(crate) fn run(
             // this worker stays available for healthy assignments.
             None => {
                 let mut beat = || {
-                    seq += 1;
-                    let _ = link.send(Message::Heartbeat {
-                        worker: name.to_owned(),
-                        seq,
-                    });
+                    let _ = link.send(heartbeat());
                 };
                 evaluate_with_heartbeats(manifest, threads, collect_metrics, interval, &mut beat)
                     .unwrap_or((String::new(), None))
@@ -228,25 +219,16 @@ pub(crate) fn run(
     }
 }
 
-/// Where a `dist_worker` process meets its scheduler.
-#[derive(Debug, Clone)]
-pub enum Endpoint {
-    /// The listener of a [`TcpTransport`](crate::TcpTransport), as
-    /// `host:port`.
-    Tcp(String),
-    /// The directory of a [`SpoolTransport`](crate::SpoolTransport).
-    Spool(PathBuf),
-}
-
-/// Runs a worker process: opens the link to `endpoint` and runs the
-/// worker loop over it, with the fault named by [`FAULT_ENV`], if any.
+/// Runs a worker process: connects to the [`TcpTransport`](crate::TcpTransport)
+/// listener at `addr` (`host:port`) and runs the worker loop over the
+/// stream, with the fault named by [`FAULT_ENV`], if any.
 ///
 /// Returns the process exit code: 0 after a shutdown or a closed link, 1
-/// when a result cannot be delivered, 2 when the link cannot be opened or
-/// the hello sent, 3 for an injected crash, and 4 for an injected stall,
-/// once it is shut down.
+/// when a result cannot be delivered, 2 when the connection cannot be
+/// opened or the hello sent, 3 for an injected crash, and 4 for an
+/// injected stall, once it is shut down.
 pub fn run_process(
-    endpoint: &Endpoint,
+    addr: &str,
     name: &str,
     threads: usize,
     heartbeat_interval: Duration,
@@ -255,18 +237,15 @@ pub fn run_process(
     let fault = std::env::var(FAULT_ENV)
         .ok()
         .and_then(|t| FaultMode::from_token(&t));
-    let mut link: Box<dyn Link> = match endpoint {
-        Endpoint::Tcp(addr) => match TcpLink::connect(addr) {
-            Ok(link) => Box::new(link),
-            Err(e) => {
-                eprintln!("dist_worker: cannot connect to {addr}: {e}");
-                return 2;
-            }
-        },
-        Endpoint::Spool(dir) => Box::new(SpoolLink::new(dir.clone(), name)),
+    let mut link = match TcpLink::connect(addr) {
+        Ok(link) => link,
+        Err(e) => {
+            eprintln!("dist_worker: cannot connect to {addr}: {e}");
+            return 2;
+        }
     };
     run(
-        link.as_mut(),
+        &mut link,
         name,
         threads,
         heartbeat_interval,
@@ -386,7 +365,6 @@ mod tests {
         assert_eq!(run(&mut link, "w0", 1, interval, false, crash), 3);
         let beat = Message::Heartbeat {
             worker: "w0".to_owned(),
-            seq: 1,
         };
         assert_eq!(link.sent, [hello.clone(), beat]);
 

@@ -1,18 +1,16 @@
 //! # mns-sim — deterministic discrete-event simulation kernel
 //!
-//! This crate is the shared substrate for the event-driven simulators in the
-//! micronano workspace (`mns-noc` flit-level network simulation and
-//! `mns-wsn` sensor-network simulation). It provides:
+//! This crate is the event-driven substrate of the `mns-noc` packet-level
+//! network simulation. It provides:
 //!
 //! * a virtual-time type ([`SimTime`]) and duration arithmetic,
 //! * a deterministic event engine ([`Engine`]) with FIFO tie-breaking for
 //!   simultaneous events,
 //! * reproducible random-number streams ([`rng::SeedStream`]) built on
-//!   ChaCha8 so that every experiment in the workspace is bit-for-bit
-//!   repeatable from a single `u64` seed, and
-//! * online statistics ([`stats`]) — counters, Welford mean/variance,
-//!   fixed-bin histograms and time-weighted averages — used by all
-//!   simulators to report results.
+//!   ChaCha8, so a simulation is bit-for-bit repeatable from a single
+//!   `u64` seed, with exponential draws for Poisson arrivals, and
+//! * online statistics ([`stats`]) — Welford mean/variance summaries and
+//!   fixed-bin histograms — to report results.
 //!
 //! The engine is intentionally single-threaded: determinism and
 //! reproducibility matter more than wall-clock speed for design-space

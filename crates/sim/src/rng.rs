@@ -87,25 +87,6 @@ impl SeedStream {
     }
 }
 
-/// Draws a standard-normal sample using the Box–Muller transform.
-///
-/// Kept here (rather than pulling in `rand_distr`) to stay within the
-/// workspace's approved dependency set.
-///
-/// ```
-/// use mns_sim::rng::{normal, SeedStream};
-/// let mut rng = SeedStream::new(1).stream("n");
-/// let x = normal(&mut rng, 0.0, 1.0);
-/// assert!(x.is_finite());
-/// ```
-pub fn normal<R: rand::Rng>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    // Box–Muller with a guard against log(0).
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    mean + std_dev * z
-}
-
 /// Draws an exponential sample with the given rate parameter `lambda`.
 ///
 /// # Panics
@@ -115,31 +96,6 @@ pub fn exponential<R: rand::Rng>(rng: &mut R, lambda: f64) -> f64 {
     assert!(lambda > 0.0, "exponential rate must be positive");
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -u.ln() / lambda
-}
-
-/// Draws a Poisson sample via inversion (suitable for small means) or
-/// normal approximation for large means.
-pub fn poisson<R: rand::Rng>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0, "poisson mean must be non-negative");
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean > 30.0 {
-        // Normal approximation with continuity correction.
-        let x = normal(rng, mean, mean.sqrt());
-        return x.round().max(0.0) as u64;
-    }
-    let l = (-mean).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        let u: f64 = rng.gen();
-        p *= u;
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
 }
 
 #[cfg(test)]
@@ -187,32 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_roughly_match() {
-        let mut rng = SeedStream::new(3).stream("normal");
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| normal(&mut rng, 5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
     fn exponential_mean_matches_rate() {
         let mut rng = SeedStream::new(3).stream("exp");
         let n = 20_000;
         let mean = (0..n).map(|_| exponential(&mut rng, 0.5)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let mut rng = SeedStream::new(3).stream("poisson");
-        let n = 10_000;
-        let small = (0..n).map(|_| poisson(&mut rng, 3.0)).sum::<u64>() as f64 / n as f64;
-        assert!((small - 3.0).abs() < 0.15, "small {small}");
-        let large = (0..n).map(|_| poisson(&mut rng, 100.0)).sum::<u64>() as f64 / n as f64;
-        assert!((large - 100.0).abs() < 1.0, "large {large}");
-        assert_eq!(poisson(&mut rng, 0.0), 0);
     }
 }

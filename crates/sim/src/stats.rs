@@ -4,8 +4,6 @@
 //! for mean/variance), so simulators can stream millions of observations
 //! without retaining them.
 
-use crate::time::SimTime;
-
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
 ///
 /// ```
@@ -68,11 +66,6 @@ impl Summary {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation; `None` when empty.
@@ -208,68 +201,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length
-/// or battery level over virtual time).
-///
-/// ```
-/// use mns_sim::stats::TimeWeighted;
-/// use mns_sim::SimTime;
-/// let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// tw.set(SimTime::from_ticks(10), 4.0); // value 0 for 10 ticks
-/// tw.set(SimTime::from_ticks(20), 0.0); // value 4 for 10 ticks
-/// assert!((tw.average(SimTime::from_ticks(20)) - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: value,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the signal to `value` at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the previous update.
-    pub fn set(&mut self, at: SimTime, value: f64) {
-        let dt = at.since(self.last_time).ticks() as f64;
-        self.weighted_sum += self.last_value * dt;
-        self.last_time = at;
-        self.last_value = value;
-    }
-
-    /// Current value of the signal.
-    pub fn value(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Time-weighted average over `[start, until]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until` precedes the last update.
-    pub fn average(&self, until: SimTime) -> f64 {
-        let tail = until.since(self.last_time).ticks() as f64;
-        let span = until.since(self.start).ticks() as f64;
-        if span == 0.0 {
-            return self.last_value;
-        }
-        (self.weighted_sum + self.last_value * tail) / span
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,20 +289,5 @@ mod tests {
     #[should_panic(expected = "range")]
     fn histogram_rejects_empty_range() {
         let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
-    fn time_weighted_average_piecewise() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 2.0);
-        tw.set(SimTime::from_ticks(4), 6.0);
-        // 2.0 for 4 ticks then 6.0 for 4 ticks → average 4.0 at t=8.
-        assert!((tw.average(SimTime::from_ticks(8)) - 4.0).abs() < 1e-12);
-        assert_eq!(tw.value(), 6.0);
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let tw = TimeWeighted::new(SimTime::from_ticks(5), 3.0);
-        assert_eq!(tw.average(SimTime::from_ticks(5)), 3.0);
     }
 }

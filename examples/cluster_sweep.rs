@@ -1,15 +1,15 @@
 //! Cluster sweep: one mixed-assay batch scheduled over real worker
-//! processes, twice — framed loopback TCP and a spool directory — with
-//! a crash injected to show the scheduler requeueing onto survivors.
+//! processes on framed loopback TCP, with a crash injected to show the
+//! scheduler requeueing onto survivors.
 //!
-//! Runs `conformance_corpus(42)` four ways — serial, in-process
-//! loopback cluster, TCP cluster, spool cluster — and proves the
-//! per-scenario digests identical across all four. Prints per-worker
-//! shard placement and requeue counts for each transport, then runs the
-//! corpus again through the same TCP cluster, which serves every outcome
-//! from its cache and assigns nothing, and finally kills a TCP worker
-//! mid-shard and shows the survivors absorbing its work without a single
-//! digest moving.
+//! Runs `conformance_corpus(42)` three ways — serial, in-process
+//! loopback cluster, TCP cluster — and proves the per-scenario digests
+//! identical across all three. Prints per-worker shard placement and
+//! requeue counts for the TCP cluster, then runs the corpus again
+//! through the same TCP cluster, which serves every outcome from its
+//! cache and assigns nothing, and finally kills a TCP worker mid-shard
+//! and shows the survivors absorbing its work without a single digest
+//! moving.
 //!
 //! The worker binary ships with the package; build it first:
 //!
@@ -23,9 +23,7 @@
 
 use micronano::core::report::Table;
 use micronano::core::runner::{conformance_corpus, ClusterConfig, Runner};
-use micronano::dist::{
-    Cluster, ClusterReport, DistFault, FaultMode, InProcess, SpoolTransport, TcpTransport,
-};
+use micronano::dist::{Cluster, ClusterReport, DistFault, FaultMode, InProcess, TcpTransport};
 
 fn placements(report: &ClusterReport) -> String {
     report
@@ -49,11 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let in_process = Cluster::new(InProcess::new(), config).run(&corpus);
     let mut tcp_cluster = Cluster::new(TcpTransport::bind()?, config);
     let tcp = tcp_cluster.run(&corpus);
-    let spool = Cluster::new(SpoolTransport::ephemeral()?, config).run(&corpus);
 
     let mut t = Table::new(
         "transports",
-        "one corpus, four execution modes",
+        "one corpus, three execution modes",
         &[
             "mode",
             "scenarios",
@@ -71,11 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "-".to_owned(),
         "yes".to_owned(),
     ]);
-    for (mode, report) in [
-        ("cluster: in-process", &in_process),
-        ("cluster: tcp", &tcp),
-        ("cluster: spool", &spool),
-    ] {
+    for (mode, report) in [("cluster: in-process", &in_process), ("cluster: tcp", &tcp)] {
         let mut workers: Vec<&str> = report
             .placements
             .iter()
@@ -100,9 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(same, "{mode} must not move a digest");
     }
     println!("{t}");
-    for (mode, report) in [("tcp", &tcp), ("spool", &spool)] {
-        println!("{mode} placement: {}", placements(report));
-    }
+    println!("tcp placement: {}", placements(&tcp));
 
     // The same TCP cluster again: every outcome is cached, so nothing
     // ships and no worker is launched.

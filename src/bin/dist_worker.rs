@@ -6,15 +6,15 @@
 //! transport, not by hand):
 //!
 //! ```sh
-//! dist_worker --transport tcp   --connect 127.0.0.1:PORT \
-//!             --name w0 [--threads 1] [--heartbeat-ms 50] [--metrics]
-//! dist_worker --transport spool --dir /shared/spool \
-//!             --name w0 [--threads 1] [--heartbeat-ms 50] [--metrics]
+//! dist_worker --connect 127.0.0.1:PORT --name w0 \
+//!             [--threads 1] [--heartbeat-ms 50] [--metrics]
 //! ```
 //!
+//! `--connect` is the address of a
+//! [`TcpTransport`](micronano::dist::TcpTransport) listener.
 //! `--threads 0` runs one engine thread per hardware thread, and
 //! `--heartbeat-ms 0` heartbeats every millisecond, exactly as an
-//! in-process worker does: every transport runs the one worker loop of
+//! in-process worker does: both transports run the one worker loop of
 //! [`micronano::dist::worker`].
 //!
 //! Exit codes: 0 clean shutdown (or the scheduler hung up), 1
@@ -28,13 +28,12 @@
 //! worker down or hangs up, `corrupt` delivers an unparseable outcome
 //! payload.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use micronano::dist::worker::{run_process, Endpoint};
+use micronano::dist::worker::run_process;
 
 struct Args {
-    endpoint: Endpoint,
+    connect: String,
     name: String,
     threads: usize,
     heartbeat: Duration,
@@ -42,9 +41,7 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut transport = None;
     let mut connect = None;
-    let mut dir = None;
     let mut name = None;
     let mut threads = 1usize;
     let mut heartbeat = Duration::from_millis(50);
@@ -56,9 +53,7 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("missing value for {flag}"))
         };
         match flag.as_str() {
-            "--transport" => transport = Some(value("--transport")?),
             "--connect" => connect = Some(value("--connect")?),
-            "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
             "--name" => name = Some(value("--name")?),
             "--threads" => {
                 let v = value("--threads")?;
@@ -73,14 +68,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let endpoint = match transport.as_deref() {
-        Some("tcp") => Endpoint::Tcp(connect.ok_or("--connect is required for tcp")?),
-        Some("spool") => Endpoint::Spool(dir.ok_or("--dir is required for spool")?),
-        Some(other) => return Err(format!("unknown transport `{other}`")),
-        None => return Err("--transport is required".to_owned()),
-    };
     Ok(Args {
-        endpoint,
+        connect: connect.ok_or("--connect is required")?,
         name: name.ok_or("--name is required")?,
         threads,
         heartbeat,
@@ -91,7 +80,7 @@ fn parse_args() -> Result<Args, String> {
 fn main() {
     let code = match parse_args() {
         Ok(args) => run_process(
-            &args.endpoint,
+            &args.connect,
             &args.name,
             args.threads,
             args.heartbeat,

@@ -21,7 +21,7 @@
 //!   and run-time management policies,
 //! * [`dd`] — the shared BDD/ZDD decision-diagram package,
 //! * [`dist`] — the transport-agnostic cluster scheduler for
-//!   multi-machine sharded sweeps (in-process, TCP and spool-directory
+//!   multi-process sharded sweeps (in-process and loopback-TCP
 //!   transports with deterministic failure recovery),
 //! * [`sim`] — the deterministic discrete-event kernel,
 //! * [`telemetry`] — deterministic tracing/metrics with Chrome-trace,

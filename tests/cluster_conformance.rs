@@ -1,12 +1,12 @@
-//! Cluster conformance: distribution across machines must never move a
+//! Cluster conformance: distribution across processes must never move a
 //! bit.
 //!
 //! Contracts, all against the golden corpus of `tests/golden/corpus.txt`
 //! (seed 42):
 //!
-//! 1. **Transport matrix**: serial == in-process cluster == TCP cluster
-//!    == spool cluster, for N ∈ {1, 2, 4} workers, and over the full
-//!    corpus at one TCP worker process per shard for 1, 2 and 4 shards.
+//! 1. **Transport matrix**: serial == in-process cluster == TCP cluster,
+//!    for N ∈ {1, 2, 4} workers, and over the full corpus at one TCP
+//!    worker process per shard for 1, 2 and 4 shards.
 //!    Beyond the totals, every cluster report carries the exact stats
 //!    of an independent per-shard reference: a fresh serial `Runner`
 //!    over each planned shard's scenarios, tagged with the shard id.
@@ -18,9 +18,10 @@
 //!    A stall that a lenient liveness window misses trips the shard
 //!    deadline. Every count is read from the `ClusterReport`; the suite
 //!    never touches the process-global telemetry registry.
-//! 3. **Telemetry**: merged worker metric *counters* are identical
-//!    across the process-backed transports and agree with the outcomes
-//!    (histograms carry wall-clock timings and are excluded by design).
+//! 3. **Telemetry**: merged worker metric *counters* are identical for
+//!    one and two worker processes over the same shard plan and agree
+//!    with the outcomes (histograms carry wall-clock timings and are
+//!    excluded by design).
 //! 4. **Degradation**: a cluster whose fleet cannot launch, a shard
 //!    whose every attempt comes back garbled, and a fleet whose only
 //!    worker crashes each still complete in-process with golden digests;
@@ -32,18 +33,21 @@
 //!    relaunches a healthy fleet on every transport; a batch that ships
 //!    nothing launches no fleet.
 //! 6. **Settings mean what their docs say**: `threads_per_worker(0)`
-//!    is the hardware default inside every worker on every transport,
+//!    is the hardware default inside every worker on both transports,
 //!    with the serial run's totals, and a zero heartbeat interval is
-//!    raised to the workers' 1 ms floor.
+//!    raised to the workers' 1 ms floor. `dist_worker` exits with code 2
+//!    on a usage or connect error.
 //!
-//! The full corpus runs once per process transport; the wider matrix
+//! The full corpus runs once per transport; the wider matrix
 //! uses a cheap-family subset (dilution-ladder scenarios dominate debug
 //! wall time) that is still asserted digest-by-digest against the
 //! golden file.
 
 use std::collections::BTreeMap;
 use std::io;
+use std::net::TcpListener;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -54,8 +58,8 @@ use micronano::core::runner::{
     ShardPlan,
 };
 use micronano::dist::{
-    Cluster, ClusterReport, DistFault, FaultMode, InProcess, LaunchOpts, SpoolTransport,
-    TcpTransport, Transport, TransportEvent,
+    Cluster, ClusterReport, DistFault, FaultMode, InProcess, LaunchOpts, TcpTransport, Transport,
+    TransportEvent,
 };
 
 /// Seed of the committed corpus (must match `examples/regen_golden.rs`).
@@ -238,17 +242,6 @@ fn tcp_cluster_matches_serial_on_full_corpus() {
 }
 
 #[test]
-fn spool_cluster_matches_serial_on_full_corpus() {
-    let corpus = conformance_corpus(CORPUS_SEED);
-    let config = ClusterConfig::new().workers(2).shards(4);
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    let report = run_cluster(transport, config, &corpus, None);
-    assert_matches_serial(&corpus, &report, "spool cluster, full corpus");
-    assert_eq!(report.requeues, 0);
-    assert!(report.recovered.is_empty());
-}
-
-#[test]
 fn in_process_matrix_matches_serial() {
     assert_matrix_matches_serial("in-process", InProcess::new);
 }
@@ -256,11 +249,6 @@ fn in_process_matrix_matches_serial() {
 #[test]
 fn tcp_matrix_matches_serial() {
     assert_matrix_matches_serial("tcp", || TcpTransport::bind().expect("loopback listener"));
-}
-
-#[test]
-fn spool_matrix_matches_serial() {
-    assert_matrix_matches_serial("spool", || SpoolTransport::ephemeral().expect("spool dir"));
 }
 
 #[test]
@@ -319,12 +307,6 @@ fn a_reused_in_process_cluster_matches_a_reused_runner() {
 fn a_reused_tcp_cluster_matches_a_reused_runner() {
     let transport = TcpTransport::bind().expect("loopback listener");
     assert_reuse_matches_a_reused_runner("tcp", transport);
-}
-
-#[test]
-fn a_reused_spool_cluster_matches_a_reused_runner() {
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    assert_reuse_matches_a_reused_runner("spool", transport);
 }
 
 /// An `InProcess` fleet with two test hooks: `on_launch` runs before
@@ -418,46 +400,34 @@ fn empty_shards_resolve_without_workers() {
 }
 
 #[test]
-fn metrics_counters_identical_across_process_transports() {
+fn metrics_counters_identical_across_fleet_sizes() {
+    // One worker process runs all four shards, two split them: the
+    // merged counters depend on the shard plan, not on the fleet.
     let corpus = cheap_corpus();
-    let config = ClusterConfig::new()
-        .workers(2)
-        .shards(4)
-        .collect_metrics(true);
-
-    let tcp = run_cluster(
-        TcpTransport::bind().expect("loopback listener"),
-        config,
-        &corpus,
-        None,
-    );
-    let spool = run_cluster(
-        SpoolTransport::ephemeral().expect("spool dir"),
-        config,
-        &corpus,
-        None,
-    );
-    assert_matches_serial(&corpus, &tcp, "tcp with metrics");
-    assert_matches_serial(&corpus, &spool, "spool with metrics");
-
-    let tcp_metrics = tcp.metrics.as_ref().expect("tcp metrics collected");
-    let spool_metrics = spool.metrics.as_ref().expect("spool metrics collected");
-    for (metrics, report) in [(tcp_metrics, &tcp), (spool_metrics, &spool)] {
+    let counters = |workers: usize| {
+        let config = ClusterConfig::new()
+            .workers(workers)
+            .shards(4)
+            .collect_metrics(true);
+        let transport = TcpTransport::bind().expect("loopback listener");
+        let report = run_cluster(transport, config, &corpus, None);
+        let context = format!("{workers} worker(s) with metrics");
+        assert_matches_serial(&corpus, &report, &context);
+        assert!(report.recovered.is_empty(), "{context}");
+        let metrics = report.metrics.as_ref().expect("metrics collected");
         assert_eq!(
             metrics.counter("wsn.harvest_slots"),
-            harvest_slots(report),
-            "merged worker telemetry must agree with the outcomes"
+            harvest_slots(&report),
+            "{context}: merged worker telemetry must agree with the outcomes"
         );
-    }
-    let tcp_counters = &tcp_metrics.counters;
-    let spool_counters = &spool_metrics.counters;
-    assert!(
-        !tcp_counters.is_empty(),
-        "worker runners emit at least one counter"
-    );
+        metrics.counters.clone()
+    };
+    let one = counters(1);
+    assert!(!one.is_empty(), "worker runners emit at least one counter");
     assert_eq!(
-        tcp_counters, spool_counters,
-        "merged worker counters must not depend on the transport"
+        one,
+        counters(2),
+        "merged worker counters must not depend on the fleet size"
     );
 }
 
@@ -554,12 +524,6 @@ fn tcp_worker_killed_mid_shard_recovers_on_survivor() {
 }
 
 #[test]
-fn spool_worker_killed_mid_shard_recovers_on_survivor() {
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    assert_fault_recovers("spool", transport, FaultMode::Crash);
-}
-
-#[test]
 fn in_process_heartbeat_stall_trips_the_liveness_window() {
     assert_fault_recovers("in-process", InProcess::new(), FaultMode::StallHeartbeat);
 }
@@ -571,12 +535,6 @@ fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
 }
 
 #[test]
-fn spool_worker_heartbeat_stall_trips_the_liveness_window() {
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    assert_fault_recovers("spool", transport, FaultMode::StallHeartbeat);
-}
-
-#[test]
 fn in_process_corrupt_result_is_requeued() {
     assert_fault_recovers("in-process", InProcess::new(), FaultMode::CorruptResult);
 }
@@ -585,12 +543,6 @@ fn in_process_corrupt_result_is_requeued() {
 fn tcp_corrupt_result_is_requeued() {
     let transport = TcpTransport::bind().expect("loopback listener");
     assert_fault_recovers("tcp", transport, FaultMode::CorruptResult);
-}
-
-#[test]
-fn spool_corrupt_result_is_requeued() {
-    let transport = SpoolTransport::ephemeral().expect("spool dir");
-    assert_fault_recovers("spool", transport, FaultMode::CorruptResult);
 }
 
 #[test]
@@ -724,10 +676,34 @@ fn hardware_default_threads_give_the_same_worker_rows_on_every_transport() {
     );
     let tcp = TcpTransport::bind().expect("loopback listener");
     let tcp = rows("tcp", run_cluster(tcp, config, &corpus, None));
-    let spool = SpoolTransport::ephemeral().expect("spool dir");
-    let spool = rows("spool", run_cluster(spool, config, &corpus, None));
     assert_eq!(in_process, tcp, "tcp worker rows");
-    assert_eq!(in_process, spool, "spool worker rows");
+}
+
+#[test]
+fn dist_worker_exits_with_code_2_on_usage_and_connect_errors() {
+    // A listener bound and dropped leaves a loopback port that nothing
+    // listens on.
+    let closed = TcpListener::bind(("127.0.0.1", 0))
+        .and_then(|listener| listener.local_addr())
+        .expect("loopback port")
+        .to_string();
+    for (args, reason) in [
+        (&["--name", "w0"][..], "--connect is required"),
+        (
+            &["--transport", "tcp", "--connect", &closed, "--name", "w0"],
+            "unknown flag `--transport`",
+        ),
+        (&["--connect", &closed, "--name", "w0"], "cannot connect"),
+    ] {
+        let run = Command::new(worker_path())
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("dist_worker runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

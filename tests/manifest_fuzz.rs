@@ -1,9 +1,9 @@
 //! Fuzz-style hardening of the manifest wire format.
 //!
 //! The cluster scheduler feeds worker-supplied bytes straight into
-//! `parse_manifest` / `parse_outcomes`, so a corrupt spool file or a
-//! torn TCP frame must never be able to panic the process — parsing is
-//! **total**: every input either decodes or returns an error.
+//! `parse_manifest` / `parse_outcomes`, so a corrupt or torn TCP frame
+//! must never be able to panic the process — parsing is **total**: every
+//! input either decodes or returns an error.
 //!
 //! Strategy (vendored proptest has no tuple strategies, so each case
 //! draws one `u64` seed and expands it with ChaCha8): take a valid
