@@ -32,8 +32,9 @@ use mns_noc::routing::compute_routes;
 use mns_noc::sim::{simulate, SimConfig};
 use mns_noc::synthesis::{synthesize, Strategy, SynthesisConfig};
 use mns_noc::topology::Topology;
+use mns_policy::PolicyExpr;
 use mns_wsn::field::Field;
-use mns_wsn::harvest::{simulate_harvesting, DutyPolicy, HarvestConfig, SolarModel};
+use mns_wsn::harvest::{simulate_policy, HarvestConfig, SolarModel};
 use mns_wsn::protocol::Protocol;
 use mns_wsn::sim::{simulate_lifetime, LifetimeConfig};
 use rand::SeedableRng;
@@ -703,20 +704,20 @@ pub fn e10_harvesting(seed: u64) -> Vec<Table> {
         &["policy", "uptime %", "work (h)", "dead slots", "wasted (J)"],
     );
     for p in [
-        DutyPolicy::Fixed(0.9),
-        DutyPolicy::Fixed(0.3),
-        DutyPolicy::Fixed(0.05),
-        DutyPolicy::Greedy {
+        PolicyExpr::Fixed(0.9),
+        PolicyExpr::Fixed(0.3),
+        PolicyExpr::Fixed(0.05),
+        PolicyExpr::Greedy {
             threshold: 0.3,
             duty_high: 0.9,
             duty_low: 0.05,
         },
-        DutyPolicy::EnergyNeutral { alpha: 0.01 },
+        PolicyExpr::EnergyNeutral { alpha: 0.01 },
     ] {
-        let s = simulate_harvesting(p, &cfg);
+        let s = simulate_policy(&p, &cfg);
         let label = match p {
-            DutyPolicy::Fixed(d) => format!("fixed({d})"),
-            _ => p.label().to_owned(),
+            PolicyExpr::Fixed(d) => format!("fixed({d})"),
+            _ => p.label(),
         };
         t.row_owned(vec![
             label,

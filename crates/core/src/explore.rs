@@ -4,7 +4,7 @@
 //! concrete form: enumerate candidate configurations, evaluate each on
 //! several objectives, and keep the non-dominated set. The NoC topology
 //! explorer below drives `mns-noc` through cluster-size × shortcut-count
-//! space; the Pareto filter itself is generic and reused by benches.
+//! space; the Pareto filter itself is generic over objective vectors.
 
 use mns_noc::graph::CommGraph;
 

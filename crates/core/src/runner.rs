@@ -398,20 +398,68 @@ impl Scenario {
         }
     }
 
+    /// Checks that the scenario is one [`Scenario::run`] can take. This
+    /// is the one list of what a runnable scenario is, and
+    /// [`manifest::decode_scenario`] rejects every record whose scenario
+    /// it rejects. Each rule that a domain type owns is asked of that
+    /// type, such as [`Grid::new`] or [`PolicyExpr::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message that names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Scenario::FluidicsCompile(s) => Grid::new(s.grid_side, s.grid_side)
+                .map(drop)
+                .map_err(|e| format!("fluidics grid_side {}: {e}", s.grid_side)),
+            Scenario::NocPoint(s) if s.max_cluster == 0 => Err("noc max_cluster is 0".to_owned()),
+            Scenario::LabChip(_) | Scenario::NocPoint(_) => Ok(()),
+            Scenario::WsnLifetime(s) => {
+                Field::validate_random(s.nodes, s.side).map_err(|e| format!("wsn {e}"))?;
+                s.protocol.validate().map_err(|e| format!("wsn {e}"))?;
+                if !(0.0..=1.0).contains(&s.failure_rate) {
+                    return Err(format!(
+                        "wsn failure_rate {} is not in [0, 1]",
+                        s.failure_rate
+                    ));
+                }
+                match &s.policies {
+                    Some(a) => a
+                        .validate()
+                        .map_err(|e| format!("invalid policy assignment: {e}")),
+                    None => Ok(()),
+                }
+            }
+            Scenario::Harvest(s) => {
+                s.policy
+                    .validate()
+                    .map_err(|e| format!("invalid harvest policy: {e}"))?;
+                if s.days == 0 {
+                    return Err("harvest days is 0".to_owned());
+                }
+                Ok(())
+            }
+            Scenario::Knockout(s) => {
+                let whorls = FloralInputs::whorls().len();
+                match (s.model, &s.knockout) {
+                    (GrnModel::Arabidopsis { whorl }, _) if whorl >= whorls => {
+                        Err(format!("grn whorl {whorl} is not below {whorls}"))
+                    }
+                    (model, Some(gene)) if model.network().gene_index(gene).is_none() => {
+                        Err(format!("grn knockout gene `{gene}` is not in the model"))
+                    }
+                    _ => Ok(()),
+                }
+            }
+        }
+    }
+
     /// Evaluates the scenario. Pure: the result depends only on the
     /// scenario fields, never on execution order or thread.
     ///
     /// # Panics
     ///
-    /// Panics on a scenario that [`manifest::decode_scenario`] rejects:
-    ///
-    /// * a [`FluidicsScenario`] with a non-positive `grid_side`;
-    /// * a [`NocScenario`] with a `max_cluster` of 0;
-    /// * a [`WsnScenario`] with 0 `nodes`, a `side` that is NaN or not
-    ///   positive, or a `failure_rate` above 1;
-    /// * a [`HarvestScenario`] with 0 `days`;
-    /// * a [`KnockoutScenario`] on an Arabidopsis whorl of 4 or more, or
-    ///   naming a gene absent from its model.
+    /// May panic on a scenario that [`Scenario::validate`] rejects.
     pub fn run(&self) -> ScenarioOutcome {
         match self {
             Scenario::FluidicsCompile(s) => {
@@ -420,7 +468,7 @@ impl Scenario {
                     grid_height: s.grid_side,
                     ..CompilerConfig::default()
                 };
-                let grid = Grid::new(s.grid_side, s.grid_side).expect("positive grid");
+                let grid = Grid::new(s.grid_side, s.grid_side).expect("a grid_side of 3 or more");
                 let model = if s.dead_fraction > 0.0 {
                     FaultModel::generate(&FaultConfig::dead(s.fault_seed, s.dead_fraction), &grid)
                 } else {
@@ -1381,8 +1429,8 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics on a batch holding a scenario that [`Scenario::run`] panics
-    /// on (its `# Panics` section lists them).
+    /// May panic on a batch holding a scenario that [`Scenario::validate`]
+    /// rejects.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         let lookup = self.cache.lookup(scenarios);

@@ -31,7 +31,6 @@
 use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
-use mns_grn::models::FloralInputs;
 use mns_noc::graph::{CommGraph, Flow};
 use mns_policy::{PolicyAssignment, PolicyExpr, MAX_POLICY_DEPTH};
 use mns_wsn::protocol::Protocol;
@@ -282,8 +281,8 @@ fn encode_policy(p: &PolicyExpr, out: &mut String) -> fmt::Result {
 
 /// Decodes the policy tokens written by [`encode_policy`]. Recursion
 /// depth is bounded *during* parsing — before any validation pass —
-/// so an adversarial record cannot overflow the stack, and the decoded
-/// expression is re-validated by the caller at the record boundary.
+/// so an adversarial record cannot overflow the stack; the decoded
+/// expression is validated with its record by [`Scenario::validate`].
 fn decode_policy(t: &mut Tokens, depth: usize) -> Result<PolicyExpr, String> {
     if depth >= MAX_POLICY_DEPTH {
         return Err(format!("policy nests deeper than {MAX_POLICY_DEPTH}"));
@@ -356,22 +355,18 @@ fn encode_assignment(a: &PolicyAssignment, out: &mut String) -> fmt::Result {
 
 /// Decodes the assignment tokens written by [`encode_assignment`].
 fn decode_assignment(t: &mut Tokens) -> Result<PolicyAssignment, String> {
-    let assignment = match t.next()? {
-        "uniform" => PolicyAssignment::Uniform(decode_policy(t, 0)?),
+    match t.next()? {
+        "uniform" => Ok(PolicyAssignment::Uniform(decode_policy(t, 0)?)),
         "mix" => {
             let n = t.usize()?;
             let mut ps = Vec::with_capacity(n.min(DECODE_CAPACITY_CAP));
             for _ in 0..n {
                 ps.push(decode_policy(t, 0)?);
             }
-            PolicyAssignment::RoundRobin(ps)
+            Ok(PolicyAssignment::RoundRobin(ps))
         }
-        a => return Err(format!("unknown policy assignment `{a}`")),
-    };
-    assignment
-        .validate()
-        .map_err(|e| format!("invalid policy assignment: {e}"))?;
-    Ok(assignment)
+        a => Err(format!("unknown policy assignment `{a}`")),
+    }
 }
 
 /// Encodes one scenario as a single self-describing record (no newline).
@@ -470,28 +465,19 @@ fn write_scenario(scenario: &Scenario, out: &mut String) -> fmt::Result {
 
 /// Decodes one scenario record produced by [`encode_scenario`].
 ///
-/// A record whose fields would make [`Scenario::run`] panic (see its
-/// `# Panics` list), or whose WSN failure rate is not a probability, is
-/// rejected here, with an error that names the field.
+/// The decoder rejects what [`Scenario::validate`] rejects, with an error
+/// that names the field: it tokenizes the record, builds a NoC graph with
+/// [`CommGraph::try_new`], and then calls the validator once.
 pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
     let mut t = Tokens::new(record);
     let scenario = match t.next()? {
-        "fluidics" => {
-            let s = FluidicsScenario {
-                assay: decode_assay_kind(&mut t)?,
-                plex: t.usize()?,
-                grid_side: t.i32()?,
-                dead_fraction: t.f64()?,
-                fault_seed: t.u64()?,
-            };
-            if s.grid_side <= 0 {
-                return Err(format!(
-                    "fluidics grid_side {} is not positive",
-                    s.grid_side
-                ));
-            }
-            Scenario::FluidicsCompile(s)
-        }
+        "fluidics" => Scenario::FluidicsCompile(FluidicsScenario {
+            assay: decode_assay_kind(&mut t)?,
+            plex: t.usize()?,
+            grid_side: t.i32()?,
+            dead_fraction: t.f64()?,
+            fault_seed: t.u64()?,
+        }),
         "labchip" => Scenario::LabChip(LabChipScenario {
             assay: decode_assay_kind(&mut t)?,
             seed: t.u64()?,
@@ -501,46 +487,27 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
         }),
         "noc" => {
             let max_cluster = t.usize()?;
-            if max_cluster == 0 {
-                return Err("noc max_cluster is 0".to_owned());
-            }
             let shortcuts = t.usize()?;
             let cores = t.usize()?;
             let nflows = t.usize()?;
             let mut flows = Vec::with_capacity(nflows.min(DECODE_CAPACITY_CAP));
             for _ in 0..nflows {
-                let (src, dst, rate) = (t.usize()?, t.usize()?, t.f64()?);
-                // `CommGraph::new` asserts these invariants; a corrupted
-                // record must come back as an error, not a panic.
-                if src >= cores || dst >= cores {
-                    return Err(format!(
-                        "flow endpoint {src}->{dst} out of range for {cores} cores"
-                    ));
-                }
-                if src == dst {
-                    return Err(format!("self-loop flow at core {src}"));
-                }
-                if rate.is_nan() || rate <= 0.0 {
-                    return Err(format!("non-positive flow rate `{}`", Bits(rate)));
-                }
-                flows.push(Flow { src, dst, rate });
+                flows.push(Flow {
+                    src: t.usize()?,
+                    dst: t.usize()?,
+                    rate: t.f64()?,
+                });
             }
             Scenario::NocPoint(NocScenario {
-                app: CommGraph::new(cores, flows),
+                app: CommGraph::try_new(cores, flows).map_err(|e| format!("noc {e}"))?,
                 max_cluster,
                 shortcuts,
             })
         }
-        "wsn" => {
-            let nodes = t.usize()?;
-            if nodes == 0 {
-                return Err("wsn nodes is 0".to_owned());
-            }
-            let side = t.f64()?;
-            if side.is_nan() || side <= 0.0 {
-                return Err(format!("wsn side {side} is not positive"));
-            }
-            let protocol = match t.next()? {
+        "wsn" => Scenario::WsnLifetime(WsnScenario {
+            nodes: t.usize()?,
+            side: t.f64()?,
+            protocol: match t.next()? {
                 "direct" => Protocol::Direct,
                 "tree" => Protocol::Tree {
                     radio_range: t.f64()?,
@@ -551,73 +518,38 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                     aggregate: t.bool()?,
                 },
                 p => return Err(format!("unknown wsn protocol `{p}`")),
-            };
-            let failure_rate = t.f64()?;
-            if !(0.0..=1.0).contains(&failure_rate) {
-                return Err(format!("wsn failure_rate {failure_rate} is not in [0, 1]"));
-            }
-            let max_rounds = t.u64()?;
-            let seed = t.u64()?;
-            let policies = match t.opt_next() {
+            },
+            failure_rate: t.f64()?,
+            max_rounds: t.u64()?,
+            seed: t.u64()?,
+            policies: match t.opt_next() {
                 None => None,
                 Some("policies") => Some(decode_assignment(&mut t)?),
                 Some(tok) => return Err(format!("trailing token `{tok}`")),
-            };
-            Scenario::WsnLifetime(WsnScenario {
-                nodes,
-                side,
-                protocol,
-                failure_rate,
-                max_rounds,
-                seed,
-                policies,
-            })
-        }
-        "harvest" => {
-            let policy = decode_policy(&mut t, 0)?;
-            policy
-                .validate()
-                .map_err(|e| format!("invalid harvest policy: {e}"))?;
-            let days = t.u32()?;
-            if days == 0 {
-                return Err("harvest days is 0".to_owned());
-            }
-            Scenario::Harvest(HarvestScenario {
-                policy,
-                days,
-                cloudiness: t.f64()?,
-                seed: t.u64()?,
-            })
-        }
-        "grn" => {
-            let model = match t.next()? {
+            },
+        }),
+        "harvest" => Scenario::Harvest(HarvestScenario {
+            policy: decode_policy(&mut t, 0)?,
+            days: t.u32()?,
+            cloudiness: t.f64()?,
+            seed: t.u64()?,
+        }),
+        "grn" => Scenario::Knockout(KnockoutScenario {
+            model: match t.next()? {
                 "thelper" => GrnModel::THelper,
-                "arabidopsis" => {
-                    let whorl = t.usize()?;
-                    let whorls = FloralInputs::whorls().len();
-                    if whorl >= whorls {
-                        return Err(format!("grn whorl {whorl} is not below {whorls}"));
-                    }
-                    GrnModel::Arabidopsis { whorl }
-                }
+                "arabidopsis" => GrnModel::Arabidopsis { whorl: t.usize()? },
                 m => return Err(format!("unknown grn model `{m}`")),
-            };
-            let knockout = match t.next()? {
+            },
+            knockout: match t.next()? {
                 "wild" => None,
-                "ko" => {
-                    let gene = t.string()?;
-                    if model.network().gene_index(&gene).is_none() {
-                        return Err(format!("grn knockout gene `{gene}` is not in the model"));
-                    }
-                    Some(gene)
-                }
+                "ko" => Some(t.string()?),
                 k => return Err(format!("unknown knockout tag `{k}`")),
-            };
-            Scenario::Knockout(KnockoutScenario { model, knockout })
-        }
+            },
+        }),
         tag => return Err(format!("unknown scenario tag `{tag}`")),
     };
     t.done()?;
+    scenario.validate()?;
     Ok(scenario)
 }
 
@@ -1172,7 +1104,9 @@ mod tests {
         // Records that parse token by token but carry a value
         // `Scenario::run` cannot take; each error names the field. All
         // of them panicked there except the NaN and negative failure
-        // rates, which ran as rate 0.
+        // rates, which ran as rate 0, the head probability of 0, which
+        // ran with no heads, and the infinite side, on which
+        // `Field::random` never returned.
         let knockout = |model, gene: Option<&str>| {
             Scenario::Knockout(KnockoutScenario {
                 model,
@@ -1199,6 +1133,17 @@ mod tests {
                 policies: None,
             })
         };
+        let cluster = |p| {
+            Scenario::WsnLifetime(WsnScenario {
+                nodes: 20,
+                side: 90.0,
+                protocol: Protocol::Cluster { p, aggregate: true },
+                failure_rate: 0.0,
+                max_rounds: 20,
+                seed: 1,
+                policies: None,
+            })
+        };
         let invalid = [
             (knockout(GrnModel::Arabidopsis { whorl: 4 }, None), "whorl"),
             (knockout(GrnModel::THelper, Some("NOPE")), "gene"),
@@ -1208,6 +1153,8 @@ mod tests {
             ),
             (fluidics(0), "grid_side"),
             (fluidics(-3), "grid_side"),
+            (fluidics(1), "grid_side"),
+            (fluidics(2), "grid_side"),
             (
                 Scenario::NocPoint(NocScenario {
                     app: CommGraph::hotspot(9, 1.0),
@@ -1220,6 +1167,11 @@ mod tests {
             (wsn(20, f64::NAN, 0.0), "side"),
             (wsn(20, 0.0, 0.0), "side"),
             (wsn(20, -5.0, 0.0), "side"),
+            (wsn(20, f64::INFINITY, 0.0), "side"),
+            (cluster(f64::NAN), "head probability"),
+            (cluster(0.0), "head probability"),
+            (cluster(-0.1), "head probability"),
+            (cluster(2.0), "head probability"),
             (wsn(20, 90.0, f64::NAN), "failure_rate"),
             (wsn(20, 90.0, -0.1), "failure_rate"),
             (wsn(20, 90.0, 2.0), "failure_rate"),

@@ -111,16 +111,6 @@ impl ZddManager {
         Ref::ONE
     }
 
-    /// The family {{v}}.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vars`.
-    pub fn singleton(&mut self, v: Var) -> Ref {
-        assert!(v < self.num_vars, "element {v} out of range");
-        self.make(v, Ref::ZERO, Ref::ONE)
-    }
-
     fn make(&mut self, var: Var, lo: Ref, hi: Ref) -> Ref {
         if hi == Ref::ZERO {
             return lo; // zero-suppression rule

@@ -223,11 +223,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics on a batch holding a scenario that [`Scenario::run`] panics
-    /// on (its `# Panics` section lists them). Such a shard is shipped
-    /// first: every worker answers it with an empty result, so it spends
-    /// all four attempts and their backoff before its in-process recovery
-    /// panics on the caller's thread.
+    /// May panic on a batch holding a scenario that [`Scenario::validate`]
+    /// rejects. Such a shard is shipped first: every worker answers it
+    /// with an empty result, so it spends all four attempts and their
+    /// backoff before its in-process recovery runs it on the caller's
+    /// thread.
     ///
     /// [`Runner::run`]: mns_core::runner::Runner::run
     pub fn run(&mut self, scenarios: &[Scenario]) -> ClusterReport {

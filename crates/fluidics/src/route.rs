@@ -419,23 +419,7 @@ pub fn route_concurrent(
     requests: &[RoutingRequest],
     config: &RoutingConfig,
 ) -> Result<RoutingOutcome, RouteError> {
-    route_with_obstacles(grid, requests, &[], config)
-}
-
-/// Routes all requests concurrently while avoiding time-windowed
-/// [`Obstacle`] regions (used by the assay compiler, where active modules
-/// block the array).
-///
-/// # Errors
-///
-/// See [`RouteError`].
-pub fn route_with_obstacles(
-    grid: &Grid,
-    requests: &[RoutingRequest],
-    obstacles: &[Obstacle],
-    config: &RoutingConfig,
-) -> Result<RoutingOutcome, RouteError> {
-    route_with_environment(grid, requests, obstacles, &[], config)
+    route_with_environment(grid, requests, &[], &[], config)
 }
 
 /// Routes all requests concurrently in a *degraded environment*: besides
@@ -578,7 +562,7 @@ pub fn route_serial(
             depart,
             ..req.clone()
         };
-        let outcome = route_with_obstacles(grid, &[solo], &[], config)?;
+        let outcome = route_with_environment(grid, &[solo], &[], &[], config)?;
         let route = outcome
             .routes
             .into_iter()
@@ -1718,7 +1702,8 @@ mod tests {
         // Permanent wall across columns 2–4 except a gap at the top row.
         let wall = Obstacle::region(Cell::new(3, 0), Cell::new(3, 5), 0, u32::MAX, 0);
         let req = RoutingRequest::new(0, Cell::new(0, 0), Cell::new(7, 0));
-        let out = route_with_obstacles(&g, &[req], &[wall], &RoutingConfig::default()).unwrap();
+        let out =
+            route_with_environment(&g, &[req], &[wall], &[], &RoutingConfig::default()).unwrap();
         // Must detour through the y = 7 gap: longer than Manhattan.
         assert!(out.total_moves > 7, "moves = {}", out.total_moves);
         // Every visited cell avoids the expanded obstacle.
@@ -1785,10 +1770,11 @@ mod tests {
         let g = grid(5, 3);
         let req = RoutingRequest::new(0, Cell::new(0, 1), Cell::new(4, 1));
         let dead = Obstacle::cell(Cell::new(2, 1), 0, u32::MAX);
-        let out = route_with_obstacles(
+        let out = route_with_environment(
             &g,
             std::slice::from_ref(&req),
             &[dead],
+            &[],
             &RoutingConfig::default(),
         )
         .expect("passable next to a ring-less obstacle");
@@ -1797,7 +1783,9 @@ mod tests {
         // The same geometry with a module-style (ringed) obstacle walls
         // off the whole corridor.
         let walled = Obstacle::region(Cell::new(2, 1), Cell::new(2, 1), 0, u32::MAX, 0);
-        assert!(route_with_obstacles(&g, &[req], &[walled], &RoutingConfig::default()).is_err());
+        assert!(
+            route_with_environment(&g, &[req], &[walled], &[], &RoutingConfig::default()).is_err()
+        );
     }
 
     #[test]

@@ -270,22 +270,6 @@ impl BooleanNetwork {
         Ok(net)
     }
 
-    /// Returns a copy with several perturbations applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::UnknownGene`] for the first missing target.
-    pub fn with_perturbations(
-        &self,
-        perturbations: &[Perturbation],
-    ) -> Result<BooleanNetwork, NetworkError> {
-        let mut net = self.clone();
-        for p in perturbations {
-            net = net.with_perturbation(p)?;
-        }
-        Ok(net)
-    }
-
     /// Formats a state as the list of active gene names.
     pub fn describe_state(&self, s: State) -> String {
         let active: Vec<&str> = (0..self.len())

@@ -97,11 +97,6 @@ impl SymbolicDynamics {
         self.cur(i) + self.primed_offset()
     }
 
-    /// Number of genes.
-    pub fn num_genes(&self) -> usize {
-        self.net.len()
-    }
-
     /// Access to the underlying manager (e.g. for node-count metrics).
     pub fn manager(&self) -> &BddManager {
         &self.mgr

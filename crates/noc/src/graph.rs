@@ -35,15 +35,32 @@ impl CommGraph {
     ///
     /// # Panics
     ///
-    /// Panics if a flow references a core out of range, is a self-loop,
-    /// or has a non-positive rate.
+    /// Panics where [`CommGraph::try_new`] returns an error.
     pub fn new(cores: usize, flows: Vec<Flow>) -> Self {
-        for f in &flows {
-            assert!(f.src < cores && f.dst < cores, "flow endpoint out of range");
-            assert!(f.src != f.dst, "self-loop flow");
-            assert!(f.rate > 0.0, "flow rate must be positive");
+        CommGraph::try_new(cores, flows).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a graph from explicit flows, checking each one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first flow that references a core out
+    /// of range, is a self-loop, or has a rate that is NaN or not positive.
+    pub fn try_new(cores: usize, flows: Vec<Flow>) -> Result<Self, String> {
+        for &Flow { src, dst, rate } in &flows {
+            if src >= cores || dst >= cores {
+                return Err(format!(
+                    "flow endpoint {src}->{dst} out of range for {cores} cores"
+                ));
+            }
+            if src == dst {
+                return Err(format!("self-loop flow at core {src}"));
+            }
+            if rate.is_nan() || rate <= 0.0 {
+                return Err(format!("flow rate {rate} is not positive"));
+            }
         }
-        CommGraph { cores, flows }
+        Ok(CommGraph { cores, flows })
     }
 
     /// Number of cores.

@@ -229,8 +229,7 @@ fn check_alpha(v: f64) -> Result<(), PolicyError> {
 impl PolicyExpr {
     /// A validated constant-duty policy (`duty` in `[0, 1]`).
     pub fn fixed(duty: f64) -> Result<PolicyExpr, PolicyError> {
-        check_unit("fixed duty", duty)?;
-        Ok(PolicyExpr::Fixed(duty))
+        PolicyExpr::Fixed(duty).validated()
     }
 
     /// A validated greedy two-mode policy.
@@ -239,39 +238,32 @@ impl PolicyExpr {
         duty_high: f64,
         duty_low: f64,
     ) -> Result<PolicyExpr, PolicyError> {
-        check_unit("greedy threshold", threshold)?;
-        check_unit("greedy duty_high", duty_high)?;
-        check_unit("greedy duty_low", duty_low)?;
-        Ok(PolicyExpr::Greedy {
+        PolicyExpr::Greedy {
             threshold,
             duty_high,
             duty_low,
-        })
+        }
+        .validated()
     }
 
     /// A validated energy-neutral policy (`alpha` in `(0, 1]`).
     pub fn energy_neutral(alpha: f64) -> Result<PolicyExpr, PolicyError> {
-        check_alpha(alpha)?;
-        Ok(PolicyExpr::EnergyNeutral { alpha })
+        PolicyExpr::EnergyNeutral { alpha }.validated()
     }
 
     /// A validated forecast-aware (per-slot-of-day EWMA) policy.
     pub fn forecast(alpha: f64) -> Result<PolicyExpr, PolicyError> {
-        check_alpha(alpha)?;
-        Ok(PolicyExpr::Forecast { alpha })
+        PolicyExpr::Forecast { alpha }.validated()
     }
 
     /// A validated battery-health derating wrapper.
     pub fn derate(inner: PolicyExpr, fade: f64, floor: f64) -> Result<PolicyExpr, PolicyError> {
-        check_unit("derate fade", fade)?;
-        check_unit("derate floor", floor)?;
-        let expr = PolicyExpr::Derate {
+        PolicyExpr::Derate {
             inner: Box::new(inner),
             fade,
             floor,
-        };
-        expr.validate()?;
-        Ok(expr)
+        }
+        .validated()
     }
 
     /// A validated hysteresis switch (`0 <= low < high <= 1`).
@@ -281,40 +273,35 @@ impl PolicyExpr {
         on: PolicyExpr,
         off: PolicyExpr,
     ) -> Result<PolicyExpr, PolicyError> {
-        if !low.is_finite() || !high.is_finite() || low < 0.0 || high > 1.0 || low >= high {
-            return Err(PolicyError::BadHysteresisBand { low, high });
-        }
-        let expr = PolicyExpr::Hysteresis {
+        PolicyExpr::Hysteresis {
             low,
             high,
             on: Box::new(on),
             off: Box::new(off),
-        };
-        expr.validate()?;
-        Ok(expr)
+        }
+        .validated()
     }
 
     /// A validated piecewise day schedule.
     pub fn scheduled(pieces: Vec<(u64, PolicyExpr)>) -> Result<PolicyExpr, PolicyError> {
-        let expr = PolicyExpr::Scheduled { pieces };
-        expr.validate()?;
-        Ok(expr)
+        PolicyExpr::Scheduled { pieces }.validated()
     }
 
     /// A validated clamped composition (`0 <= lo <= hi <= 1`).
     pub fn clamp(inner: PolicyExpr, lo: f64, hi: f64) -> Result<PolicyExpr, PolicyError> {
-        check_unit("clamp lo", lo)?;
-        check_unit("clamp hi", hi)?;
-        if lo > hi {
-            return Err(PolicyError::EmptyClampRange { lo, hi });
-        }
-        let expr = PolicyExpr::Clamp {
+        PolicyExpr::Clamp {
             inner: Box::new(inner),
             lo,
             hi,
-        };
-        expr.validate()?;
-        Ok(expr)
+        }
+        .validated()
+    }
+
+    /// The expression itself once [`PolicyExpr::validate`] accepts it:
+    /// every builder returns this verdict, so each rule lives only in
+    /// the validator.
+    fn validated(self) -> Result<PolicyExpr, PolicyError> {
+        self.validate().map(|()| self)
     }
 
     /// Validates every parameter in the tree. Wire decoding calls this

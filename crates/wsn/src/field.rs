@@ -41,10 +41,9 @@ impl Field {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or `side` non-positive.
+    /// Panics where [`Field::validate_random`] returns an error.
     pub fn random(nodes: usize, side: f64, seed: u64) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        assert!(side > 0.0, "field side must be positive");
+        Field::validate_random(nodes, side).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let positions = (0..nodes)
             .map(|_| Position {
@@ -60,6 +59,23 @@ impl Field {
             },
             side,
         }
+    }
+
+    /// Checks the arguments of [`Field::random`]: at least one node, and
+    /// a finite, positive side (an infinite side would make every
+    /// position draw fail).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `nodes` or `side`.
+    pub fn validate_random(nodes: usize, side: f64) -> Result<(), String> {
+        if nodes == 0 {
+            return Err("nodes is 0".to_owned());
+        }
+        if !side.is_finite() || side <= 0.0 {
+            return Err(format!("side {side} is not finite and positive"));
+        }
+        Ok(())
     }
 
     /// Number of sensor nodes (sink excluded).
@@ -130,6 +146,12 @@ mod tests {
             assert!((0.0..=50.0).contains(&p.x) && (0.0..=50.0).contains(&p.y));
         }
         assert_eq!(a.sink(), Position { x: 25.0, y: 25.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "side inf is not finite")]
+    fn an_infinite_side_is_rejected_before_any_draw() {
+        let _ = Field::random(5, f64::INFINITY, 1);
     }
 
     #[test]

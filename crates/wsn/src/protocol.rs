@@ -38,10 +38,26 @@ impl Protocol {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < p ≤ 1`.
+    /// Panics where [`Protocol::validate`] returns an error.
     pub fn cluster(p: f64, aggregate: bool) -> Protocol {
-        assert!(p > 0.0 && p <= 1.0, "head probability must be in (0, 1]");
-        Protocol::Cluster { p, aggregate }
+        let protocol = Protocol::Cluster { p, aggregate };
+        protocol.validate().unwrap_or_else(|e| panic!("{e}"));
+        protocol
+    }
+
+    /// Checks the protocol's parameters: a cluster-head probability must
+    /// be in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the head probability otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            Protocol::Cluster { p, .. } if p.is_nan() || p <= 0.0 || p > 1.0 => {
+                Err(format!("cluster head probability {p} is not in (0, 1]"))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Short label for reports.

@@ -7,8 +7,9 @@
 //! ```
 
 use micronano::core::report::{fmt_f64, Table};
+use micronano::policy::PolicyExpr;
 use micronano::wsn::field::Field;
-use micronano::wsn::harvest::{simulate_harvesting, DutyPolicy, HarvestConfig};
+use micronano::wsn::harvest::{simulate_policy, HarvestConfig};
 use micronano::wsn::protocol::Protocol;
 use micronano::wsn::sim::{simulate_lifetime, LifetimeConfig};
 
@@ -86,22 +87,22 @@ fn main() {
         ],
     );
     let policies = [
-        DutyPolicy::Fixed(0.9),
-        DutyPolicy::Fixed(0.05),
-        DutyPolicy::Greedy {
+        PolicyExpr::Fixed(0.9),
+        PolicyExpr::Fixed(0.05),
+        PolicyExpr::Greedy {
             threshold: 0.3,
             duty_high: 0.9,
             duty_low: 0.05,
         },
-        DutyPolicy::EnergyNeutral { alpha: 0.01 },
+        PolicyExpr::EnergyNeutral { alpha: 0.01 },
     ];
     for p in policies {
-        let s = simulate_harvesting(p, &hcfg);
+        let s = simulate_policy(&p, &hcfg);
         h.row_owned(vec![
             format!(
                 "{}{}",
                 p.label(),
-                if let DutyPolicy::Fixed(d) = p {
+                if let PolicyExpr::Fixed(d) = p {
                     format!("({d})")
                 } else {
                     String::new()

@@ -79,9 +79,10 @@ fn serial_run_matches_golden_corpus() {
 }
 
 /// Structural coverage of the committed golden file: every scenario
-/// family the engine ships appears at least twice in `corpus.txt`, and
-/// every corpus label is actually pinned there. Catches a corpus edit
-/// that silently drops a family from conformance coverage.
+/// family the engine ships appears at least twice in `corpus.txt`, every
+/// corpus label is actually pinned there, and every corpus scenario
+/// passes `Scenario::validate`. Catches a corpus edit that silently drops
+/// a family from conformance coverage.
 #[test]
 fn golden_corpus_covers_every_family_at_least_twice() {
     let corpus = conformance_corpus(CORPUS_SEED);
@@ -89,6 +90,7 @@ fn golden_corpus_covers_every_family_at_least_twice() {
     let mut per_family: BTreeMap<&'static str, usize> = BTreeMap::new();
     for scenario in &corpus {
         let label = scenario.label();
+        assert_eq!(scenario.validate(), Ok(()), "corpus scenario `{label}`");
         assert!(
             golden.contains_key(&label),
             "corpus scenario `{label}` is not pinned in tests/golden/corpus.txt — \

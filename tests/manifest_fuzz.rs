@@ -11,7 +11,9 @@
 //! overwrites, truncations, splices — and parse the lossy-UTF-8 result.
 //! A separate case parses pure random bytes. The unmutated texts must
 //! keep round-tripping, pinning that the hardening did not reject valid
-//! input.
+//! input. Every scenario the decoder returns passes `Scenario::validate`,
+//! and a scenario whose checked fields sit on the bounds that validator
+//! enforces decodes from its record and runs without panicking.
 
 use std::sync::OnceLock;
 
@@ -20,8 +22,11 @@ use micronano::core::runner::manifest::{
     write_manifest, write_outcomes,
 };
 use micronano::core::runner::{
-    conformance_corpus, HarvestScenario, Runner, Scenario, ScenarioOutcome, ShardId, WsnScenario,
+    conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
+    NocScenario, Runner, Scenario, ScenarioOutcome, ShardId, WsnScenario,
 };
+use micronano::grn::models::{arabidopsis, t_helper, FloralInputs};
+use micronano::noc::graph::CommGraph;
 use micronano::policy::{PolicyAssignment, PolicyExpr};
 use micronano::wsn::protocol::Protocol;
 use proptest::prelude::*;
@@ -138,6 +143,117 @@ fn random_policy_record(rng: &mut ChaCha8Rng) -> String {
     encode_scenario(&scenario)
 }
 
+/// One of `options`, drawn uniformly.
+fn pick<T: Clone>(rng: &mut ChaCha8Rng, options: &[T]) -> T {
+    options[rng.gen_range(0..options.len())].clone()
+}
+
+/// A policy whose parameters sit on the bounds `PolicyExpr::validate`
+/// enforces: duties, fades and floors of 0 or 1, smoothing factors of
+/// `f64::MIN_POSITIVE` or 1, the widest and narrowest bands and ranges.
+fn boundary_policy(rng: &mut ChaCha8Rng) -> PolicyExpr {
+    let mut unit = || pick(rng, &[0.0, 1.0]);
+    let (a, b, c) = (unit(), unit(), unit());
+    let alpha = pick(rng, &[f64::MIN_POSITIVE, 1.0]);
+    let full = Box::new(PolicyExpr::Fixed(1.0));
+    match rng.gen_range(0..8u8) {
+        0 => PolicyExpr::Fixed(a),
+        1 => PolicyExpr::Greedy {
+            threshold: a,
+            duty_high: b,
+            duty_low: c,
+        },
+        2 => PolicyExpr::EnergyNeutral { alpha },
+        3 => PolicyExpr::Forecast { alpha },
+        4 => PolicyExpr::Derate {
+            inner: full,
+            fade: a,
+            floor: b,
+        },
+        5 => PolicyExpr::Hysteresis {
+            low: 0.0,
+            high: alpha,
+            on: full,
+            off: Box::new(PolicyExpr::Fixed(0.0)),
+        },
+        6 => PolicyExpr::Scheduled {
+            pieces: vec![(0, PolicyExpr::Fixed(a)), (1, PolicyExpr::Fixed(b))],
+        },
+        _ => PolicyExpr::Clamp {
+            inner: full,
+            lo: a,
+            hi: a.max(b),
+        },
+    }
+}
+
+/// A cheap scenario whose checked fields sit on or next to the bounds
+/// `Scenario::validate` enforces: a 3×3 or 4×4 array, one or two cores
+/// per router, one or two nodes on the smallest or largest finite side,
+/// head probabilities of `f64::MIN_POSITIVE` and 1, failure rates of 0
+/// and 1, one harvest day, the last Arabidopsis whorl and any gene of a
+/// model. Lab-chip runs are left out: no field of theirs is checked.
+fn boundary_scenario(rng: &mut ChaCha8Rng) -> Scenario {
+    match rng.gen_range(0..5u8) {
+        0 => Scenario::FluidicsCompile(FluidicsScenario {
+            assay: pick(
+                rng,
+                &[
+                    AssayKind::Multiplex,
+                    AssayKind::SerialDilution,
+                    AssayKind::Washing { wash_steps: 1 },
+                    AssayKind::MixingTree { fanin: 2 },
+                    AssayKind::DilutionGradient,
+                ],
+            ),
+            plex: rng.gen_range(1..3),
+            grid_side: rng.gen_range(3..5),
+            dead_fraction: pick(rng, &[0.0, 0.1]),
+            fault_seed: rng.gen_range(0..100),
+        }),
+        1 => Scenario::NocPoint(NocScenario {
+            app: CommGraph::random(rng.gen_range(2..6), 0.5, 1.0, rng),
+            max_cluster: rng.gen_range(1..3),
+            shortcuts: rng.gen_range(0..3),
+        }),
+        2 => Scenario::WsnLifetime(WsnScenario {
+            nodes: rng.gen_range(1..3),
+            side: pick(rng, &[f64::MIN_POSITIVE, 100.0, f64::MAX]),
+            protocol: match rng.gen_range(0..3u8) {
+                0 => Protocol::Direct,
+                1 => Protocol::tree(40.0, rng.gen()),
+                _ => Protocol::cluster(pick(rng, &[f64::MIN_POSITIVE, 1.0]), rng.gen()),
+            },
+            failure_rate: pick(rng, &[0.0, 1.0]),
+            max_rounds: rng.gen_range(0..40),
+            seed: rng.gen_range(0..1_000),
+            policies: rng
+                .gen::<bool>()
+                .then(|| PolicyAssignment::Uniform(boundary_policy(rng))),
+        }),
+        3 => Scenario::Harvest(HarvestScenario {
+            policy: boundary_policy(rng),
+            days: 1,
+            cloudiness: pick(rng, &[0.0, 1.0]),
+            seed: rng.gen_range(0..1_000),
+        }),
+        _ => {
+            let model = pick(
+                rng,
+                &[GrnModel::THelper, GrnModel::Arabidopsis { whorl: 3 }],
+            );
+            let net = match model {
+                GrnModel::THelper => t_helper(),
+                GrnModel::Arabidopsis { whorl } => arabidopsis(FloralInputs::whorls()[whorl]),
+            };
+            Scenario::Knockout(KnockoutScenario {
+                model,
+                knockout: rng.gen::<bool>().then(|| pick(rng, net.genes())),
+            })
+        }
+    }
+}
+
 /// Applies `count` random mutations — overwrite, truncate or splice —
 /// and returns the result as lossy UTF-8.
 fn mutate(text: &str, rng: &mut ChaCha8Rng, count: usize) -> String {
@@ -174,10 +290,16 @@ fn mutate(text: &str, rng: &mut ChaCha8Rng, count: usize) -> String {
 /// Feeds one text to every parser in the wire format; only the return
 /// values matter — nothing here may panic.
 fn parse_everything(text: &str) {
-    let _ = parse_manifest(text);
+    if let Ok((_, entries)) = parse_manifest(text) {
+        for (_, scenario) in entries {
+            assert_eq!(scenario.validate(), Ok(()), "{scenario:?}");
+        }
+    }
     let _ = parse_outcomes(text);
     for line in text.lines().take(64) {
-        let _ = decode_scenario(line);
+        if let Ok(scenario) = decode_scenario(line) {
+            assert_eq!(scenario.validate(), Ok(()), "decoded from `{line}`");
+        }
         let _ = decode_outcome(line);
     }
 }
@@ -260,11 +382,29 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let record = random_policy_record(&mut rng);
         let decoded = decode_scenario(&record).expect("valid record decodes");
+        prop_assert_eq!(decoded.validate(), Ok(()));
         prop_assert_eq!(
             encode_scenario(&decoded),
             record,
             "re-encoding drifted from the original wire bytes"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // A scenario on the bounds `Scenario::validate` enforces is accepted,
+    // comes back from its wire record unchanged, and runs without
+    // panicking.
+    #[test]
+    fn scenarios_on_the_validation_bounds_decode_and_run(seed in any::<u64>()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let scenario = boundary_scenario(&mut rng);
+        prop_assert_eq!(scenario.validate(), Ok(()));
+        let record = encode_scenario(&scenario);
+        prop_assert_eq!(decode_scenario(&record).as_ref(), Ok(&scenario));
+        let _ = scenario.run();
     }
 }
 

@@ -2,8 +2,9 @@
 //! and boundedness invariants must hold for every protocol, field and
 //! failure regime.
 
+use micronano::policy::PolicyExpr;
 use micronano::wsn::field::Field;
-use micronano::wsn::harvest::{simulate_harvesting, DutyPolicy, HarvestConfig, SolarModel};
+use micronano::wsn::harvest::{simulate_policy, HarvestConfig, SolarModel};
 use micronano::wsn::protocol::Protocol;
 use micronano::wsn::sim::{simulate_lifetime, LifetimeConfig};
 use proptest::prelude::*;
@@ -71,11 +72,11 @@ proptest! {
             ..HarvestConfig::default()
         };
         for policy in [
-            DutyPolicy::Fixed(duty),
-            DutyPolicy::Greedy { threshold: 0.3, duty_high: duty, duty_low: 0.02 },
-            DutyPolicy::EnergyNeutral { alpha: 0.05 },
+            PolicyExpr::Fixed(duty),
+            PolicyExpr::Greedy { threshold: 0.3, duty_high: duty, duty_low: 0.02 },
+            PolicyExpr::EnergyNeutral { alpha: 0.05 },
         ] {
-            let s = simulate_harvesting(policy, &cfg);
+            let s = simulate_policy(&policy, &cfg);
             prop_assert!(s.dead_slots <= s.total_slots);
             prop_assert!((0.0..=1.0).contains(&s.uptime));
             prop_assert!(s.work <= s.total_slots as f64 * cfg.slot + 1e-9);
@@ -106,11 +107,11 @@ proptest! {
             ..HarvestConfig::default()
         };
         for policy in [
-            DutyPolicy::Fixed(duty),
-            DutyPolicy::Greedy { threshold: 0.3, duty_high: duty, duty_low: 0.02 },
-            DutyPolicy::EnergyNeutral { alpha: 0.05 },
+            PolicyExpr::Fixed(duty),
+            PolicyExpr::Greedy { threshold: 0.3, duty_high: duty, duty_low: 0.02 },
+            PolicyExpr::EnergyNeutral { alpha: 0.05 },
         ] {
-            let s = simulate_harvesting(policy, &cfg);
+            let s = simulate_policy(&policy, &cfg);
             let initial = cfg.battery_capacity * cfg.initial_fraction;
             // Spending: active work at active_power; every live slot also
             // pays at least nothing extra here — bound from below by the
@@ -157,12 +158,12 @@ proptest! {
             ..base
         };
         let policies = [
-            DutyPolicy::Fixed(0.5),
-            DutyPolicy::EnergyNeutral { alpha: 0.05 },
+            PolicyExpr::Fixed(0.5),
+            PolicyExpr::EnergyNeutral { alpha: 0.05 },
         ];
-        for policy in policies {
-            let dim = simulate_harvesting(policy, &base);
-            let bright = simulate_harvesting(policy, &brighter);
+        for policy in &policies {
+            let dim = simulate_policy(policy, &base);
+            let bright = simulate_policy(policy, &brighter);
             prop_assert!(
                 bright.harvested >= dim.harvested - 1e-9,
                 "{policy:?}: brighter panel harvested {} < {}",
@@ -175,8 +176,8 @@ proptest! {
             );
         }
         // Policy-independence of the income itself.
-        let a = simulate_harvesting(policies[0], &base);
-        let b = simulate_harvesting(policies[1], &base);
+        let a = simulate_policy(&policies[0], &base);
+        let b = simulate_policy(&policies[1], &base);
         prop_assert!((a.harvested - b.harvested).abs() <= 1e-9);
     }
 
