@@ -226,6 +226,16 @@ pub struct HarvestScenario {
     pub seed: u64,
 }
 
+impl HarvestScenario {
+    /// The default solar model under this scenario's cloudiness.
+    fn solar(&self) -> SolarModel {
+        SolarModel {
+            cloudiness: self.cloudiness,
+            ..SolarModel::default()
+        }
+    }
+}
+
 /// Which published gene-regulatory model a knockout scenario perturbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrnModel {
@@ -437,7 +447,7 @@ impl Scenario {
                 if s.days == 0 {
                     return Err("harvest days is 0".to_owned());
                 }
-                Ok(())
+                s.solar().validate().map_err(|e| format!("harvest {e}"))
             }
             Scenario::Knockout(s) => {
                 let whorls = FloralInputs::whorls().len();
@@ -584,10 +594,7 @@ impl Scenario {
                     &HarvestConfig {
                         days: s.days,
                         seed: s.seed,
-                        solar: SolarModel {
-                            cloudiness: s.cloudiness,
-                            ..SolarModel::default()
-                        },
+                        solar: s.solar(),
                         ..HarvestConfig::default()
                     },
                 );

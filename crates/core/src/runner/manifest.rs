@@ -1105,8 +1105,9 @@ mod tests {
         // `Scenario::run` cannot take; each error names the field. All
         // of them panicked there except the NaN and negative failure
         // rates, which ran as rate 0, the head probability of 0, which
-        // ran with no heads, and the infinite side, on which
-        // `Field::random` never returned.
+        // ran with no heads, the infinite side, on which `Field::random`
+        // never returned, and the tree radio ranges and cloudiness
+        // values, which ran silently.
         let knockout = |model, gene: Option<&str>| {
             Scenario::Knockout(KnockoutScenario {
                 model,
@@ -1133,15 +1134,30 @@ mod tests {
                 policies: None,
             })
         };
-        let cluster = |p| {
+        let protocol = |protocol| {
             Scenario::WsnLifetime(WsnScenario {
                 nodes: 20,
                 side: 90.0,
-                protocol: Protocol::Cluster { p, aggregate: true },
+                protocol,
                 failure_rate: 0.0,
                 max_rounds: 20,
                 seed: 1,
                 policies: None,
+            })
+        };
+        let cluster = |p| protocol(Protocol::Cluster { p, aggregate: true });
+        let tree = |radio_range| {
+            protocol(Protocol::Tree {
+                radio_range,
+                aggregate: true,
+            })
+        };
+        let harvest = |days, cloudiness| {
+            Scenario::Harvest(HarvestScenario {
+                policy: PolicyExpr::Fixed(0.3),
+                days,
+                cloudiness,
+                seed: 1,
             })
         };
         let invalid = [
@@ -1175,15 +1191,14 @@ mod tests {
             (wsn(20, 90.0, f64::NAN), "failure_rate"),
             (wsn(20, 90.0, -0.1), "failure_rate"),
             (wsn(20, 90.0, 2.0), "failure_rate"),
-            (
-                Scenario::Harvest(HarvestScenario {
-                    policy: PolicyExpr::Fixed(0.3),
-                    days: 0,
-                    cloudiness: 0.4,
-                    seed: 1,
-                }),
-                "days",
-            ),
+            (tree(f64::NAN), "radio_range"),
+            (tree(-1.0), "radio_range"),
+            (tree(0.0), "radio_range"),
+            (tree(f64::INFINITY), "radio_range"),
+            (harvest(0, 0.4), "days"),
+            (harvest(1, f64::NAN), "cloudiness"),
+            (harvest(1, -0.1), "cloudiness"),
+            (harvest(1, 2.0), "cloudiness"),
         ];
         for (scenario, field) in invalid {
             let record = encode_scenario(&scenario);

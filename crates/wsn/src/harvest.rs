@@ -47,6 +47,18 @@ impl Default for SolarModel {
 }
 
 impl SolarModel {
+    /// Checks the model's parameters: `cloudiness` must be in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `cloudiness` otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.cloudiness) {
+            return Err(format!("cloudiness {} is not in [0, 1]", self.cloudiness));
+        }
+        Ok(())
+    }
+
     /// Per-day weather attenuation in `[1 − cloudiness, 1]`,
     /// deterministic per `(seed, day)`.
     pub fn weather(&self, day: u64, seed: u64) -> f64 {
@@ -56,11 +68,52 @@ impl SolarModel {
 
     /// Harvested power at absolute time `t` seconds.
     pub fn power(&self, t: f64, seed: u64) -> f64 {
+        let (day, sun) = self.day_and_sun(t);
+        self.peak_power * sun * self.weather(day, seed)
+    }
+
+    /// The day of time `t`, and the clear-sky share of peak power then.
+    fn day_and_sun(&self, t: f64) -> (u64, f64) {
         let day = (t / self.day_length) as u64;
         let phase = (t % self.day_length) / self.day_length;
         // Daylight = first half of the day, sinusoidal.
         let sun = (std::f64::consts::PI * phase * 2.0).sin().max(0.0);
-        self.peak_power * sun * self.weather(day, seed)
+        (day, sun)
+    }
+}
+
+/// One seed's [`SolarModel::power`], keeping the last day's weather so
+/// that a run draws each day's weather once instead of at every call.
+#[derive(Debug)]
+pub(crate) struct SolarTrace {
+    model: SolarModel,
+    seed: u64,
+    /// The last day drawn, and its weather.
+    last: Option<(u64, f64)>,
+}
+
+impl SolarTrace {
+    /// The trace of `model` under weather seed `seed`.
+    pub(crate) fn new(model: SolarModel, seed: u64) -> Self {
+        SolarTrace {
+            model,
+            seed,
+            last: None,
+        }
+    }
+
+    /// `SolarModel::power(t, seed)`, bit for bit.
+    pub(crate) fn power(&mut self, t: f64) -> f64 {
+        let (day, sun) = self.model.day_and_sun(t);
+        let weather = match self.last {
+            Some((d, w)) if d == day => w,
+            _ => {
+                let w = self.model.weather(day, self.seed);
+                self.last = Some((day, w));
+                w
+            }
+        };
+        self.model.peak_power * sun * weather
     }
 }
 
@@ -249,6 +302,7 @@ pub fn simulate_policy(policy: &PolicyExpr, config: &HarvestConfig) -> HarvestSt
     let slots_per_day = ((config.solar.day_length / config.slot) as u64).max(1);
     mns_telemetry::counter_add("wsn.harvest_slots", total_slots);
     let mut eval = policy.evaluator();
+    let mut solar = SolarTrace::new(config.solar, config.seed);
     let mut battery = config.battery_capacity * config.initial_fraction.clamp(0.0, 1.0);
     let mut work = 0.0;
     let mut dead_slots = 0u64;
@@ -259,7 +313,7 @@ pub fn simulate_policy(policy: &PolicyExpr, config: &HarvestConfig) -> HarvestSt
 
     for s in 0..total_slots {
         let t = s as f64 * config.slot;
-        let harvest_power = config.solar.power(t, config.seed);
+        let harvest_power = solar.power(t);
         let harvest = harvest_power * config.slot;
         harvested += harvest;
 
@@ -337,6 +391,36 @@ mod tests {
         assert_eq!(s.power(0.75 * 86_400.0, 1), 0.0);
         let noonish = s.power(0.25 * 86_400.0, 1);
         assert!((noonish - s.peak_power).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cloudiness_must_be_in_the_unit_interval() {
+        for cloudiness in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let error = SolarModel {
+                cloudiness,
+                ..SolarModel::default()
+            }
+            .validate()
+            .expect_err("rejected");
+            assert!(error.contains("cloudiness"), "{error}");
+        }
+        for cloudiness in [0.0, 0.4, 1.0] {
+            let s = SolarModel {
+                cloudiness,
+                ..SolarModel::default()
+            };
+            assert_eq!(s.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn trace_power_is_model_power_bit_for_bit() {
+        let s = SolarModel::default();
+        let mut trace = SolarTrace::new(s, 9);
+        // Forward within and across days, then back to an earlier day.
+        for t in [0.0, 600.0, 21_600.0, 86_400.0, 90_000.0, 3_000.0, 1e12] {
+            assert_eq!(trace.power(t).to_bits(), s.power(t, 9).to_bits(), "t = {t}");
+        }
     }
 
     #[test]

@@ -27,11 +27,17 @@ pub enum Protocol {
 
 impl Protocol {
     /// Tree protocol with the given radio range.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Protocol::validate`] returns an error.
     pub fn tree(radio_range: f64, aggregate: bool) -> Protocol {
-        Protocol::Tree {
+        let protocol = Protocol::Tree {
             radio_range,
             aggregate,
-        }
+        };
+        protocol.validate().unwrap_or_else(|e| panic!("{e}"));
+        protocol
     }
 
     /// Clustering protocol with head probability `p`.
@@ -45,14 +51,23 @@ impl Protocol {
         protocol
     }
 
-    /// Checks the protocol's parameters: a cluster-head probability must
-    /// be in `(0, 1]`.
+    /// Checks the protocol's parameters: a tree's radio range must be
+    /// finite and positive, and a cluster-head probability must be in
+    /// `(0, 1]`.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the head probability otherwise.
+    /// Returns a message naming the radio range or the head probability
+    /// otherwise.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
+            Protocol::Tree { radio_range, .. }
+                if !radio_range.is_finite() || radio_range <= 0.0 =>
+            {
+                Err(format!(
+                    "tree radio_range {radio_range} is not finite and positive"
+                ))
+            }
             Protocol::Cluster { p, .. } if p.is_nan() || p <= 0.0 || p > 1.0 => {
                 Err(format!("cluster head probability {p} is not in (0, 1]"))
             }
@@ -89,5 +104,26 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn bad_probability_rejected() {
         let _ = Protocol::cluster(0.0, true);
+    }
+
+    #[test]
+    fn tree_radio_range_must_be_finite_and_positive() {
+        for range in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let tree = Protocol::Tree {
+                radio_range: range,
+                aggregate: true,
+            };
+            let error = tree.validate().expect_err("rejected");
+            assert!(error.contains("radio_range"), "{error}");
+        }
+        for range in [f64::MIN_POSITIVE, 45.0, f64::MAX] {
+            assert_eq!(Protocol::tree(range, false).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "radio_range")]
+    fn bad_radio_range_rejected() {
+        let _ = Protocol::tree(f64::NAN, true);
     }
 }

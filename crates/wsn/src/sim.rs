@@ -12,8 +12,8 @@ use rand_chacha::ChaCha8Rng;
 
 use mns_policy::{Evaluator, Policy, PolicyAssignment, SlotCtx};
 
-use crate::field::Field;
-use crate::harvest::SolarModel;
+use crate::field::{CoverageTally, Field};
+use crate::harvest::{SolarModel, SolarTrace};
 use crate::protocol::Protocol;
 use crate::radio::RadioModel;
 
@@ -119,6 +119,10 @@ pub fn simulate_lifetime(
         .unwrap_or(86_400.0)
         / round_seconds) as u64)
         .max(1);
+    let mut solar = config
+        .harvesting
+        .map(|(model, _, _)| SolarTrace::new(model, config.seed));
+    let mut coverage = CoverageTally::new(field, config.sensing_radius);
 
     // Cached BFS routing tree for the Tree protocol, rebuilt only when
     // the live set changes (tree construction is O(live²) distance
@@ -150,11 +154,12 @@ pub fn simulate_lifetime(
         if live.is_empty() {
             break;
         }
-        // Coverage is sampled every 8 rounds — it changes slowly and the
-        // grid scan is the hot spot of long runs.
+        // Coverage is sampled every 8 rounds, and `avg_coverage` is the
+        // mean of exactly those samples; the tally makes a sample cheap,
+        // but sampling more often would change the reported average.
         if round.is_multiple_of(8) {
-            let alive_mask: Vec<bool> = (0..n).map(|i| alive(&battery, &failed, i)).collect();
-            coverage_acc += field.coverage(&alive_mask, config.sensing_radius);
+            coverage.update(|i| alive(&battery, &failed, i));
+            coverage_acc += coverage.fraction();
             coverage_samples += 1;
         }
 
@@ -166,11 +171,11 @@ pub fn simulate_lifetime(
         if let Some(evals) = evaluators.as_mut() {
             let t = round as f64 * round_seconds;
             let capacity = config.initial_energy;
+            let harvest_power = match (&mut solar, config.harvesting) {
+                (Some(solar), Some((_, panel_scale, _))) => solar.power(t) * panel_scale,
+                _ => 0.0,
+            };
             for &i in &live {
-                let harvest_power = match config.harvesting {
-                    Some((solar, panel_scale, _)) => solar.power(t, config.seed) * panel_scale,
-                    None => 0.0,
-                };
                 // Reference power scale for EWMA-family policies: the
                 // cost rate of this node reporting directly every round.
                 let active_power = config.radio.tx(field.to_sink(i)) / round_seconds;
@@ -369,9 +374,11 @@ pub fn simulate_lifetime(
 
         delivered += reached;
         // Harvest income before paying the radio bill.
-        if let Some((solar, panel_scale, round_seconds)) = config.harvesting {
+        if let (Some(solar), Some((_, panel_scale, round_seconds))) =
+            (&mut solar, config.harvesting)
+        {
             let t = round as f64 * round_seconds;
-            let income = solar.power(t, config.seed) * panel_scale * round_seconds;
+            let income = solar.power(t) * panel_scale * round_seconds;
             for (i, b) in battery.iter_mut().enumerate() {
                 if *b > 0.0 && !failed[i] {
                     *b = (*b + income).min(config.initial_energy);
@@ -647,5 +654,76 @@ mod tests {
         // Average coverage across the run is below the initial coverage.
         let initial = f.coverage(&vec![true; f.nodes()], cfg.sensing_radius);
         assert!(stats.avg_coverage <= initial + 1e-9);
+    }
+
+    /// `LifetimeStats` on one line, the floats by their bits in hex.
+    fn stat_bits(s: &LifetimeStats) -> String {
+        format!(
+            "{} {} {} {} {} {:x} {:x} {:x}",
+            s.first_death_round,
+            s.half_death_round,
+            s.rounds,
+            s.sensed,
+            s.delivered,
+            s.delivered_ratio.to_bits(),
+            s.avg_coverage.to_bits(),
+            s.energy_spent.to_bits(),
+        )
+    }
+
+    #[test]
+    fn harvesting_runs_with_policies_are_pinned_bit_for_bit() {
+        use mns_policy::{PolicyAssignment, PolicyExpr};
+        // No golden scenario harvests in a lifetime run, so this pins
+        // the harvest income and the policies' `harvest_power` here: a
+        // weak panel on a wide field, over 20 days of 600 s rounds, so
+        // nodes die of energy and of failures and the weather changes
+        // daily.
+        let f = Field::random(24, 200.0, 11);
+        let protocols = [
+            Protocol::Direct,
+            Protocol::tree(45.0, true),
+            Protocol::cluster(0.1, true),
+        ];
+        let pins = [
+            (
+                0.0,
+                [
+                    "279 3000 3000 27025 27025 3ff0000000000000 3fd26f235cb4c4fc 4034405231fd03aa",
+                    "653 3000 3000 31354 18645 3fe3077670617494 3fd05ba423ef81d0 4025f87512af2de6",
+                    "148 3000 3000 18826 18826 3ff0000000000000 3fd233103f59f998 403a28dfb23b3f94",
+                ],
+            ),
+            (
+                0.0005,
+                [
+                    "160 1490 3000 13346 13346 3ff0000000000000 3fc5bed8a6ae0d84 4028c0a7e4495461",
+                    "160 1013 3000 14849 8703 3fe2c154f14b49bd 3fc6227604f84591 401b2a333150ed65",
+                    "108 1241 3000 8113 8113 3ff0000000000000 3fc5fc3b4f616728 402be47fd3d79d14",
+                ],
+            ),
+        ];
+        for (failure_rate, want) in pins {
+            let cfg = LifetimeConfig {
+                max_rounds: 3_000,
+                failure_rate,
+                harvesting: Some((SolarModel::default(), 0.00005, 600.0)),
+                policies: Some(PolicyAssignment::RoundRobin(vec![
+                    PolicyExpr::energy_neutral(0.05).unwrap(),
+                    PolicyExpr::greedy(0.5, 1.0, 0.25).unwrap(),
+                    PolicyExpr::forecast(0.1).unwrap(),
+                ])),
+                ..LifetimeConfig::default()
+            };
+            for (protocol, want) in protocols.into_iter().zip(want) {
+                let s = simulate_lifetime(&f, protocol, &cfg);
+                assert_eq!(
+                    stat_bits(&s),
+                    want,
+                    "{} at {failure_rate}",
+                    protocol.label()
+                );
+            }
+        }
     }
 }

@@ -190,9 +190,10 @@ fn boundary_policy(rng: &mut ChaCha8Rng) -> PolicyExpr {
 /// A cheap scenario whose checked fields sit on or next to the bounds
 /// `Scenario::validate` enforces: a 3×3 or 4×4 array, one or two cores
 /// per router, one or two nodes on the smallest or largest finite side,
-/// head probabilities of `f64::MIN_POSITIVE` and 1, failure rates of 0
-/// and 1, one harvest day, the last Arabidopsis whorl and any gene of a
-/// model. Lab-chip runs are left out: no field of theirs is checked.
+/// tree radio ranges and head probabilities of `f64::MIN_POSITIVE` and
+/// the largest allowed value, failure rates and cloudiness of 0 and 1,
+/// one harvest day, the last Arabidopsis whorl and any gene of a model.
+/// Lab-chip runs are left out: no field of theirs is checked.
 fn boundary_scenario(rng: &mut ChaCha8Rng) -> Scenario {
     match rng.gen_range(0..5u8) {
         0 => Scenario::FluidicsCompile(FluidicsScenario {
@@ -221,7 +222,7 @@ fn boundary_scenario(rng: &mut ChaCha8Rng) -> Scenario {
             side: pick(rng, &[f64::MIN_POSITIVE, 100.0, f64::MAX]),
             protocol: match rng.gen_range(0..3u8) {
                 0 => Protocol::Direct,
-                1 => Protocol::tree(40.0, rng.gen()),
+                1 => Protocol::tree(pick(rng, &[f64::MIN_POSITIVE, f64::MAX]), rng.gen()),
                 _ => Protocol::cluster(pick(rng, &[f64::MIN_POSITIVE, 1.0]), rng.gen()),
             },
             failure_rate: pick(rng, &[0.0, 1.0]),
