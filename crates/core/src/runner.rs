@@ -419,11 +419,26 @@ impl Scenario {
     /// Returns a message that names the offending field.
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            Scenario::FluidicsCompile(s) => Grid::new(s.grid_side, s.grid_side)
-                .map(drop)
-                .map_err(|e| format!("fluidics grid_side {}: {e}", s.grid_side)),
+            Scenario::FluidicsCompile(s) => {
+                Grid::new(s.grid_side, s.grid_side)
+                    .map_err(|e| format!("fluidics grid_side {}: {e}", s.grid_side))?;
+                s.assay
+                    .validate_scale(s.plex)
+                    .map_err(|e| format!("fluidics plex {}: {e}", s.plex))?;
+                FaultConfig::dead(s.fault_seed, s.dead_fraction)
+                    .validate()
+                    .map_err(|e| format!("fluidics {e}"))
+            }
+            Scenario::LabChip(s) => {
+                s.assay
+                    .validate_scale(s.samples_per_run)
+                    .map_err(|e| format!("labchip samples_per_run {}: {e}", s.samples_per_run))?;
+                FaultConfig::dead(s.fault_seed, s.dead_fraction)
+                    .validate()
+                    .map_err(|e| format!("labchip {e}"))
+            }
             Scenario::NocPoint(s) if s.max_cluster == 0 => Err("noc max_cluster is 0".to_owned()),
-            Scenario::LabChip(_) | Scenario::NocPoint(_) => Ok(()),
+            Scenario::NocPoint(_) => Ok(()),
             Scenario::WsnLifetime(s) => {
                 Field::validate_random(s.nodes, s.side).map_err(|e| format!("wsn {e}"))?;
                 s.protocol.validate().map_err(|e| format!("wsn {e}"))?;
@@ -509,11 +524,8 @@ impl Scenario {
                 let cfg = PipelineConfig {
                     assay: s.assay,
                     samples_per_run: s.samples_per_run,
-                    fault: (s.dead_fraction > 0.0).then(|| FaultConfig {
-                        seed: s.fault_seed,
-                        dead_fraction: s.dead_fraction,
-                        ..FaultConfig::default()
-                    }),
+                    fault: (s.dead_fraction > 0.0)
+                        .then(|| FaultConfig::dead(s.fault_seed, s.dead_fraction)),
                     ..PipelineConfig::default()
                 };
                 match LabChipPipeline::new(cfg).run(s.seed) {

@@ -1106,20 +1106,33 @@ mod tests {
         // of them panicked there except the NaN and negative failure
         // rates, which ran as rate 0, the head probability of 0, which
         // ran with no heads, the infinite side, on which `Field::random`
-        // never returned, and the tree radio ranges and cloudiness
-        // values, which ran silently.
+        // never returned, and the tree radio ranges, cloudiness values,
+        // dead fractions and scales of 0, which ran silently (a NaN or
+        // negative dead fraction as no fault under the fault-free label,
+        // 1.5 as every electrode dead, a scale of 0 as 1).
         let knockout = |model, gene: Option<&str>| {
             Scenario::Knockout(KnockoutScenario {
                 model,
                 knockout: gene.map(str::to_owned),
             })
         };
-        let fluidics = |grid_side| {
+        let fluidics = |plex, grid_side, dead_fraction| {
             Scenario::FluidicsCompile(FluidicsScenario {
                 assay: AssayKind::Multiplex,
-                plex: 2,
+                plex,
                 grid_side,
-                dead_fraction: 0.0,
+                dead_fraction,
+                fault_seed: 0,
+            })
+        };
+        let grid = |grid_side| fluidics(2, grid_side, 0.0);
+        let dead = |dead_fraction| fluidics(2, 16, dead_fraction);
+        let labchip = |samples_per_run, dead_fraction| {
+            Scenario::LabChip(LabChipScenario {
+                assay: AssayKind::Multiplex,
+                seed: 1,
+                samples_per_run,
+                dead_fraction,
                 fault_seed: 0,
             })
         };
@@ -1167,10 +1180,18 @@ mod tests {
                 knockout(GrnModel::Arabidopsis { whorl: 1 }, Some("GATA3")),
                 "gene",
             ),
-            (fluidics(0), "grid_side"),
-            (fluidics(-3), "grid_side"),
-            (fluidics(1), "grid_side"),
-            (fluidics(2), "grid_side"),
+            (grid(0), "grid_side"),
+            (grid(-3), "grid_side"),
+            (grid(1), "grid_side"),
+            (grid(2), "grid_side"),
+            (dead(f64::NAN), "dead_fraction"),
+            (dead(-1.0), "dead_fraction"),
+            (dead(1.5), "dead_fraction"),
+            (labchip(2, f64::NAN), "dead_fraction"),
+            (labchip(2, -1.0), "dead_fraction"),
+            (labchip(2, 1.5), "dead_fraction"),
+            (labchip(0, 0.0), "samples_per_run"),
+            (fluidics(0, 16, 0.0), "plex"),
             (
                 Scenario::NocPoint(NocScenario {
                     app: CommGraph::hotspot(9, 1.0),
@@ -1205,6 +1226,14 @@ mod tests {
             let error = decode_scenario(&record).expect_err(&record);
             assert!(error.contains(field), "`{record}`: {error}");
         }
+        // A NoC graph with no cores cannot be built in memory, so its
+        // record is written by hand.
+        let error = decode_scenario("noc 1 1 0 0").unwrap_err();
+        assert!(error.contains("cores"), "{error}");
+        // The bounds themselves decode: every electrode dead, scale 1.
+        assert!(decode_scenario(&encode_scenario(&dead(1.0))).is_ok());
+        assert!(decode_scenario(&encode_scenario(&labchip(1, 1.0))).is_ok());
+        assert!(decode_scenario(&encode_scenario(&fluidics(1, 16, 0.0))).is_ok());
         // A knockout of a gene the model has still decodes.
         let ko = encode_scenario(&knockout(GrnModel::THelper, Some("GATA3")));
         assert!(decode_scenario(&ko).is_ok());

@@ -534,6 +534,20 @@ impl AssayKind {
         }
     }
 
+    /// Checks that `n` is a scale [`instantiate`](Self::instantiate) builds
+    /// as given: at least 1. A scale of 0 would run as 1 under the label
+    /// of 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the kind and the scale.
+    pub fn validate_scale(self, n: usize) -> Result<(), String> {
+        if n == 0 {
+            return Err(format!("{}: scale 0 is below 1", self.describe(n)));
+        }
+        Ok(())
+    }
+
     /// Stable label fragment naming the kind at scale `n` (used in golden
     /// corpus labels, so the `Multiplex` spelling must stay `plex{n}`).
     pub fn describe(self, n: usize) -> String {

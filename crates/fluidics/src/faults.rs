@@ -63,6 +63,24 @@ impl FaultConfig {
             ..FaultConfig::default()
         }
     }
+
+    /// Checks that both fractions are finite and in `[0, 1]`;
+    /// [`FaultModel::generate`] would clamp any other value silently.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, fraction) in [
+            ("dead_fraction", self.dead_fraction),
+            ("degraded_fraction", self.degraded_fraction),
+        ] {
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(format!("{field} {fraction} is not in [0, 1]"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One transient electrode outage.
@@ -275,6 +293,23 @@ mod tests {
             assert!(!m.is_dead(t.cell));
             assert!(!m.degraded_cells().contains(&t.cell));
             assert!(t.until > t.from);
+        }
+    }
+
+    #[test]
+    fn fractions_outside_the_unit_interval_are_rejected() {
+        for bad in [f64::NAN, -1.0, 1.5, f64::INFINITY] {
+            let error = FaultConfig::dead(0, bad).validate().unwrap_err();
+            assert!(error.starts_with("dead_fraction"), "{error}");
+            let degraded = FaultConfig {
+                degraded_fraction: bad,
+                ..FaultConfig::default()
+            };
+            let error = degraded.validate().unwrap_err();
+            assert!(error.starts_with("degraded_fraction"), "{error}");
+        }
+        for good in [0.0, 0.5, 1.0] {
+            assert_eq!(FaultConfig::dead(0, good).validate(), Ok(()));
         }
     }
 

@@ -133,6 +133,23 @@ fn urgencies(assay: &Assay, library: &ModuleLibrary) -> Vec<u32> {
     urgency
 }
 
+/// Places a module for an operation of `kind` under its placement rule:
+/// dispense and output ports on the array boundary, every other module
+/// interior-first.
+fn place_op(
+    placer: &mut Placer,
+    kind: &OpKind,
+    spec: ModuleSpec,
+    from: u32,
+    until: u32,
+) -> Option<Cell> {
+    if matches!(kind, OpKind::Dispense { .. } | OpKind::Output) {
+        placer.place_on_edge(spec, from, until)
+    } else {
+        placer.place(spec, from, until)
+    }
+}
+
 /// List-schedules `assay` onto `grid` using `library`.
 ///
 /// # Errors
@@ -234,13 +251,9 @@ pub fn schedule_with_keepout(
                 } else {
                     end
                 };
-                let is_port = matches!(op.kind, OpKind::Dispense { .. } | OpKind::Output);
-                let origin = if is_port {
-                    placer.place_on_edge(spec, reserve_from, reserve_until)
-                } else {
-                    placer.place(spec, reserve_from, reserve_until)
-                };
-                if let Some(origin) = origin {
+                if let Some(origin) =
+                    place_op(&mut placer, &op.kind, spec, reserve_from, reserve_until)
+                {
                     entries[id.0 as usize] = Some(ScheduleEntry {
                         op: id,
                         start: now,
@@ -268,14 +281,11 @@ pub fn schedule_with_keepout(
             }
             if !placed {
                 mns_telemetry::counter_add("fluidics.place_failures", 1);
-                // Detect a module that can never fit, keepout included.
-                let empty_fits = library.options(&op.kind).iter().any(|spec| {
-                    Placer::with_keepout(*grid, keepout.to_vec())
-                        .place(*spec, 0, 1)
-                        .is_some()
-                        || Placer::with_keepout(*grid, keepout.to_vec())
-                            .place_on_edge(*spec, 0, 1)
-                            .is_some()
+                // Detect a module that can never fit under its own
+                // placement rule, keepout included.
+                let empty_fits = library.options(&op.kind).into_iter().any(|spec| {
+                    let mut empty = Placer::with_keepout(*grid, keepout.to_vec());
+                    place_op(&mut empty, &op.kind, spec, 0, 1).is_some()
                 });
                 if !empty_fits {
                     return Err(ScheduleError::GridTooSmall(id));
@@ -433,6 +443,30 @@ mod tests {
         );
         let err = schedule(&assay, &grid, &giant, &ScheduleConfig::default()).unwrap_err();
         assert!(matches!(err, ScheduleError::GridTooSmall(_)));
+    }
+
+    #[test]
+    fn port_with_no_live_boundary_cell_is_reported_as_grid_too_small() {
+        // Every boundary cell of an 8×8 array is keepout: the mixer and
+        // the detector fit inside, but no dispense port can be placed, so
+        // the schedule fails at once rather than at its decision cap.
+        let grid = Grid::new(8, 8).unwrap();
+        let keepout: Vec<Cell> = grid
+            .cells()
+            .filter(|c| c.x == 0 || c.y == 0 || c.x == 7 || c.y == 7)
+            .collect();
+        assert_eq!(keepout.len(), 28);
+        for assay in [simple_assay(), multiplex_immunoassay(8)] {
+            let err = schedule_with_keepout(
+                &assay,
+                &grid,
+                &ModuleLibrary::standard(),
+                &ScheduleConfig::default(),
+                &keepout,
+            )
+            .unwrap_err();
+            assert_eq!(err, ScheduleError::GridTooSmall(OpId(0)));
+        }
     }
 
     #[test]

@@ -44,9 +44,13 @@ impl CommGraph {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first flow that references a core out
-    /// of range, is a self-loop, or has a rate that is NaN or not positive.
+    /// Returns a message if the graph has no cores, or one naming the
+    /// first flow that references a core out of range, is a self-loop, or
+    /// has a rate that is NaN or not positive.
     pub fn try_new(cores: usize, flows: Vec<Flow>) -> Result<Self, String> {
+        if cores == 0 {
+            return Err("graph has 0 cores".to_owned());
+        }
         for &Flow { src, dst, rate } in &flows {
             if src >= cores || dst >= cores {
                 return Err(format!(
