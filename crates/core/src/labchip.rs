@@ -15,9 +15,7 @@
 //! router is useless if sensing noise destroys the downstream clustering,
 //! which is precisely the keynote's argument for co-design.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use mns_bicluster::discretize::{binarize_with_threshold, BinaryMatrix};
 use mns_bicluster::score::{score, MatchScores};
@@ -27,11 +25,11 @@ use mns_biosensor::expression::{generate, SyntheticDataset, SyntheticDatasetConf
 use mns_biosensor::kinetics::BindingKinetics;
 use mns_biosensor::Matrix;
 use mns_fluidics::assay::AssayKind;
-use mns_fluidics::compiler::{
-    compile_with_faults, CompileError, CompileStats, CompiledAssay, CompilerConfig,
-};
+use mns_fluidics::compiler::{CompileError, CompileStats, CompilerConfig};
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
+
+use crate::memo::{self, CompileKey};
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -122,80 +120,12 @@ pub struct PipelineReport {
 }
 
 /// Sense + interpret results for one `(biology, sensing, mining, seed)`
-/// fingerprint. These two stages are independent of the chip geometry,
-/// plex width and fault injection, so scenarios that differ only in those
-/// knobs (the common shape of a sweep) can share the expensive sensing
-/// and ZDD mining work.
+/// fingerprint, which the stage memo shares between runs.
 #[derive(Debug, Clone)]
-struct SenseInterpretation {
+pub(crate) struct SenseInterpretation {
     sensing_error: f64,
     mining: MinedBiclusters,
     interpretation: MatchScores,
-}
-
-/// A memo of sense+interpret stages, keyed by the `Debug` rendering of
-/// the `(biology, sensing, mining, seed)` fingerprint and compared in
-/// full. Everything cached is a pure deterministic function of the key,
-/// so a hit returns results byte-identical to a recompute — outcomes can
-/// never depend on the hit pattern (and therefore not on worker count or
-/// shard layout).
-///
-/// A [`Runner`](crate::runner::Runner) owns one for its whole life and
-/// installs it on every thread it evaluates on, so its workers share
-/// sensing across batches. Outside a runner, each thread evaluates under
-/// a memo of its own.
-#[derive(Debug, Default)]
-pub(crate) struct SenseMemo {
-    entries: Mutex<HashMap<String, SenseInterpretation>>,
-}
-
-/// Bounded eviction: wipe the memo when it reaches this many entries
-/// (sweeps rarely hold more distinct biology configs live).
-const SENSE_CACHE_CAP: usize = 64;
-
-thread_local! {
-    /// The memo this thread's pipeline runs consult: the thread's own,
-    /// unless a runner has installed its memo for a batch.
-    static SENSE_MEMO: RefCell<Arc<SenseMemo>> = RefCell::new(Arc::default());
-}
-
-impl SenseMemo {
-    /// Makes this memo the one the calling thread consults until the
-    /// returned guard drops, also when the thread unwinds.
-    pub(crate) fn install(self: &Arc<Self>) -> InstalledMemo {
-        InstalledMemo {
-            previous: SENSE_MEMO.with(|slot| slot.replace(Arc::clone(self))),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<SenseInterpretation> {
-        self.entries
-            .lock()
-            .expect("sense memo lock")
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: String, si: SenseInterpretation) {
-        let mut entries = self.entries.lock().expect("sense memo lock");
-        if entries.len() >= SENSE_CACHE_CAP {
-            entries.clear();
-        }
-        entries.insert(key, si);
-    }
-}
-
-/// Restores the memo that [`SenseMemo::install`] displaced.
-pub(crate) struct InstalledMemo {
-    previous: Arc<SenseMemo>,
-}
-
-impl Drop for InstalledMemo {
-    fn drop(&mut self) {
-        let previous = Arc::clone(&self.previous);
-        // `try_with`: never panic in drop, even as the thread exits.
-        let _ = SENSE_MEMO.try_with(|slot| slot.replace(previous));
-    }
 }
 
 /// The computer-aided-diagnosis pipeline.
@@ -227,7 +157,7 @@ impl LabChipPipeline {
 
         // 1. Compile the transport program for one multiplexed run,
         //    working around injected electrode faults if any.
-        let (compiled, fault_report) = {
+        let (routing, fault_report) = {
             let _compile_span = mns_telemetry::span("labchip.compile");
             self.compile_run(seed)?
         };
@@ -235,33 +165,17 @@ impl LabChipPipeline {
         // 2 + 3. Biology, sensing and interpretation depend only on the
         // fingerprint below — not on the chip, plex width or faults — so
         // a repeat under the same memo skips the sensing loop and all ZDD
-        // work. Both paths emit the same spans (hits record empty ones)
-        // to keep the telemetry span-tree shape independent of hits. The
-        // memo is locked only to look up and to insert: two threads that
-        // miss the same key at once both compute the same value.
+        // work.
         let key = format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{seed}",
             cfg.dataset, cfg.sensor, cfg.kinetics, cfg.unit_concentration, cfg.miner
         );
-        let memo = SENSE_MEMO.with(|slot| Arc::clone(&slot.borrow()));
-        let si = match memo.get(&key) {
-            Some(hit) => {
-                drop(mns_telemetry::span("labchip.sense"));
-                drop(mns_telemetry::span("labchip.interpret"));
-                mns_telemetry::counter_add("labchip.interpret_cache_hits", 1);
-                hit
-            }
-            None => {
-                let si = self.sense_and_interpret(seed);
-                memo.insert(key, si.clone());
-                si
-            }
-        };
+        let si = memo::sensed(key, || self.sense_and_interpret(seed));
         mns_telemetry::counter_add("labchip.zdd_cache_hits", si.mining.zdd_cache_stats.1);
         mns_telemetry::counter_add("labchip.zdd_peak_nodes", si.mining.zdd_peak_nodes as u64);
 
         Ok(PipelineReport {
-            routing: compiled.stats,
+            routing,
             faults: fault_report,
             sensing_error: si.sensing_error,
             mining: si.mining,
@@ -322,15 +236,17 @@ impl LabChipPipeline {
         }
     }
 
-    /// Compiles the multiplexed run, degrading gracefully under faults.
+    /// Compiles the multiplexed run, degrading gracefully under faults,
+    /// and returns the compile's stats.
     ///
-    /// Without a fault config this is a plain [`compile_with_faults`] with
-    /// an empty model — identical to [`mns_fluidics::compile`]. With one,
+    /// Without a fault config this is a plain
+    /// [`compile_with_faults`](mns_fluidics::compiler::compile_with_faults)
+    /// with an empty model — identical to [`mns_fluidics::compile`]. With one,
     /// the fault map is drawn (fault seed mixed with the run seed) and, if
     /// the full plex no longer fits the damaged array, the plex count is
     /// reduced one sample at a time before giving up: a partial diagnosis
-    /// beats none.
-    fn compile_run(&self, seed: u64) -> Result<(CompiledAssay, FaultReport), CompileError> {
+    /// beats none. Every attempt is looked up in the stage memo first.
+    fn compile_run(&self, seed: u64) -> Result<(CompileStats, FaultReport), CompileError> {
         let cfg = &self.config;
         let model = match &cfg.fault {
             None => FaultModel::none(),
@@ -357,15 +273,20 @@ impl LabChipPipeline {
         };
         let mut plex = cfg.samples_per_run.max(1);
         loop {
-            let assay = cfg.assay.instantiate(plex);
-            match compile_with_faults(&assay, &cfg.chip, &model) {
-                Ok(compiled) => {
+            let key = CompileKey {
+                assay: cfg.assay,
+                scale: plex,
+                chip: cfg.chip.clone(),
+                faults: model.clone(),
+            };
+            match memo::compile_stats(key) {
+                Ok(stats) => {
                     report.samples_dropped = cfg.samples_per_run.max(1) - plex;
                     mns_telemetry::counter_add(
                         "labchip.samples_dropped",
                         report.samples_dropped as u64,
                     );
-                    return Ok((compiled, report));
+                    return Ok((stats, report));
                 }
                 Err(e) if plex <= floor => return Err(e),
                 Err(_) => {

@@ -42,5 +42,6 @@
 
 pub mod explore;
 pub mod labchip;
+mod memo;
 pub mod report;
 pub mod runner;

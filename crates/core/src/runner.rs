@@ -33,13 +33,14 @@
 //! `mns-dist` cluster, through the same type: both serve hits and
 //! collapse duplicates the same way, and keep outcomes across batches.
 //!
-//! Each runner also owns the lab-chip sense+interpret memo, which lives
-//! as long as the runner: every thread it evaluates on (the caller's
-//! thread inline, and each worker) consults the same memo, so lab-on-chip
-//! scenarios that share a biology seed sense it once per runner, across
-//! batches and workers. [`Runner::clear_cache`] drops outcomes only.
-//! Outside a runner, `Scenario::run` consults a memo private to its
-//! thread.
+//! Each runner also owns a stage memo, which lives as long as the runner:
+//! every thread it evaluates on (the caller's thread inline, and each
+//! worker) consults the same memo. Lab-on-chip scenarios that share a
+//! biology seed sense it once per runner, and scenarios that compile the
+//! same chip (a fluidics compile and lab-chip runs of any seed) compile
+//! it once per runner, across batches and workers.
+//! [`Runner::clear_cache`] drops outcomes only. Outside a runner,
+//! `Scenario::run` consults a memo private to its thread.
 //!
 //! ## Sharding
 //!
@@ -66,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use mns_fluidics::compiler::{compile_with_faults, CompilerConfig};
+use mns_fluidics::compiler::CompilerConfig;
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
 use mns_grn::models::{arabidopsis, organ_fates, repertoire, t_helper, th_fates, FloralInputs};
@@ -81,7 +82,8 @@ use mns_wsn::harvest::{simulate_policy, HarvestConfig, SolarModel};
 use mns_wsn::protocol::Protocol;
 use mns_wsn::sim::{simulate_lifetime, LifetimeConfig};
 
-use crate::labchip::{LabChipPipeline, PipelineConfig, SenseMemo};
+use crate::labchip::{LabChipPipeline, PipelineConfig};
+use crate::memo::{compile_stats, CompileKey, StageMemo};
 
 pub use mns_fluidics::assay::AssayKind;
 
@@ -317,6 +319,12 @@ impl Scenario {
 
     /// The stage memo entry this scenario shares with others, which a
     /// [`ShardPlan`] keeps on one shard; `fingerprint` is this scenario's.
+    ///
+    /// This is the sense or NoC-partition entry only. Compile sharing
+    /// crosses biology seeds (a fluidics compile and lab-chip runs of any
+    /// seed can compile one chip), and a `ShardPlan` does not group by
+    /// it: scenarios that share only a compile may land on different
+    /// shards and each compile it there.
     fn stage_key(&self, fingerprint: u64) -> StageKey {
         match self {
             Scenario::LabChip(s) => StageKey::BiologySeed(s.seed),
@@ -488,26 +496,32 @@ impl Scenario {
     pub fn run(&self) -> ScenarioOutcome {
         match self {
             Scenario::FluidicsCompile(s) => {
-                let cfg = CompilerConfig {
+                let chip = CompilerConfig {
                     grid_width: s.grid_side,
                     grid_height: s.grid_side,
                     ..CompilerConfig::default()
                 };
                 let grid = Grid::new(s.grid_side, s.grid_side).expect("a grid_side of 3 or more");
-                let model = if s.dead_fraction > 0.0 {
+                let faults = if s.dead_fraction > 0.0 {
                     FaultModel::generate(&FaultConfig::dead(s.fault_seed, s.dead_fraction), &grid)
                 } else {
                     FaultModel::none()
                 };
-                match compile_with_faults(&s.assay.instantiate(s.plex), &cfg, &model) {
-                    Ok(c) => ScenarioOutcome::Fluidics {
+                let key = CompileKey {
+                    assay: s.assay,
+                    scale: s.plex,
+                    chip,
+                    faults,
+                };
+                match compile_stats(key) {
+                    Ok(stats) => ScenarioOutcome::Fluidics {
                         compiled: true,
-                        makespan: c.stats.makespan,
-                        moves: c.stats.route_moves,
-                        stalls: c.stats.route_stalls,
-                        energy: c.stats.energy,
-                        reroutes: c.stats.reroutes,
-                        abandoned: c.stats.abandoned,
+                        makespan: stats.makespan,
+                        moves: stats.route_moves,
+                        stalls: stats.route_stalls,
+                        energy: stats.energy,
+                        reroutes: stats.reroutes,
+                        abandoned: stats.abandoned,
                     },
                     Err(_) => ScenarioOutcome::Fluidics {
                         compiled: false,
@@ -1397,9 +1411,9 @@ pub fn default_workers() -> usize {
 pub struct Runner {
     workers: usize,
     cache: OutcomeCache,
-    /// The lab-chip stage memo every thread of this runner evaluates
-    /// under.
-    sense_memo: Arc<SenseMemo>,
+    /// The stage memo (lab-chip senses and chip compiles) every thread
+    /// of this runner evaluates under, for the runner's whole life.
+    memo: Arc<StageMemo>,
 }
 
 impl Runner {
@@ -1418,7 +1432,7 @@ impl Runner {
                 workers
             },
             cache: OutcomeCache::default(),
-            sense_memo: Arc::default(),
+            memo: Arc::default(),
         }
     }
 
@@ -1427,10 +1441,11 @@ impl Runner {
         self.workers
     }
 
-    /// Drops every memoized outcome. Stage results (the lab-chip
-    /// sense+interpret memo) live as long as the runner, so the next
-    /// batch re-evaluates every scenario but skips sensing a biology seed
-    /// this runner has already sensed.
+    /// Drops every memoized outcome. Stage results (the lab-chip senses
+    /// and the chip compiles of the stage memo) live as long as the
+    /// runner, so the next batch re-evaluates every scenario but skips
+    /// sensing a biology seed, or compiling a chip, that this runner has
+    /// already sensed or compiled.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
@@ -1502,7 +1517,7 @@ impl Runner {
     ) -> (Vec<(usize, ScenarioOutcome)>, Vec<WorkerBatchStats>) {
         let workers = self.workers.min(jobs.len());
         if workers <= 1 {
-            let _memo = self.sense_memo.install();
+            let _memo = self.memo.install();
             let results = jobs.iter().map(|&i| Self::evaluate(scenarios, i)).collect();
             let solo = WorkerBatchStats {
                 executed: jobs.len() as u64,
@@ -1526,9 +1541,9 @@ impl Runner {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let queues = &queues;
-                    let sense_memo = &self.sense_memo;
+                    let memo = &self.memo;
                     scope.spawn(move || {
-                        let _memo = sense_memo.install();
+                        let _memo = memo.install();
                         let telemetry = mns_telemetry::is_enabled();
                         let mut local: Vec<(usize, ScenarioOutcome)> = Vec::new();
                         let mut mine = WorkerBatchStats::default();

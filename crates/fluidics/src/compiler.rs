@@ -23,7 +23,7 @@ use crate::route::{
 use crate::schedule::{schedule_with_keepout, Schedule, ScheduleConfig, ScheduleError};
 
 /// Compiler parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompilerConfig {
     /// Array width.
     pub grid_width: i32,

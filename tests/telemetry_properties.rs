@@ -8,7 +8,11 @@
 //!    enabling a profiler is not allowed to move a single bit.
 //! 2. **Structurally deterministic when on**: under the virtual clock,
 //!    the span *tree shape* of a batch is identical at 1, 2 and 8
-//!    workers (timestamps may differ; structure may not).
+//!    workers (timestamps may differ; structure may not). This holds for
+//!    batches in which no two scenarios compile the same chip: a compile
+//!    hit records an empty `fluidics.compile` span, and which of two
+//!    such twins hits depends on the schedule. For twins, the runner's
+//!    compile memo is pinned by its `fluidics.compile_hits` count.
 //! 3. **Exports are well-formed**: the Chrome-trace JSON parses with
 //!    correctly nested B/E pairs, folded stacks and the metrics snapshot
 //!    pass their validators.
@@ -302,6 +306,99 @@ fn the_runner_owns_the_sense_memo_and_its_workers_share_it() {
         });
         assert_eq!(hits, 1, "two bare runs of seed 1 on a fresh thread");
         assert_eq!(outcomes, [reference[0][0].clone(), reference[1][0].clone()]);
+    });
+}
+
+/// The golden twins `fluidics/plex4-g16-dead0pm-s0` and
+/// `labchip/seed42-n4-dead0pm-f0`, which compile the same chip: a 4-plex
+/// multiplex assay on the fault-free default 16×16 array.
+fn compile_twins() -> [Scenario; 2] {
+    [
+        Scenario::FluidicsCompile(FluidicsScenario {
+            assay: AssayKind::Multiplex,
+            plex: 4,
+            grid_side: 16,
+            dead_fraction: 0.0,
+            fault_seed: 0,
+        }),
+        Scenario::LabChip(LabChipScenario {
+            assay: AssayKind::Multiplex,
+            seed: 42,
+            samples_per_run: 4,
+            dead_fraction: 0.0,
+            fault_seed: 0,
+        }),
+    ]
+}
+
+/// Runs `f` with telemetry on; returns the `fluidics.compile_hits` it
+/// recorded and whether it recorded a `fluidics.route` span, next to its
+/// result.
+fn compile_hits<T>(f: impl FnOnce() -> T) -> (u64, bool, T) {
+    telemetry::reset();
+    telemetry::enable(Arc::new(telemetry::VirtualClock::default()));
+    let out = f();
+    telemetry::disable();
+    let hits = telemetry::snapshot().counter("fluidics.compile_hits");
+    let routed = telemetry::take_trace()
+        .structure()
+        .lines()
+        .any(|l| l.trim_start().ends_with("fluidics.route"));
+    telemetry::reset();
+    (hits, routed, out)
+}
+
+#[test]
+fn the_runner_owns_the_compile_memo_and_compile_twins_share_it() {
+    isolated(|| {
+        let twins = compile_twins();
+        let golden = golden_digests();
+        let digests = |outcomes: &[ScenarioOutcome]| -> Vec<String> {
+            outcomes.iter().map(|o| o.digest().to_string()).collect()
+        };
+        let want: Vec<String> = twins.iter().map(|s| golden[&s.label()].clone()).collect();
+
+        // A serial runner compiles the chip once for the pair. After
+        // `clear_cache`, both twins find it compiled and nothing routes.
+        let mut serial = Runner::serial();
+        let (hits, routed, outcomes) = compile_hits(|| serial.run(&twins).outcomes);
+        assert_eq!((hits, routed), (1, true), "a serial runner, first run");
+        assert_eq!(digests(&outcomes), want);
+        let reference = outcomes;
+        serial.clear_cache();
+        let (hits, routed, outcomes) = compile_hits(|| serial.run(&twins).outcomes);
+        assert_eq!(
+            (hits, routed),
+            (2, false),
+            "clear_cache keeps the compile memo"
+        );
+        assert_eq!(outcomes, reference);
+
+        // Two workers that miss one key at once both compile it, so hits
+        // are pinned only serially; outcomes are pinned at every count.
+        for workers in [1usize, 2, 8] {
+            let mut runner = Runner::with_workers(workers);
+            for round in 0..2 {
+                assert_eq!(
+                    runner.run(&twins).outcomes,
+                    reference,
+                    "{workers} workers, round {}",
+                    round + 1
+                );
+                runner.clear_cache();
+            }
+        }
+
+        // Outside a runner, calls on one thread share that thread's memo.
+        let (hits, _, outcomes) = compile_hits(|| {
+            thread::scope(|s| {
+                s.spawn(|| [twins[0].run(), twins[1].run()])
+                    .join()
+                    .expect("bare runs")
+            })
+        });
+        assert_eq!(hits, 1, "two bare runs of the twins on a fresh thread");
+        assert_eq!(outcomes.to_vec(), reference);
     });
 }
 
