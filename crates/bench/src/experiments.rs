@@ -936,26 +936,6 @@ pub fn a5_parallel_runner(seed: u64) -> Vec<Table> {
     vec![t, c]
 }
 
-/// Runs every experiment, returning all tables in order.
-pub fn run_all(seed: u64) -> Vec<Table> {
-    let mut out = Vec::new();
-    out.extend(e1_droplet_routing(seed));
-    out.extend(e2_assay_and_sensing(seed));
-    out.extend(e3_biclustering(seed));
-    out.extend(e4_thelper(seed));
-    out.extend(e5_traversal(seed));
-    out.extend(e6_arabidopsis(seed));
-    out.extend(e7_noc_synthesis(seed));
-    out.extend(e8_noc3d(seed));
-    out.extend(e9_wsn_lifetime(seed));
-    out.extend(e10_harvesting(seed));
-    out.extend(e11_crossbar(seed));
-    out.extend(a1_dd_cache(seed));
-    out.extend(a4_variable_order(seed));
-    out.extend(a5_parallel_runner(seed));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,11 @@
 //! # mns-bench — the experiment reproduction harness
 //!
-//! One function per experiment of `EXPERIMENTS.md` (E1–E10 plus the
-//! A1–A3 ablations), each returning [`mns_core::report::Table`]s. The
-//! `repro` binary runs them all and prints markdown; the Criterion benches
-//! under `benches/` time the hot kernels of the same workloads.
+//! One function per experiment of `EXPERIMENTS.md` (E1–E11 plus the A1,
+//! A4 and A5 ablations), each returning [`mns_core::report::Table`]s; E1
+//! also prints the A2 ablation and E7 the A3 rows. The `repro` binary
+//! holds the list of experiments, runs them and prints markdown; the
+//! Criterion benches under `benches/` time the hot kernels of the same
+//! workloads.
 //!
 //! Because the reproduced paper is a keynote without numeric tables, each
 //! experiment here operationalizes one slide-level claim; the tables
@@ -15,5 +17,3 @@
 
 pub mod experiments;
 pub mod gate;
-
-pub use experiments::run_all;

@@ -84,13 +84,6 @@ impl ChengChurchConfig {
         self
     }
 
-    /// Sets the multiple-deletion aggressiveness α (> 1).
-    #[must_use]
-    pub fn alpha(mut self, alpha: f64) -> ChengChurchConfig {
-        self.alpha = alpha;
-        self
-    }
-
     /// Sets the number of biclusters to extract.
     #[must_use]
     pub fn count(mut self, count: usize) -> ChengChurchConfig {
@@ -761,14 +754,13 @@ mod tests {
     fn config_builder_chains() {
         let cfg = ChengChurchConfig::new()
             .delta(0.02)
-            .alpha(1.5)
             .count(7)
             .mask_range(-1.0, 4.0);
         let literal = ChengChurchConfig {
             delta: 0.02,
-            alpha: 1.5,
             count: 7,
             mask_range: (-1.0, 4.0),
+            ..ChengChurchConfig::default()
         };
         assert_eq!(cfg, literal);
         assert_eq!(ChengChurchConfig::new(), ChengChurchConfig::default());

@@ -67,20 +67,6 @@ impl BinaryMatrix {
     pub fn row_words(&self, r: usize) -> &[u64] {
         &self.bits[r * self.words_per_row..(r + 1) * self.words_per_row]
     }
-
-    /// Number of set bits in row `r`.
-    pub fn row_count(&self, r: usize) -> usize {
-        self.row_words(r)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Density: fraction of set bits.
-    pub fn density(&self) -> f64 {
-        let ones: usize = (0..self.rows).map(|r| self.row_count(r)).sum();
-        ones as f64 / (self.rows * self.cols) as f64
-    }
 }
 
 /// Binarizes with a fixed threshold: bit set where `value ≥ threshold`.
@@ -94,20 +80,6 @@ pub fn binarize_with_threshold(matrix: &Matrix, threshold: f64) -> BinaryMatrix 
         }
     }
     out
-}
-
-/// A robust automatic threshold: the midpoint between the matrix mean and
-/// its maximum, which separates background from upregulated modules for
-/// implanted-bicluster data.
-pub fn adaptive_threshold(matrix: &Matrix) -> f64 {
-    let mean = matrix.mean();
-    let mut max = f64::NEG_INFINITY;
-    for r in 0..matrix.rows() {
-        for &v in matrix.row(r) {
-            max = max.max(v);
-        }
-    }
-    0.5 * (mean + max)
 }
 
 #[cfg(test)]
@@ -125,7 +97,8 @@ mod tests {
         assert!(!b.get(1, 0));
         b.set(0, 64, false);
         assert!(!b.get(0, 64));
-        assert_eq!(b.row_count(0), 2);
+        let ones: u32 = b.row_words(0).iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, 2);
     }
 
     #[test]
@@ -134,28 +107,5 @@ mod tests {
         let b = binarize_with_threshold(&m, 1.5);
         assert!(!b.get(0, 0) && !b.get(0, 1));
         assert!(b.get(1, 0) && b.get(1, 1));
-        assert_eq!(b.density(), 0.5);
-    }
-
-    #[test]
-    fn adaptive_threshold_separates_implants() {
-        use mns_biosensor::expression::{generate, SyntheticDatasetConfig};
-        let cfg = SyntheticDatasetConfig::default();
-        let d = generate(&cfg, 3);
-        let th = adaptive_threshold(&d.matrix);
-        assert!(th > cfg.background + 0.5);
-        assert!(th < cfg.background + cfg.boost + 1.0);
-        let b = binarize_with_threshold(&d.matrix, th);
-        // Implanted cells should be mostly set.
-        let t = &d.truth[0];
-        let mut hits = 0;
-        for &r in &t.rows {
-            for &c in &t.cols {
-                if b.get(r, c) {
-                    hits += 1;
-                }
-            }
-        }
-        assert!(hits * 10 >= t.rows.len() * t.cols.len() * 9);
     }
 }

@@ -58,11 +58,6 @@ impl SensorArray {
         }
     }
 
-    /// An array with per-probe kinetics (e.g. mixed DNA/antibody panels).
-    pub fn heterogeneous(kinetics: Vec<BindingKinetics>, config: SensorConfig) -> Self {
-        SensorArray { kinetics, config }
-    }
-
     /// Number of probes (rows of the output).
     pub fn probes(&self) -> usize {
         self.kinetics.len()
@@ -162,49 +157,6 @@ impl SensorArray {
             }
         }
         0.5 * (lo + hi)
-    }
-
-    /// Empirical limit of detection: the lowest concentration (by
-    /// bisection over decades) whose mean reading exceeds the blank mean
-    /// by `k_sigma` blank standard deviations — the IUPAC-style LoD
-    /// criterion.
-    ///
-    /// Returns `f64::INFINITY` if even 1 mM is indistinguishable from
-    /// blank.
-    pub fn limit_of_detection(&self, k_sigma: f64, trials: usize, seed: u64) -> f64 {
-        let single = SensorArray {
-            kinetics: vec![self.kinetics[0]],
-            config: self.config,
-        };
-        let stats = |c: f64| -> (f64, f64) {
-            let vals: Vec<f64> = (0..trials)
-                .map(|k| single.measure(&[c], seed.wrapping_add(k as u64))[0])
-                .collect();
-            let n = vals.len() as f64;
-            let mean = vals.iter().sum::<f64>() / n;
-            let var = vals.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            (mean, var.sqrt())
-        };
-        let (blank_mean, blank_sigma) = stats(0.0);
-        let threshold = blank_mean + k_sigma * blank_sigma.max(self.lsb() / 2.0);
-        let detectable = |c: f64| stats(c).0 > threshold;
-        if !detectable(1e-3) {
-            return f64::INFINITY;
-        }
-        let mut lo = 1e-15;
-        let mut hi = 1e-3;
-        if detectable(lo) {
-            return lo;
-        }
-        for _ in 0..60 {
-            let mid = (lo * hi).sqrt(); // geometric bisection
-            if detectable(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
     }
 
     /// Empirical signal-to-noise ratio at a given concentration: mean over
@@ -406,23 +358,6 @@ mod tests {
             high > low,
             "SNR should rise with signal: low {low}, high {high}"
         );
-    }
-
-    #[test]
-    fn lod_is_physically_sensible() {
-        let a = array(1);
-        let lod = a.limit_of_detection(3.0, 100, 7);
-        // A 1 nM-Kd DNA probe with 1% read noise should detect somewhere
-        // between 1 pM and 1 nM.
-        assert!(lod > 1e-13 && lod < 1e-8, "LoD {lod}");
-        // More averaging lowers (improves) the LoD.
-        let cfg = SensorConfig {
-            sites_per_probe: 32,
-            ..SensorConfig::default()
-        };
-        let better = SensorArray::uniform(1, BindingKinetics::dna_probe(), cfg);
-        let lod2 = better.limit_of_detection(3.0, 100, 7);
-        assert!(lod2 <= lod * 2.0, "averaged LoD {lod2} vs {lod}");
     }
 
     #[test]

@@ -96,27 +96,6 @@ impl Matrix {
         assert!(r < self.rows, "row out of range");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        self.data.iter().sum::<f64>() / self.data.len() as f64
-    }
-
-    /// Mean of the submatrix selected by `rows` × `cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range or a selection is empty.
-    pub fn submatrix_mean(&self, rows: &[usize], cols: &[usize]) -> f64 {
-        assert!(!rows.is_empty() && !cols.is_empty(), "empty selection");
-        let mut acc = 0.0;
-        for &r in rows {
-            for &c in cols {
-                acc += self.get(r, c);
-            }
-        }
-        acc / (rows.len() * cols.len()) as f64
-    }
 }
 
 /// One implanted module: the ground truth of a synthetic dataset.
@@ -275,8 +254,6 @@ mod tests {
         let m = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.mean(), 2.5);
-        assert_eq!(m.submatrix_mean(&[0], &[0, 1]), 1.5);
     }
 
     #[test]
@@ -305,14 +282,21 @@ mod tests {
         let cfg = SyntheticDatasetConfig::default();
         let d = generate(&cfg, 4);
         for t in &d.truth {
-            let inside = d.matrix.submatrix_mean(&t.rows, &t.cols);
+            let cells = t.rows.len() * t.cols.len();
+            let inside = t
+                .rows
+                .iter()
+                .flat_map(|&r| t.cols.iter().map(move |&c| (r, c)))
+                .map(|(r, c)| d.matrix.get(r, c))
+                .sum::<f64>()
+                / cells as f64;
             assert!(
                 inside > cfg.background + cfg.boost * 0.5,
                 "implant mean {inside} too low"
             );
         }
         // Background stays near its level.
-        let all = d.matrix.mean();
+        let all = d.matrix.data.iter().sum::<f64>() / d.matrix.data.len() as f64;
         assert!(all < cfg.background + cfg.boost * 0.5);
     }
 

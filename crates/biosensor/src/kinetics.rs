@@ -42,15 +42,6 @@ impl BindingKinetics {
         }
     }
 
-    /// Typical antibody probe: `k_on = 10⁵ 1/(M·s)`, `k_off = 10⁻⁴ 1/s`
-    /// (K_d = 1 nM, slower in both directions).
-    pub fn antibody() -> Self {
-        BindingKinetics {
-            k_on: 1e5,
-            k_off: 1e-4,
-        }
-    }
-
     /// Equilibrium dissociation constant `K_d = k_off / k_on` (molar).
     pub fn dissociation_constant(&self) -> f64 {
         self.k_off / self.k_on
@@ -76,27 +67,6 @@ impl BindingKinetics {
         let eq = self.equilibrium_occupancy(c);
         let rate = self.k_on * c + self.k_off;
         eq * (1.0 - (-rate * t).exp())
-    }
-
-    /// Time constant of the approach to equilibrium at concentration `c`.
-    pub fn time_constant(&self, c: f64) -> f64 {
-        1.0 / (self.k_on * c + self.k_off)
-    }
-
-    /// Concentration that produces the given *equilibrium* occupancy —
-    /// the inverse of [`equilibrium_occupancy`], used for calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ occupancy < 1`.
-    ///
-    /// [`equilibrium_occupancy`]: BindingKinetics::equilibrium_occupancy
-    pub fn concentration_for(&self, occupancy: f64) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&occupancy),
-            "occupancy must be in [0, 1)"
-        );
-        self.dissociation_constant() * occupancy / (1.0 - occupancy)
     }
 }
 
@@ -129,24 +99,8 @@ mod tests {
 
     #[test]
     fn occupancy_at_zero_time_is_zero() {
-        let k = BindingKinetics::antibody();
+        let k = BindingKinetics::new(1e5, 1e-4);
         assert_eq!(k.occupancy(1e-9, 0.0), 0.0);
-    }
-
-    #[test]
-    fn calibration_round_trip() {
-        let k = BindingKinetics::dna_probe();
-        for c in [1e-10, 1e-9, 5e-9, 1e-7] {
-            let theta = k.equilibrium_occupancy(c);
-            let back = k.concentration_for(theta);
-            assert!((back - c).abs() / c < 1e-9, "{c} vs {back}");
-        }
-    }
-
-    #[test]
-    fn time_constant_shrinks_with_concentration() {
-        let k = BindingKinetics::dna_probe();
-        assert!(k.time_constant(1e-7) < k.time_constant(1e-9));
     }
 
     #[test]

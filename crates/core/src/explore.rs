@@ -79,22 +79,11 @@ pub struct NocDesignPoint {
 
 /// Sweeps topology-synthesis parameters for one application and returns
 /// every evaluated point plus the indices of the latency/energy/area
-/// Pareto front. Serial shorthand for [`explore_noc_with`] with one
-/// worker.
-pub fn explore_noc(
-    app: &CommGraph,
-    cluster_sizes: &[usize],
-    shortcut_budgets: &[usize],
-) -> (Vec<NocDesignPoint>, Vec<usize>) {
-    explore_noc_with(app, cluster_sizes, shortcut_budgets, 1)
-}
-
-/// [`explore_noc`] on the scenario engine: every `(cluster, shortcuts)`
-/// design point becomes a [`Scenario::NocPoint`] evaluated by a
-/// [`Runner`] with `workers` threads (0 = one per hardware thread). The
-/// conformance contract guarantees the result is byte-identical for
-/// every worker count; infeasible points (no route set) are dropped,
-/// matching the serial sweep.
+/// Pareto front. Every `(cluster, shortcuts)` design point becomes a
+/// [`Scenario::NocPoint`] evaluated by a [`Runner`] with `workers`
+/// threads (0 = one per hardware thread). The conformance contract
+/// guarantees the result is byte-identical for every worker count;
+/// infeasible points (no route set) are dropped.
 pub fn explore_noc_with(
     app: &CommGraph,
     cluster_sizes: &[usize],
@@ -175,7 +164,7 @@ mod tests {
     #[test]
     fn noc_exploration_produces_a_front() {
         let app = CommGraph::hotspot(16, 1.0);
-        let (points, front) = explore_noc(&app, &[2, 4, 8], &[0, 4]);
+        let (points, front) = explore_noc_with(&app, &[2, 4, 8], &[0, 4], 1);
         assert!(!points.is_empty());
         assert!(!front.is_empty());
         assert!(front.len() <= points.len());
@@ -240,7 +229,7 @@ mod tests {
     #[test]
     fn parallel_exploration_matches_serial() {
         let app = CommGraph::hotspot(16, 1.0);
-        let serial = explore_noc(&app, &[2, 4, 8], &[0, 4]);
+        let serial = explore_noc_with(&app, &[2, 4, 8], &[0, 4], 1);
         for workers in [2, 4, 0] {
             let par = explore_noc_with(&app, &[2, 4, 8], &[0, 4], workers);
             assert_eq!(serial, par, "divergence at workers={workers}");

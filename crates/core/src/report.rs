@@ -77,11 +77,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows

@@ -12,11 +12,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct ProductTerm(pub u64);
 
 impl ProductTerm {
-    /// Number of literals in the term.
-    pub fn literals(self) -> u32 {
-        self.0.count_ones()
-    }
-
     /// Evaluates the term on an input vector (bit `i` = input `i`).
     pub fn eval(self, inputs: u64) -> bool {
         inputs & self.0 == self.0
@@ -120,7 +115,7 @@ mod tests {
         let f = LogicFunction::random(10, 6, 3, 4);
         assert_eq!(f.terms().len(), 6);
         for t in f.terms() {
-            assert_eq!(t.literals(), 3);
+            assert_eq!(t.0.count_ones(), 3);
         }
         // Distinct terms.
         let set: std::collections::BTreeSet<u64> = f.terms().iter().map(|t| t.0).collect();
@@ -139,6 +134,5 @@ mod tests {
     fn empty_term_is_constant_true() {
         let t = ProductTerm(0);
         assert!(t.eval(0));
-        assert_eq!(t.literals(), 0);
     }
 }

@@ -62,11 +62,6 @@ impl BddManager {
         self.arena.recycle();
     }
 
-    /// Number of variables this manager was created with.
-    pub fn num_vars(&self) -> Var {
-        self.num_vars
-    }
-
     /// Enables or disables the computed cache (ablation A1). Disabling also
     /// clears it, and disabled probes are not counted.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
@@ -81,11 +76,6 @@ impl BddManager {
     /// Full counter snapshot of the backing arena.
     pub fn stats(&self) -> DdStats {
         self.arena.stats()
-    }
-
-    /// Live node count (including the two terminals).
-    pub fn live_nodes(&self) -> usize {
-        self.arena.live_count()
     }
 
     /// Peak live node count observed so far.
@@ -230,12 +220,6 @@ impl BddManager {
         r
     }
 
-    /// Implication `f → g`.
-    pub fn implies(&mut self, f: Ref, g: Ref) -> Ref {
-        let nf = self.not(f);
-        self.or(nf, g)
-    }
-
     /// Biconditional `f ↔ g`.
     pub fn iff(&mut self, f: Ref, g: Ref) -> Ref {
         let x = self.xor(f, g);
@@ -308,17 +292,6 @@ impl BddManager {
         };
         memo.insert(f, r);
         r
-    }
-
-    /// Universal quantification `∀ vars. f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is not strictly ascending.
-    pub fn forall(&mut self, f: Ref, vars: &[Var]) -> Ref {
-        let nf = self.not(f);
-        let e = self.exists(nf, vars);
-        self.not(e)
     }
 
     /// Relational product `∃ vars. (f ∧ g)` computed without building the
@@ -423,35 +396,6 @@ impl BddManager {
         r
     }
 
-    /// Positive/negative cofactor of `f` with respect to variable `v`.
-    pub fn restrict(&mut self, f: Ref, v: Var, value: bool) -> Ref {
-        let mut memo = HashMap::new();
-        self.restrict_rec(f, v, value, &mut memo)
-    }
-
-    fn restrict_rec(&mut self, f: Ref, v: Var, value: bool, memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if f.is_terminal() || self.level(f) > v {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let n = self.arena.node(f);
-        let r = if n.var == v {
-            if value {
-                n.hi
-            } else {
-                n.lo
-            }
-        } else {
-            let lo = self.restrict_rec(n.lo, v, value, memo);
-            let hi = self.restrict_rec(n.hi, v, value, memo);
-            self.make(n.var, lo, hi)
-        };
-        memo.insert(f, r);
-        r
-    }
-
     /// Evaluates `f` under a complete assignment (`assignment[v]` is the
     /// value of variable `v`).
     ///
@@ -529,47 +473,6 @@ impl BddManager {
         }
         debug_assert_eq!(cur, Ref::ONE);
         Some(assignment)
-    }
-
-    /// All satisfying assignments, materialized. Intended for small
-    /// variable counts (tests, attractor extraction); the result has
-    /// `sat_count` entries.
-    pub fn all_sat(&self, f: Ref) -> Vec<Vec<bool>> {
-        let mut out = Vec::new();
-        let mut prefix = vec![false; self.num_vars as usize];
-        self.all_sat_rec(f, 0, &mut prefix, &mut out);
-        out
-    }
-
-    fn all_sat_rec(&self, f: Ref, level: Var, prefix: &mut Vec<bool>, out: &mut Vec<Vec<bool>>) {
-        if f == Ref::ZERO {
-            return;
-        }
-        if level == self.num_vars {
-            debug_assert_eq!(f, Ref::ONE);
-            out.push(prefix.clone());
-            return;
-        }
-        let node_level = if f.is_terminal() {
-            self.num_vars
-        } else {
-            self.arena.var(f)
-        };
-        if node_level > level {
-            // Free variable: branch on both values.
-            prefix[level as usize] = false;
-            self.all_sat_rec(f, level + 1, prefix, out);
-            prefix[level as usize] = true;
-            self.all_sat_rec(f, level + 1, prefix, out);
-            prefix[level as usize] = false;
-        } else {
-            let n = self.arena.node(f);
-            prefix[level as usize] = false;
-            self.all_sat_rec(n.lo, level + 1, prefix, out);
-            prefix[level as usize] = true;
-            self.all_sat_rec(n.hi, level + 1, prefix, out);
-            prefix[level as usize] = false;
-        }
     }
 
     /// All satisfying assignments projected onto `vars` (strictly
@@ -666,41 +569,6 @@ impl BddManager {
             }
         }
         seen.len()
-    }
-
-    /// Renders the DAG rooted at `f` in Graphviz DOT format: solid edges
-    /// for the high (then) branch, dashed for the low (else) branch.
-    /// Intended for debugging small functions.
-    pub fn to_dot(&self, f: Ref, var_name: &dyn Fn(Var) -> String) -> String {
-        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
-        out.push_str("  t0 [label=\"0\", shape=box];\n  t1 [label=\"1\", shape=box];\n");
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r) {
-                continue;
-            }
-            let n = self.arena.node(r);
-            out.push_str(&format!(
-                "  n{} [label=\"{}\"];\n",
-                r.index(),
-                var_name(n.var)
-            ));
-            let edge = |child: Ref, style: &str| {
-                let target = match child {
-                    Ref::ZERO => "t0".to_owned(),
-                    Ref::ONE => "t1".to_owned(),
-                    c => format!("n{}", c.index()),
-                };
-                format!("  n{} -> {} [style={}];\n", r.index(), target, style)
-            };
-            out.push_str(&edge(n.hi, "solid"));
-            out.push_str(&edge(n.lo, "dashed"));
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Protects `f` (and transitively its descendants) from [`gc`].
@@ -802,20 +670,16 @@ mod tests {
     }
 
     #[test]
-    fn exists_and_forall() {
+    fn exists_quantifies_out_variables() {
         let mut m = mgr(2);
         let a = m.var(0);
         let b = m.var(1);
         let ab = m.and(a, b);
         // ∃b. a∧b = a
         assert_eq!(m.exists(ab, &[1]), a);
-        // ∀b. a∧b = 0
-        assert_eq!(m.forall(ab, &[1]), Ref::ZERO);
         let aorb = m.or(a, b);
         // ∃a,b. a∨b = 1
         assert_eq!(m.exists(aorb, &[0, 1]), Ref::ONE);
-        // ∀a. a∨b = b
-        assert_eq!(m.forall(aorb, &[0]), b);
     }
 
     #[test]
@@ -860,29 +724,13 @@ mod tests {
     }
 
     #[test]
-    fn restrict_cofactors() {
-        let mut m = mgr(2);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.xor(a, b);
-        let nb = m.not(b);
-        assert_eq!(m.restrict(f, 0, true), nb);
-        assert_eq!(m.restrict(f, 0, false), b);
-    }
-
-    #[test]
-    fn one_sat_and_all_sat() {
+    fn one_sat_satisfies() {
         let mut m = mgr(3);
         let a = m.var(0);
         let c = m.var(2);
         let f = m.and(a, c);
         let s = m.one_sat(f).expect("satisfiable");
         assert!(m.eval(f, &s));
-        let all = m.all_sat(f);
-        assert_eq!(all.len(), 2); // b free
-        for s in &all {
-            assert!(m.eval(f, s));
-        }
         assert_eq!(m.one_sat(Ref::ZERO), None);
     }
 
@@ -952,7 +800,7 @@ mod tests {
         let count = a.sat_count(f);
         a.recycle();
         let mut b = BddManager::recycled(3);
-        assert_eq!(b.live_nodes(), 2, "recycled manager starts clean");
+        assert_eq!(b.stats().live_nodes, 2, "recycled manager starts clean");
         let x2 = b.var(0);
         let y2 = b.var(1);
         let f2 = b.and(x2, y2);
@@ -972,29 +820,15 @@ mod tests {
             let y = m.var((v + 1) % 4);
             let _ = m.xor(x, y);
         }
-        let live_before = m.live_nodes();
+        let live_before = m.stats().live_nodes;
         let freed = m.gc();
         assert!(freed > 0);
-        assert!(m.live_nodes() < live_before);
+        assert!(m.stats().live_nodes < live_before);
         // Protected function still evaluates correctly.
         assert!(m.eval(keep, &[true, true, false, false]));
         assert!(!m.eval(keep, &[true, false, false, false]));
         m.unprotect(keep);
         m.check_unique_table().expect("canonical after gc");
-    }
-
-    #[test]
-    fn dot_export_contains_all_nodes() {
-        let mut m = mgr(3);
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.xor(a, b);
-        let dot = m.to_dot(f, &|v| format!("x{v}"));
-        assert!(dot.starts_with("digraph bdd {"));
-        assert!(dot.contains("x0") && dot.contains("x1"));
-        assert!(dot.contains("style=solid") && dot.contains("style=dashed"));
-        // One line per node plus edges plus boilerplate.
-        assert_eq!(dot.matches(" -> ").count(), 2 * (m.dag_size(f) - 2));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Ref {
     pub fn is_terminal(self) -> bool {
         self.0 < 2
     }
-
-    /// Raw index, mostly for diagnostics.
-    pub fn index(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for Ref {

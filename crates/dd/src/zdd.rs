@@ -63,11 +63,6 @@ impl ZddManager {
         self.arena.recycle();
     }
 
-    /// Number of elements in the universe.
-    pub fn num_vars(&self) -> Var {
-        self.num_vars
-    }
-
     /// Enables or disables the computed cache (ablation A1). Disabling also
     /// clears it, and disabled probes are not counted.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
@@ -83,11 +78,6 @@ impl ZddManager {
     /// computed cache).
     pub fn stats(&self) -> DdStats {
         self.arena.stats()
-    }
-
-    /// Live node count (including terminals).
-    pub fn live_nodes(&self) -> usize {
-        self.arena.live_count()
     }
 
     /// Peak live node count observed so far.
@@ -510,41 +500,6 @@ impl ZddManager {
         seen.len()
     }
 
-    /// Renders the DAG rooted at `f` in Graphviz DOT format (solid = with
-    /// the element, dashed = without). Intended for debugging small
-    /// families.
-    pub fn to_dot(&self, f: Ref, elem_name: &dyn Fn(Var) -> String) -> String {
-        let mut out = String::from("digraph zdd {\n  rankdir=TB;\n");
-        out.push_str("  t0 [label=\"∅\", shape=box];\n  t1 [label=\"{∅}\", shape=box];\n");
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r) {
-                continue;
-            }
-            let n = self.arena.node(r);
-            out.push_str(&format!(
-                "  n{} [label=\"{}\"];\n",
-                r.index(),
-                elem_name(n.var)
-            ));
-            let edge = |child: Ref, style: &str| {
-                let target = match child {
-                    Ref::ZERO => "t0".to_owned(),
-                    Ref::ONE => "t1".to_owned(),
-                    c => format!("n{}", c.index()),
-                };
-                format!("  n{} -> {} [style={}];\n", r.index(), target, style)
-            };
-            out.push_str(&edge(n.hi, "solid"));
-            out.push_str(&edge(n.lo, "dashed"));
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Protects `f` (and its descendants) from [`gc`].
     ///
     /// [`gc`]: ZddManager::gc
@@ -795,7 +750,7 @@ mod tests {
         let sets_a = a.sets(fa);
         a.recycle();
         let mut b = ZddManager::recycled(4);
-        assert_eq!(b.live_nodes(), 2, "recycled manager starts clean");
+        assert_eq!(b.stats().live_nodes, 2, "recycled manager starts clean");
         assert_eq!(b.cache_stats(), (0, 0));
         let fb = b.from_sets(&[&[0, 1], &[2]]);
         assert_eq!(b.sets(fb), sets_a);
@@ -815,15 +770,6 @@ mod tests {
         assert!(m.contains(keep, &[2]));
         m.unprotect(keep);
         m.check_unique_table().expect("canonical after gc");
-    }
-
-    #[test]
-    fn dot_export_renders_family() {
-        let mut m = ZddManager::new(4);
-        let f = m.from_sets(&[&[0, 2], &[1]]);
-        let dot = m.to_dot(f, &|v| format!("e{v}"));
-        assert!(dot.starts_with("digraph zdd {"));
-        assert!(dot.contains("e0") && dot.contains("e1") && dot.contains("e2"));
     }
 
     #[test]

@@ -53,8 +53,7 @@ fn position_at(route: &Route, t: u32) -> Option<Cell> {
 /// at any time is an early (intended) merge rather than contamination.
 /// `partners(i, j)` decides whether routes `i` and `j` merge — the assay
 /// compiler passes "same consumer operation", the authoritative
-/// definition (matching the router's `merge_group`); callers without DAG
-/// context can use [`same_goal_partners`].
+/// definition (matching the router's `merge_group`).
 pub fn verify_routes_exempting_merges(
     routes: &[Route],
     partners: &dyn Fn(usize, usize) -> bool,
@@ -63,15 +62,6 @@ pub fn verify_routes_exempting_merges(
         .into_iter()
         .filter(|v| !partners(v.first, v.second))
         .collect()
-}
-
-/// The positional merge heuristic for callers without assay context: two
-/// routes are partners when they end on the same cell. Sound for route
-/// sets whose sinks are unique per consumer (always true within one
-/// compiled schedule window), but weaker than the compiler's
-/// same-consumer definition.
-pub fn same_goal_partners(routes: &[Route]) -> impl Fn(usize, usize) -> bool + '_ {
-    move |i, j| routes[i].path.last() == routes[j].path.last()
 }
 
 /// Exhaustively checks a set of concurrent routes against both rules.

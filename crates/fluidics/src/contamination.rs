@@ -150,44 +150,6 @@ pub fn check_contamination(assay: &Assay, compiled: &CompiledAssay) -> Contamina
     }
 }
 
-/// A wash task derived from a contamination report: a cleaning droplet
-/// must sweep `cell` after the residue is laid down and before the
-/// contaminated crossing happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WashTask {
-    /// Electrode to clean.
-    pub cell: Cell,
-    /// Earliest tick the wash may start (residue exists from here).
-    pub after: u32,
-    /// Latest tick the wash must finish (the crossing happens here).
-    pub before: u32,
-}
-
-/// Derives the minimal wash plan for a report: one task per contaminated
-/// cell, with the tightest window covering all of that cell's incidents.
-/// Cells whose windows are empty (`after ≥ before`, back-to-back visits)
-/// are reported too — they require re-routing instead of washing.
-pub fn wash_plan(report: &ContaminationReport) -> Vec<WashTask> {
-    let mut windows: HashMap<Cell, (u32, u32)> = HashMap::new();
-    for i in &report.incidents {
-        let e = windows
-            .entry(i.cell)
-            .or_insert((i.first_time, i.second_time));
-        e.0 = e.0.max(i.first_time);
-        e.1 = e.1.min(i.second_time);
-    }
-    let mut plan: Vec<WashTask> = windows
-        .into_iter()
-        .map(|(cell, (after, before))| WashTask {
-            cell,
-            after,
-            before,
-        })
-        .collect();
-    plan.sort_by_key(|w| (w.before, w.after, w.cell));
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,28 +196,6 @@ mod tests {
         // Incidents are temporally ordered pairs.
         for i in &report.incidents {
             assert!(i.first_time <= i.second_time);
-        }
-    }
-
-    #[test]
-    fn wash_plan_covers_every_contaminated_cell() {
-        let assay = multiplex_immunoassay(4);
-        let compiled = compile(&assay, &CompilerConfig::default()).unwrap();
-        let report = check_contamination(&assay, &compiled);
-        let plan = wash_plan(&report);
-        assert_eq!(plan.len(), report.washes_needed);
-        // Every incident's cell appears in the plan and its window brackets
-        // at least one of that cell's incidents.
-        for i in &report.incidents {
-            let task = plan
-                .iter()
-                .find(|w| w.cell == i.cell)
-                .expect("cell planned");
-            assert!(task.after >= i.first_time || task.before <= i.second_time);
-        }
-        // Plan is sorted by deadline.
-        for w in plan.windows(2) {
-            assert!(w[0].before <= w[1].before);
         }
     }
 

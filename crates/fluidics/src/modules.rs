@@ -91,42 +91,6 @@ impl ModuleLibrary {
         }
     }
 
-    /// A compact library for small grids: only the slowest (smallest)
-    /// variant of each module.
-    pub fn compact() -> Self {
-        let std = Self::standard();
-        ModuleLibrary {
-            mixers: vec![*std.mixers.last().expect("standard library has mixers")],
-            ..std
-        }
-    }
-
-    /// A fully custom library. Each module list must be non-empty and is
-    /// used fastest-first by the scheduler, so sort accordingly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any module list is empty.
-    pub fn custom(
-        mixers: Vec<ModuleSpec>,
-        splitters: Vec<ModuleSpec>,
-        detectors: Vec<ModuleSpec>,
-        dispense_latency: u32,
-        output_latency: u32,
-    ) -> Self {
-        assert!(
-            !mixers.is_empty() && !splitters.is_empty() && !detectors.is_empty(),
-            "module lists must be non-empty"
-        );
-        ModuleLibrary {
-            mixers,
-            splitters,
-            detectors,
-            dispense_latency,
-            output_latency,
-        }
-    }
-
     /// Module shapes able to execute `kind`, fastest first. Dispense and
     /// output are port operations with a nominal 1×1 footprint.
     pub fn options(&self, kind: &OpKind) -> Vec<ModuleSpec> {
@@ -151,6 +115,46 @@ impl ModuleLibrary {
 impl Default for ModuleLibrary {
     fn default() -> Self {
         Self::standard()
+    }
+}
+
+/// Test fixtures: libraries the unit tests of this crate build.
+#[cfg(test)]
+impl ModuleLibrary {
+    /// A compact library for small grids: only the slowest (smallest)
+    /// variant of each module.
+    pub(crate) fn compact() -> Self {
+        let std = Self::standard();
+        ModuleLibrary {
+            mixers: vec![*std.mixers.last().expect("standard library has mixers")],
+            ..std
+        }
+    }
+
+    /// A fully custom library. Each module list must be non-empty and is
+    /// used fastest-first by the scheduler, so sort accordingly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any module list is empty.
+    pub(crate) fn custom(
+        mixers: Vec<ModuleSpec>,
+        splitters: Vec<ModuleSpec>,
+        detectors: Vec<ModuleSpec>,
+        dispense_latency: u32,
+        output_latency: u32,
+    ) -> Self {
+        assert!(
+            !mixers.is_empty() && !splitters.is_empty() && !detectors.is_empty(),
+            "module lists must be non-empty"
+        );
+        ModuleLibrary {
+            mixers,
+            splitters,
+            detectors,
+            dispense_latency,
+            output_latency,
+        }
     }
 }
 

@@ -55,14 +55,6 @@ impl Reservation {
         let sep_y = self.origin.y - 1 > b_max.y || a_max.y + 1 < other.origin.y;
         !(sep_x || sep_y)
     }
-
-    /// The center cell of the working region (droplet hand-off point).
-    pub fn center(&self) -> Cell {
-        Cell::new(
-            self.origin.x + (self.spec.width - 1) / 2,
-            self.origin.y + (self.spec.height - 1) / 2,
-        )
-    }
 }
 
 /// First-fit rectangle placer with time-windowed reservations.
@@ -117,11 +109,6 @@ impl Placer {
     /// All reservations made so far.
     pub fn reservations(&self) -> &[Reservation] {
         &self.reservations
-    }
-
-    /// The cells this placer refuses to cover.
-    pub fn keepout(&self) -> &[Cell] {
-        &self.keepout
     }
 
     fn try_at(&self, origin: Cell, spec: ModuleSpec, from: u32, until: u32) -> bool {
@@ -347,14 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn center_of_reservation() {
+    fn max_corner_of_reservation() {
         let r = Reservation {
             origin: Cell::new(2, 3),
             spec: spec(2, 4),
             from: 0,
             until: 1,
         };
-        assert_eq!(r.center(), Cell::new(2, 4));
         assert_eq!(r.max(), Cell::new(3, 6));
     }
 }

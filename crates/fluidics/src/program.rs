@@ -74,11 +74,6 @@ impl ElectrodeProgram {
         self.ticks.iter().map(|s| s.len() as u64).sum()
     }
 
-    /// Peak simultaneous activations (driver sizing).
-    pub fn peak_parallelism(&self) -> usize {
-        self.ticks.iter().map(BTreeSet::len).max().unwrap_or(0)
-    }
-
     /// Renders tick `t` as an ASCII picture of a `width × height` array:
     /// `#` = energized electrode, `.` = idle. Rows are printed north-up
     /// (y = height−1 first).
@@ -118,7 +113,6 @@ mod tests {
         p.activate_rect(1, Cell::new(1, 1), Cell::new(2, 3));
         assert_eq!(p.active_at(1).len(), 6);
         assert_eq!(p.energy(), 6);
-        assert_eq!(p.peak_parallelism(), 6);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use rand::Rng;
-
 use crate::network::{BooleanNetwork, NetworkError, State};
 
 /// Default cap on explicit exhaustive enumeration (2^22 ≈ 4.2 M states).
@@ -288,56 +286,6 @@ pub fn fixed_points(
         .collect())
 }
 
-/// Monte-Carlo attractor discovery for networks too large to enumerate:
-/// walks `samples` random trajectories to their cycles and deduplicates by
-/// canonical key. Reported basins count sampled trajectories, not states.
-pub fn sample_sync_attractors<R: Rng>(
-    net: &BooleanNetwork,
-    samples: usize,
-    rng: &mut R,
-) -> Vec<Attractor> {
-    let mask = if net.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << net.len()) - 1
-    };
-    let mut found: HashMap<State, (Attractor, u64)> = HashMap::new();
-    for _ in 0..samples {
-        let mut seen: HashMap<u64, usize> = HashMap::new();
-        let mut path: Vec<u64> = Vec::new();
-        let mut cur = rng.gen::<u64>() & mask;
-        loop {
-            if let Some(&start) = seen.get(&cur) {
-                let cycle = canonical_cycle(&path[start..]);
-                let key = cycle[0];
-                let entry = found.entry(key).or_insert_with(|| {
-                    (
-                        Attractor {
-                            states: cycle.clone(),
-                            basin: Some(0),
-                        },
-                        0,
-                    )
-                });
-                entry.1 += 1;
-                break;
-            }
-            seen.insert(cur, path.len());
-            path.push(cur);
-            cur = net.sync_step(State::from_bits(cur)).bits();
-        }
-    }
-    let mut out: Vec<Attractor> = found
-        .into_values()
-        .map(|(mut a, hits)| {
-            a.basin = Some(hits);
-            a
-        })
-        .collect();
-    out.sort_by_key(Attractor::key);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,20 +355,6 @@ mod tests {
         // 000 and 111 fixed; two 3-cycles (001→010→100, 011→110→101).
         assert_eq!(atts.iter().filter(|a| a.is_fixed_point()).count(), 2);
         assert_eq!(atts.iter().filter(|a| a.period() == 3).count(), 2);
-    }
-
-    #[test]
-    fn sampling_finds_same_attractors_as_exhaustive() {
-        let net = toggle_pair();
-        let mut rng = {
-            use rand::SeedableRng;
-            rand_chacha::ChaCha8Rng::seed_from_u64(5)
-        };
-        let sampled = sample_sync_attractors(&net, 200, &mut rng);
-        let exact = sync_attractors(&net, None).unwrap();
-        let sk: Vec<State> = sampled.iter().map(Attractor::key).collect();
-        let ek: Vec<State> = exact.iter().map(Attractor::key).collect();
-        assert_eq!(sk, ek);
     }
 
     #[test]

@@ -39,11 +39,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Constant true/false.
-    pub fn constant(value: bool) -> Expr {
-        Expr::Const(value)
-    }
-
     /// The variable for gene `i`.
     pub fn var(i: usize) -> Expr {
         Expr::Var(i)
@@ -148,28 +143,6 @@ impl Expr {
             )));
         }
         Ok(e)
-    }
-
-    /// Renders the expression with gene names supplied by `name`.
-    pub fn display_with(&self, name: &dyn Fn(usize) -> String) -> String {
-        match self {
-            Expr::Const(b) => b.to_string(),
-            Expr::Var(i) => name(*i),
-            Expr::Not(e) => match e.as_ref() {
-                Expr::Var(_) | Expr::Const(_) => format!("!{}", e.display_with(name)),
-                _ => format!("!({})", e.display_with(name)),
-            },
-            Expr::And(a, b) => {
-                let fmt_side = |e: &Expr| match e {
-                    Expr::Or(_, _) => format!("({})", e.display_with(name)),
-                    _ => e.display_with(name),
-                };
-                format!("{} & {}", fmt_side(a), fmt_side(b))
-            }
-            Expr::Or(a, b) => {
-                format!("{} | {}", a.display_with(name), b.display_with(name))
-            }
-        }
     }
 }
 
@@ -384,19 +357,6 @@ mod tests {
         let e = Expr::parse("c & a | a & !b", &resolve).unwrap();
         assert_eq!(e.support(), vec![0, 1, 2]);
         assert_eq!(Expr::Const(true).support(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn display_round_trips_through_parser() {
-        let name = |i: usize| ["a", "b", "c"][i].to_string();
-        for text in ["a & !b | c", "!(a | b) & c", "a | b | c", "a & b & !c"] {
-            let e = Expr::parse(text, &resolve).unwrap();
-            let shown = e.display_with(&name);
-            let re = Expr::parse(&shown, &resolve).unwrap();
-            for bits in 0..8u64 {
-                assert_eq!(e.eval_bits(bits), re.eval_bits(bits), "{text} vs {shown}");
-            }
-        }
     }
 
     #[test]

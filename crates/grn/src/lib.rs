@@ -22,7 +22,6 @@
 //!   cell differentiation network (Th0/Th1/Th2) and an ABC-logic
 //!   Arabidopsis flower-organ network with the AP3 knock-out,
 //! * [`random`] — random network generation for scaling experiments,
-//! * [`io`] — BoolNet-format read/write for model interchange,
 //! * [`screen`] — systematic single-gene perturbation screens.
 //!
 //! ## Example: knock-out as stuck-at-0
@@ -48,7 +47,6 @@
 
 pub mod dynamics;
 mod expr;
-pub mod io;
 pub mod models;
 mod network;
 pub mod ode;

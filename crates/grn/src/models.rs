@@ -17,7 +17,6 @@
 //!   Fauré et al. (2006): quiescent fixed point without growth signal,
 //!   the published period-7 synchronous oscillation with it.
 
-use crate::dynamics::Attractor;
 use crate::network::{BooleanNetwork, NetworkError, State};
 use crate::symbolic::SymbolicDynamics;
 
@@ -377,18 +376,6 @@ pub fn mammalian_cell_cycle(growth: bool) -> BooleanNetwork {
     build().expect("embedded cell-cycle model is well-formed")
 }
 
-/// Convenience: classified attractor report for display in examples.
-pub fn describe_attractors(net: &BooleanNetwork, attractors: &[Attractor]) -> Vec<String> {
-    attractors
-        .iter()
-        .map(|a| {
-            let states: Vec<String> = a.states.iter().map(|&s| net.describe_state(s)).collect();
-            let basin = a.basin.map(|b| format!(" (basin {b})")).unwrap_or_default();
-            format!("period {}{}: {}", a.period(), basin, states.join(" → "))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,14 +557,5 @@ mod tests {
             let on = atts[0].states.iter().filter(|s| s.get(idx)).count();
             assert!(on > 0 && on < atts[0].period(), "{gene} should oscillate");
         }
-    }
-
-    #[test]
-    fn describe_attractors_renders() {
-        let net = arabidopsis(FloralInputs::whorls()[0]);
-        let atts = sync_attractors(&net, Some(15)).unwrap();
-        let lines = describe_attractors(&net, &atts);
-        assert_eq!(lines.len(), atts.len());
-        assert!(lines.iter().any(|l| l.contains("period 1")));
     }
 }

@@ -146,22 +146,6 @@ impl OdeSystem {
         x
     }
 
-    /// Integrates until `‖dx/dt‖∞ < tol` or `max_steps` elapse; returns
-    /// the state and whether it converged.
-    pub fn settle(&self, x0: &[f64], dt: f64, tol: f64, max_steps: usize) -> (Vec<f64>, bool) {
-        let mut x = x0.to_vec();
-        for _ in 0..max_steps {
-            let d = self.derivative(&x);
-            if d.iter().all(|v| v.abs() < tol) {
-                return (x, true);
-            }
-            x = self.rk4_step(&x, dt);
-        }
-        let d = self.derivative(&x);
-        let converged = d.iter().all(|v| v.abs() < tol);
-        (x, converged)
-    }
-
     /// Thresholds a continuous state at 0.5 into a Boolean [`State`].
     pub fn discretize(&self, x: &[f64]) -> State {
         let mut s = State::ZERO;
@@ -214,10 +198,10 @@ mod tests {
     fn settles_to_biased_attractor() {
         let net = toggle_pair();
         let sys = OdeSystem::new(&net, OdeConfig::default());
-        let (end, converged) = sys.settle(&[0.8, 0.2], 0.05, 1e-6, 20_000);
-        assert!(converged);
+        let end = sys.simulate(&[0.8, 0.2], 0.05, 2_000);
+        assert!(sys.derivative(&end).iter().all(|v| v.abs() < 1e-6));
         assert_eq!(sys.discretize(&end), State::from_bits(0b01));
-        let (end2, _) = sys.settle(&[0.2, 0.8], 0.05, 1e-6, 20_000);
+        let end2 = sys.simulate(&[0.2, 0.8], 0.05, 2_000);
         assert_eq!(sys.discretize(&end2), State::from_bits(0b10));
     }
 
@@ -251,8 +235,8 @@ mod tests {
                 ..OdeConfig::default()
             },
         );
-        let (soft_end, _) = soft.settle(&[0.9, 0.1], 0.05, 1e-6, 20_000);
-        let (sharp_end, _) = sharp.settle(&[0.9, 0.1], 0.05, 1e-6, 20_000);
+        let soft_end = soft.simulate(&[0.9, 0.1], 0.05, 2_000);
+        let sharp_end = sharp.simulate(&[0.9, 0.1], 0.05, 2_000);
         assert!(sharp_end[0] >= soft_end[0] - 1e-9);
         assert!(sharp_end[0] > 0.95);
     }

@@ -22,13 +22,6 @@ pub struct ScreenEntry {
     pub novel: usize,
 }
 
-impl ScreenEntry {
-    /// Fixed points of the wild type that the perturbation destroyed.
-    pub fn lost(&self, wild_type_count: usize) -> usize {
-        wild_type_count - self.preserved
-    }
-}
-
 /// Outcome of a whole-network screen.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Screen {
@@ -47,12 +40,6 @@ impl Screen {
         self.entries
             .iter()
             .filter(move |e| e.novel > 0 || e.preserved != wt)
-    }
-
-    /// Entries whose perturbation left the landscape bit-identical.
-    pub fn silent(&self) -> impl Iterator<Item = &ScreenEntry> {
-        let wt = self.wild_type.clone();
-        self.entries.iter().filter(move |e| e.fixed_points == wt)
     }
 }
 
@@ -136,7 +123,6 @@ mod tests {
             assert_eq!(e.fixed_points.len(), 1);
             assert_eq!(e.preserved, 1);
             assert_eq!(e.novel, 0);
-            assert_eq!(e.lost(2), 1);
         }
     }
 
@@ -161,7 +147,7 @@ mod tests {
                 .entries
                 .iter()
                 .find(|e| e.perturbation.gene() == gene)
-                .map(|e| e.lost(3))
+                .map(|e| 3 - e.preserved)
                 .expect("gene screened")
         };
         // Master regulators destroy a lineage; housekeeping signalling
@@ -173,6 +159,9 @@ mod tests {
         let phenotypic: Vec<&str> = screen.phenotypic().map(|e| e.perturbation.gene()).collect();
         assert!(phenotypic.contains(&"GATA3"));
         assert!(phenotypic.contains(&"Tbet"));
-        assert!(screen.silent().count() > 0);
+        assert!(screen
+            .entries
+            .iter()
+            .any(|e| e.fixed_points == screen.wild_type));
     }
 }

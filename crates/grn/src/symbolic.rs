@@ -82,11 +82,6 @@ impl SymbolicDynamics {
         }
     }
 
-    /// The variable order in use.
-    pub fn order(&self) -> VariableOrder {
-        self.order
-    }
-
     /// BDD variable of gene `i`'s current value.
     fn cur(&self, i: usize) -> Var {
         cur_var(i, self.order)
@@ -261,12 +256,6 @@ impl SymbolicDynamics {
         self.shift_down(primed)
     }
 
-    fn preimage_with(&mut self, set: Ref, t: Ref) -> Ref {
-        let shifted = self.shift_up(set);
-        let primed = self.primed_vars();
-        self.mgr.and_exists(shifted, t, &primed)
-    }
-
     /// Forward image under asynchronous (one-gene-at-a-time) update.
     pub fn async_image(&mut self, set: Ref) -> Ref {
         let t = self.async_transition_relation();
@@ -276,7 +265,9 @@ impl SymbolicDynamics {
     /// Backward image under asynchronous update.
     pub fn async_preimage(&mut self, set: Ref) -> Ref {
         let t = self.async_transition_relation();
-        self.preimage_with(set, t)
+        let shifted = self.shift_up(set);
+        let primed = self.primed_vars();
+        self.mgr.and_exists(shifted, t, &primed)
     }
 
     fn reach_fix(&mut self, from: Ref, step: fn(&mut Self, Ref) -> Ref, within: Ref) -> Ref {
@@ -343,12 +334,6 @@ impl SymbolicDynamics {
         self.image_with(set, t)
     }
 
-    /// Backward image: the set of predecessors of `set`.
-    pub fn preimage(&mut self, set: Ref) -> Ref {
-        let t = self.transition_relation();
-        self.preimage_with(set, t)
-    }
-
     /// Least fixed point of `S ∪ Img(S)` starting from `from` — all states
     /// reachable from `from` (inclusive). Returns the set and the number
     /// of image iterations performed.
@@ -379,38 +364,6 @@ impl SymbolicDynamics {
             }
             current = next;
         }
-    }
-
-    /// The basin of attraction of a state set: everything that eventually
-    /// flows *into* `set` — the least fixed point of backward reachability
-    /// (`S ∪ Pre(S)`). For an attractor's cycle set this is its exact
-    /// basin.
-    pub fn basin_of(&mut self, set: Ref) -> Ref {
-        let mut current = set;
-        loop {
-            let pre = self.preimage(current);
-            let next = {
-                // a ∨ b through the manager.
-                let mgr = &mut self.mgr;
-                mgr.or(current, pre)
-            };
-            if next == current {
-                return current;
-            }
-            current = next;
-        }
-    }
-
-    /// Basin size (number of states) of an attractor given as explicit
-    /// cycle states.
-    pub fn basin_size(&mut self, cycle: &[State]) -> f64 {
-        let mut set = self.mgr.zero();
-        for &s in cycle {
-            let sb = self.state_to_bdd(s);
-            set = self.mgr.or(set, sb);
-        }
-        let basin = self.basin_of(set);
-        self.state_count(basin)
     }
 
     /// Complete synchronous attractor extraction: computes
@@ -536,17 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn preimage_inverts_image_on_singletons() {
-        let net = toggle_pair();
-        let mut sym = SymbolicDynamics::new(&net);
-        let target = sym.state_to_bdd(State::from_bits(0b11));
-        let pre = sym.preimage(target);
-        let sources = sym.states_of(pre);
-        // Only 00 maps to 11 under the toggle network.
-        assert_eq!(sources, vec![State::from_bits(0b00)]);
-    }
-
-    #[test]
     fn reachable_from_state_matches_walk() {
         let net = toggle_pair();
         let mut sym = SymbolicDynamics::new(&net);
@@ -628,29 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_basins_match_explicit() {
-        for seed in 0..8u64 {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let cfg = RandomNetworkConfig {
-                genes: 7,
-                regulators: 2,
-                bias: 0.5,
-            };
-            let net = random_network(&cfg, &mut rng);
-            let explicit = dynamics::sync_attractors(&net, None).unwrap();
-            let mut sym = SymbolicDynamics::new(&net);
-            for a in &explicit {
-                let size = sym.basin_size(&a.states);
-                assert_eq!(
-                    size as u64,
-                    a.basin.expect("explicit computes basins"),
-                    "seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sequential_order_gives_identical_results() {
         for seed in 0..6u64 {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -662,7 +581,6 @@ mod tests {
             let net = random_network(&cfg, &mut rng);
             let mut inter = SymbolicDynamics::new(&net);
             let mut seq = SymbolicDynamics::with_order(&net, VariableOrder::Sequential);
-            assert_eq!(seq.order(), VariableOrder::Sequential);
             assert_eq!(inter.fixed_point_states(), seq.fixed_point_states());
             let a = inter.attractors();
             let b = seq.attractors();

@@ -77,11 +77,6 @@ impl CommGraph {
         &self.flows
     }
 
-    /// Total offered bandwidth.
-    pub fn total_rate(&self) -> f64 {
-        self.flows.iter().map(|f| f.rate).sum()
-    }
-
     /// Hotspot workload: every other core sends to core 0 (a shared
     /// memory controller), plus light neighbour chatter.
     pub fn hotspot(cores: usize, rate: f64) -> Self {
@@ -160,16 +155,6 @@ impl CommGraph {
         }
         CommGraph::new(cores, flows)
     }
-
-    /// Symmetric bandwidth between a pair of cores (sum over both
-    /// directions) — the quantity partitioning works on.
-    pub fn pair_rate(&self, a: usize, b: usize) -> f64 {
-        self.flows
-            .iter()
-            .filter(|f| (f.src == a && f.dst == b) || (f.src == b && f.dst == a))
-            .map(|f| f.rate)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +171,8 @@ mod tests {
             .filter(|f| f.dst == 0)
             .map(|f| f.rate)
             .sum();
-        assert!(to_zero > g.total_rate() * 0.7);
+        let total: f64 = g.flows().iter().map(|f| f.rate).sum();
+        assert!(to_zero > total * 0.7);
     }
 
     #[test]
@@ -208,28 +194,6 @@ mod tests {
         for f in a.flows() {
             assert!(f.src != f.dst && f.rate > 0.0);
         }
-    }
-
-    #[test]
-    fn pair_rate_sums_both_directions() {
-        let g = CommGraph::new(
-            3,
-            vec![
-                Flow {
-                    src: 0,
-                    dst: 1,
-                    rate: 1.0,
-                },
-                Flow {
-                    src: 1,
-                    dst: 0,
-                    rate: 0.5,
-                },
-            ],
-        );
-        assert_eq!(g.pair_rate(0, 1), 1.5);
-        assert_eq!(g.pair_rate(1, 0), 1.5);
-        assert_eq!(g.pair_rate(0, 2), 0.0);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl Topology {
         count == self.routers
     }
 
-    /// Maximum router degree (port count proxy for area).
-    pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// A copy with the given undirected links removed (fault injection:
     /// "reliable on-chip communication" requires routing around failed
     /// wires). The result is treated as irregular — even a degraded mesh
@@ -258,7 +253,8 @@ mod tests {
         assert_eq!(m.links().len(), 2 * 12 - 4 - 3);
         assert!(m.is_connected());
         assert_eq!(m.mesh_coords(7), Some((3, 1, 0)));
-        assert_eq!(m.max_degree(), 4);
+        let max_degree = (0..m.routers()).map(|r| m.neighbors(r).len()).max();
+        assert_eq!(max_degree, Some(4));
     }
 
     #[test]

@@ -383,11 +383,10 @@ mod tests {
 
     #[test]
     fn scheduled_switches_on_day_boundaries() {
-        let expr = PolicyExpr::scheduled(vec![
-            (0, PolicyExpr::Fixed(0.8)),
-            (2, PolicyExpr::Fixed(0.2)),
-        ])
-        .unwrap();
+        let expr = PolicyExpr::Scheduled {
+            pieces: vec![(0, PolicyExpr::Fixed(0.8)), (2, PolicyExpr::Fixed(0.2))],
+        };
+        assert!(expr.validate().is_ok());
         let mut e = expr.evaluator();
         let spd = 144;
         assert_eq!(e.duty(&ctx_with(400.0, 0.0, 0, 0.0)), 0.8);

@@ -227,11 +227,6 @@ fn check_alpha(v: f64) -> Result<(), PolicyError> {
 }
 
 impl PolicyExpr {
-    /// A validated constant-duty policy (`duty` in `[0, 1]`).
-    pub fn fixed(duty: f64) -> Result<PolicyExpr, PolicyError> {
-        PolicyExpr::Fixed(duty).validated()
-    }
-
     /// A validated greedy two-mode policy.
     pub fn greedy(
         threshold: f64,
@@ -280,11 +275,6 @@ impl PolicyExpr {
             off: Box::new(off),
         }
         .validated()
-    }
-
-    /// A validated piecewise day schedule.
-    pub fn scheduled(pieces: Vec<(u64, PolicyExpr)>) -> Result<PolicyExpr, PolicyError> {
-        PolicyExpr::Scheduled { pieces }.validated()
     }
 
     /// A validated clamped composition (`0 <= lo <= hi <= 1`).
@@ -465,32 +455,31 @@ mod tests {
 
     #[test]
     fn builders_accept_valid_parameters() {
-        assert!(PolicyExpr::fixed(0.0).is_ok());
-        assert!(PolicyExpr::fixed(1.0).is_ok());
+        assert!(PolicyExpr::Fixed(0.0).validate().is_ok());
+        assert!(PolicyExpr::Fixed(1.0).validate().is_ok());
         assert!(PolicyExpr::greedy(0.3, 0.9, 0.05).is_ok());
         assert!(PolicyExpr::energy_neutral(1.0).is_ok());
         assert!(PolicyExpr::forecast(0.2).is_ok());
-        let inner = PolicyExpr::fixed(0.5).unwrap();
+        let inner = PolicyExpr::Fixed(0.5);
         assert!(PolicyExpr::derate(inner.clone(), 0.2, 0.3).is_ok());
         assert!(PolicyExpr::hysteresis(0.2, 0.6, inner.clone(), PolicyExpr::Fixed(0.01)).is_ok());
-        assert!(
-            PolicyExpr::scheduled(vec![(0, inner.clone()), (5, PolicyExpr::Fixed(0.1))]).is_ok()
-        );
+        let pieces = vec![(0, inner.clone()), (5, PolicyExpr::Fixed(0.1))];
+        assert!(PolicyExpr::Scheduled { pieces }.validate().is_ok());
         assert!(PolicyExpr::clamp(inner, 0.1, 0.9).is_ok());
     }
 
     #[test]
     fn builders_reject_nan_and_out_of_range() {
         assert!(matches!(
-            PolicyExpr::fixed(f64::NAN),
+            PolicyExpr::Fixed(f64::NAN).validate(),
             Err(PolicyError::NonFinite { .. })
         ));
         assert!(matches!(
-            PolicyExpr::fixed(1.5),
+            PolicyExpr::Fixed(1.5).validate(),
             Err(PolicyError::OutOfRange { .. })
         ));
         assert!(matches!(
-            PolicyExpr::fixed(-0.1),
+            PolicyExpr::Fixed(-0.1).validate(),
             Err(PolicyError::OutOfRange { .. })
         ));
         assert!(matches!(
@@ -527,15 +516,21 @@ mod tests {
             Err(PolicyError::BadHysteresisBand { .. })
         ));
         assert!(matches!(
-            PolicyExpr::scheduled(vec![]),
+            PolicyExpr::Scheduled { pieces: vec![] }.validate(),
             Err(PolicyError::EmptySchedule)
         ));
         assert!(matches!(
-            PolicyExpr::scheduled(vec![(3, p.clone())]),
+            PolicyExpr::Scheduled {
+                pieces: vec![(3, p.clone())]
+            }
+            .validate(),
             Err(PolicyError::ScheduleMustStartAtZero { start: 3 })
         ));
         assert!(matches!(
-            PolicyExpr::scheduled(vec![(0, p.clone()), (5, p.clone()), (5, p.clone())]),
+            PolicyExpr::Scheduled {
+                pieces: vec![(0, p.clone()), (5, p.clone()), (5, p.clone())]
+            }
+            .validate(),
             Err(PolicyError::UnsortedSchedule { index: 2 })
         ));
         assert!(matches!(

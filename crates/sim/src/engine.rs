@@ -82,12 +82,6 @@ impl<E> Scheduler<E> {
         self.pending.push((at, event));
     }
 
-    /// Schedules `event` to fire `delay` ticks from now.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        let at = self.now + delay;
-        self.pending.push((at, event));
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -102,7 +96,6 @@ pub struct Engine<E> {
     queue: BinaryHeap<QueuedEvent<E>>,
     now: SimTime,
     next_seq: u64,
-    dispatched: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -118,18 +111,12 @@ impl<E> Engine<E> {
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            dispatched: 0,
         }
     }
 
     /// Current virtual time (time of the last dispatched event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
     }
 
     /// Number of events still waiting in the queue.
@@ -189,7 +176,6 @@ impl<E> Engine<E> {
             for (at, ev) in scheduler.pending {
                 self.push(at, ev);
             }
-            self.dispatched += 1;
             count += 1;
         }
         count
@@ -213,7 +199,6 @@ impl<E> Engine<E> {
         for (at, ev) in scheduler.pending {
             self.push(at, ev);
         }
-        self.dispatched += 1;
         let _ = horizon;
         true
     }
@@ -284,11 +269,11 @@ mod tests {
     }
     impl Model for Chain {
         type Event = Ev;
-        fn handle(&mut self, _now: SimTime, ev: Ev, s: &mut Scheduler<Ev>) {
+        fn handle(&mut self, now: SimTime, ev: Ev, s: &mut Scheduler<Ev>) {
             let Ev::Tag(t) = ev;
             if t > 0 {
                 self.hops += 1;
-                s.schedule_in(7, Ev::Tag(t - 1));
+                s.schedule(now + 7, Ev::Tag(t - 1));
             }
         }
     }
@@ -298,10 +283,10 @@ mod tests {
         let mut m = Chain { hops: 0 };
         let mut e = Engine::new();
         e.schedule(SimTime::ZERO, Ev::Tag(5));
-        e.run(&mut m);
+        let dispatched = e.run(&mut m);
         assert_eq!(m.hops, 5);
         assert_eq!(e.now().ticks(), 35);
-        assert_eq!(e.dispatched(), 6);
+        assert_eq!(dispatched, 6);
     }
 
     #[test]

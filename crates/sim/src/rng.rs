@@ -76,15 +76,6 @@ impl SeedStream {
         let s = splitmix64(&mut state);
         ChaCha8Rng::seed_from_u64(s)
     }
-
-    /// Derives a child `SeedStream`, for handing a whole subsystem its own
-    /// seed space.
-    pub fn child(&self, label: &str) -> SeedStream {
-        let mut state = self.seed ^ hash_label(label);
-        SeedStream {
-            seed: splitmix64(&mut state),
-        }
-    }
 }
 
 /// Draws an exponential sample with the given rate parameter `lambda`.
@@ -130,16 +121,6 @@ mod tests {
         let a: u64 = SeedStream::new(7).indexed_stream("node", 0).gen();
         let b: u64 = SeedStream::new(7).indexed_stream("node", 1).gen();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn child_streams_are_namespaced() {
-        let root = SeedStream::new(7);
-        let child = root.child("wsn");
-        let a: u64 = root.stream("x").gen();
-        let b: u64 = child.stream("x").gen();
-        assert_ne!(a, b);
-        assert_eq!(child, root.child("wsn"));
     }
 
     #[test]

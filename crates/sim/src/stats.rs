@@ -160,16 +160,6 @@ impl Histogram {
         self.bins[i]
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above the upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -269,7 +259,8 @@ mod tests {
         }
         h.record(-1.0);
         h.record(100.0);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.bin_count(0), 10);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 102);
     }

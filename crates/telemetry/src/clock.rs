@@ -68,11 +68,6 @@ impl VirtualClock {
             ticks: AtomicU64::new(0),
         }
     }
-
-    /// Reads taken so far times the step (the next value returned).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for VirtualClock {
@@ -106,7 +101,7 @@ mod tests {
         assert_eq!(c.now_ns(), 0);
         assert_eq!(c.now_ns(), 7);
         assert_eq!(c.now_ns(), 14);
-        assert_eq!(c.elapsed_ns(), 21);
+        assert_eq!(c.now_ns(), 21);
     }
 
     #[test]

@@ -178,9 +178,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_records_nothing() {
         isolated(|| {
-            let s = span("off.span");
-            assert!(!s.is_recording());
-            drop(s);
+            drop(span("off.span"));
             counter_add("off.counter", 1);
             observe("off.hist", 1);
             assert!(take_trace().is_empty());

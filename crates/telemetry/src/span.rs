@@ -141,14 +141,6 @@ pub struct Span {
     active: bool,
 }
 
-impl Span {
-    /// Whether this guard is actually recording (telemetry was enabled
-    /// when it was created).
-    pub fn is_recording(&self) -> bool {
-        self.active
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if !self.active {

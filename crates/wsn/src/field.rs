@@ -92,11 +92,6 @@ impl Field {
         self.positions[i]
     }
 
-    /// The sink position.
-    pub fn sink(&self) -> Position {
-        self.sink
-    }
-
     /// Field side length.
     pub fn side(&self) -> f64 {
         self.side
@@ -226,7 +221,7 @@ mod tests {
             let p = a.position(i);
             assert!((0.0..=50.0).contains(&p.x) && (0.0..=50.0).contains(&p.y));
         }
-        assert_eq!(a.sink(), Position { x: 25.0, y: 25.0 });
+        assert_eq!(a.sink, Position { x: 25.0, y: 25.0 });
     }
 
     #[test]

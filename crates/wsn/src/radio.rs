@@ -44,14 +44,6 @@ impl RadioModel {
     pub fn aggregate(&self) -> f64 {
         self.e_aggregate
     }
-
-    /// Distance at which transmitting directly costs the same as two hops
-    /// of half the distance — the break-even that motivates multi-hop.
-    pub fn multihop_breakeven(&self) -> f64 {
-        // tx(d) = 2·tx(d/2) + rx  ⇒  e_amp·k·d²/2 = e_elec·k + rx
-        (2.0 * (self.e_elec * self.packet_bits + self.rx()) / (self.e_amp * self.packet_bits))
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -73,16 +65,5 @@ mod tests {
     fn rx_independent_of_distance() {
         let r = RadioModel::default();
         assert_eq!(r.rx(), r.e_elec * r.packet_bits);
-    }
-
-    #[test]
-    fn breakeven_separates_regimes() {
-        let r = RadioModel::default();
-        let d = r.multihop_breakeven();
-        // Below break-even direct is cheaper; above, two half-hops win.
-        let direct = |x: f64| r.tx(x);
-        let two_hop = |x: f64| 2.0 * r.tx(x / 2.0) + r.rx();
-        assert!(direct(d * 0.5) < two_hop(d * 0.5));
-        assert!(direct(d * 2.0) > two_hop(d * 2.0));
     }
 }
