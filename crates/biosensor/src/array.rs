@@ -40,12 +40,14 @@ impl Default for SensorConfig {
     }
 }
 
-/// A label-free sensor array with one probe chemistry per row.
+/// A label-free sensor array: one row of redundant sites per probe, every
+/// probe with the same chemistry.
 ///
 /// See the [crate-level example](crate) for typical use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensorArray {
-    kinetics: Vec<BindingKinetics>,
+    probes: usize,
+    kinetics: BindingKinetics,
     config: SensorConfig,
 }
 
@@ -53,29 +55,26 @@ impl SensorArray {
     /// An array of `probes` identical probe sites.
     pub fn uniform(probes: usize, kinetics: BindingKinetics, config: SensorConfig) -> Self {
         SensorArray {
-            kinetics: vec![kinetics; probes],
+            probes,
+            kinetics,
             config,
         }
     }
 
     /// Number of probes (rows of the output).
     pub fn probes(&self) -> usize {
-        self.kinetics.len()
+        self.probes
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SensorConfig {
-        &self.config
-    }
-
-    /// Noise-free transfer function of probe `i`: occupancy signal for a
-    /// concentration, in full-scale units.
+    /// Noise-free transfer function of every probe: occupancy signal for
+    /// a concentration, in full-scale units.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or `concentration` is negative.
-    pub fn ideal_signal(&self, i: usize, concentration: f64) -> f64 {
-        self.kinetics[i].occupancy(concentration, self.config.integration_time)
+    /// Panics if `concentration` is negative.
+    pub fn ideal_signal(&self, concentration: f64) -> f64 {
+        self.kinetics
+            .occupancy(concentration, self.config.integration_time)
     }
 
     /// One quantization step of the ADC in full-scale units.
@@ -100,9 +99,8 @@ impl SensorArray {
         let lsb = self.lsb();
         concentrations
             .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let ideal = self.ideal_signal(i, c);
+            .map(|&c| {
+                let ideal = self.ideal_signal(c);
                 let mut acc = 0.0;
                 for _ in 0..self.config.sites_per_probe.max(1) {
                     let shot = self.config.shot_coeff * ideal.max(0.0).sqrt();
@@ -117,22 +115,22 @@ impl SensorArray {
             .collect()
     }
 
-    /// Estimates back the concentration that produced `reading` on probe
-    /// `i`, inverting the finite-time transfer function θ(c, T) that
+    /// Estimates back the concentration that produced `reading` on any
+    /// probe, inverting the finite-time transfer function θ(c, T) that
     /// [`SensorArray::ideal_signal`] evaluates. Saturated readings return
     /// `f64::INFINITY`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or `reading` is negative or NaN.
-    pub fn calibrate(&self, i: usize, reading: f64) -> f64 {
+    /// Panics if `reading` is negative or NaN.
+    pub fn calibrate(&self, reading: f64) -> f64 {
         assert!(reading >= 0.0, "reading must be non-negative");
         // Invert θ(c, T) = θ_eq(c)(1 − e^{−(k_on c + k_off)T}) by bisection
         // on c; the function is monotone increasing.
         if reading >= 1.0 - 1e-12 {
             return f64::INFINITY;
         }
-        let k = &self.kinetics[i];
+        let k = &self.kinetics;
         let t = self.config.integration_time;
         let mut lo = 0.0f64;
         let mut hi = k.dissociation_constant();
@@ -160,13 +158,10 @@ impl SensorArray {
     }
 
     /// Empirical signal-to-noise ratio at a given concentration: mean over
-    /// standard deviation of `trials` repeated measurements of probe 0.
+    /// standard deviation of `trials` repeated measurements of one probe.
     /// Returns `f64::INFINITY` when the noise floor quantizes to zero.
     pub fn snr(&self, concentration: f64, trials: usize, seed: u64) -> f64 {
-        let single = SensorArray {
-            kinetics: vec![self.kinetics[0]],
-            config: self.config,
-        };
+        let single = SensorArray { probes: 1, ..*self };
         let readings: Vec<f64> = (0..trials)
             .map(|k| single.measure(&[concentration], seed.wrapping_add(k as u64))[0])
             .collect();
@@ -196,12 +191,12 @@ mod tests {
 
     /// The fixed 100-step bisection, without an early exit: the oracle
     /// that `calibrate` must match bit for bit.
-    fn calibrate_100_steps(a: &SensorArray, i: usize, reading: f64) -> f64 {
+    fn calibrate_100_steps(a: &SensorArray, reading: f64) -> f64 {
         assert!(reading >= 0.0, "reading must be non-negative");
         if reading >= 1.0 - 1e-12 {
             return f64::INFINITY;
         }
-        let k = &a.kinetics[i];
+        let k = &a.kinetics;
         let t = a.config.integration_time;
         let mut lo = 0.0f64;
         let mut hi = k.dissociation_constant();
@@ -229,8 +224,8 @@ mod tests {
         for k in 0..=4096u32 {
             let reading = f64::from(k) / 4096.0;
             assert_eq!(
-                a.calibrate(0, reading).to_bits(),
-                calibrate_100_steps(&a, 0, reading).to_bits(),
+                a.calibrate(reading).to_bits(),
+                calibrate_100_steps(&a, reading).to_bits(),
                 "reading {k}/4096"
             );
         }
@@ -247,7 +242,10 @@ mod tests {
             code in 0.0f64..1.0,
             raw in 0.0f64..1.0,
         ) {
-            let kinetics = BindingKinetics::new(10f64.powf(log_k_on), 10f64.powf(log_k_off));
+            let kinetics = BindingKinetics {
+                k_on: 10f64.powf(log_k_on),
+                k_off: 10f64.powf(log_k_off),
+            };
             let cfg = SensorConfig {
                 integration_time,
                 adc_bits,
@@ -261,8 +259,8 @@ mod tests {
             let sum = (code * codes as f64).floor() * a.lsb();
             for reading in [sum / sites_per_probe as f64, raw] {
                 prop_assert_eq!(
-                    a.calibrate(0, reading).to_bits(),
-                    calibrate_100_steps(&a, 0, reading).to_bits(),
+                    a.calibrate(reading).to_bits(),
+                    calibrate_100_steps(&a, reading).to_bits(),
                     "reading {}", reading
                 );
             }
@@ -280,8 +278,8 @@ mod tests {
     #[test]
     fn signal_monotone_in_concentration() {
         let a = array(1);
-        let lo = a.ideal_signal(0, 1e-10);
-        let hi = a.ideal_signal(0, 1e-8);
+        let lo = a.ideal_signal(1e-10);
+        let hi = a.ideal_signal(1e-8);
         assert!(hi > lo);
     }
 
@@ -323,7 +321,7 @@ mod tests {
                 ..cfg
             },
         );
-        assert!(long.ideal_signal(0, 1e-9) > short.ideal_signal(0, 1e-9) * 2.0);
+        assert!(long.ideal_signal(1e-9) > short.ideal_signal(1e-9) * 2.0);
     }
 
     #[test]
@@ -338,7 +336,7 @@ mod tests {
         let a = SensorArray::uniform(1, BindingKinetics::dna_probe(), cfg);
         for c in [1e-10, 1e-9, 1e-8] {
             let reading = a.measure(&[c], 1)[0];
-            let est = a.calibrate(0, reading);
+            let est = a.calibrate(reading);
             assert!((est - c).abs() / c < 0.01, "true {c}, estimated {est}");
         }
     }
@@ -346,7 +344,7 @@ mod tests {
     #[test]
     fn saturated_reading_reports_infinity() {
         let a = array(1);
-        assert_eq!(a.calibrate(0, 1.0), f64::INFINITY);
+        assert_eq!(a.calibrate(1.0), f64::INFINITY);
     }
 
     #[test]

@@ -22,17 +22,6 @@ pub struct BindingKinetics {
 }
 
 impl BindingKinetics {
-    /// Creates kinetics from rate constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rate is not strictly positive.
-    pub fn new(k_on: f64, k_off: f64) -> Self {
-        assert!(k_on > 0.0, "association rate must be positive");
-        assert!(k_off > 0.0, "dissociation rate must be positive");
-        BindingKinetics { k_on, k_off }
-    }
-
     /// Typical 20-mer DNA probe: `k_on = 10⁶ 1/(M·s)`, `k_off = 10⁻³ 1/s`
     /// (K_d = 1 nM).
     pub fn dna_probe() -> Self {
@@ -99,7 +88,10 @@ mod tests {
 
     #[test]
     fn occupancy_at_zero_time_is_zero() {
-        let k = BindingKinetics::new(1e5, 1e-4);
+        let k = BindingKinetics {
+            k_on: 1e5,
+            k_off: 1e-4,
+        };
         assert_eq!(k.occupancy(1e-9, 0.0), 0.0);
     }
 

@@ -11,7 +11,7 @@
 //! * [`kinetics`] — Langmuir hybridization: occupancy versus analyte
 //!   concentration and integration time,
 //! * [`mod@array`] — the capacitive sensor array: transduction, shot and read
-//!   noise, ADC quantization, per-probe calibration back to concentration,
+//!   noise, ADC quantization, calibration back to concentration,
 //! * [`expression`] — the [`Matrix`] container plus a generator that
 //!   implants ground-truth biclusters into a noisy background
 //!   (experiment E3's workload).

@@ -140,11 +140,6 @@ impl LabChipPipeline {
         LabChipPipeline { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// Runs the full pipeline with the given seed.
     ///
     /// # Errors
@@ -195,9 +190,9 @@ impl LabChipPipeline {
         let array = SensorArray::uniform(cfg.dataset.genes, cfg.kinetics, cfg.sensor);
         let mut measured = Matrix::zeros(cfg.dataset.genes, cfg.dataset.samples);
         let mut err_acc = 0.0;
-        // A uniform array gives every probe the same kinetics, so a
-        // reading calibrates to the same concentration on any probe: each
-        // distinct reading is calibrated once per sense.
+        // Every probe shares the array's one chemistry, so calibration
+        // depends on the reading alone: each distinct reading is
+        // calibrated once per sense.
         let mut calibrated: HashMap<u64, f64> = HashMap::new();
         for s in 0..cfg.dataset.samples {
             let concentrations: Vec<f64> = (0..cfg.dataset.genes)
@@ -209,7 +204,7 @@ impl LabChipPipeline {
                 // Calibrate back to expression units.
                 let est_c = *calibrated
                     .entry(reading.to_bits())
-                    .or_insert_with(|| array.calibrate(g, reading));
+                    .or_insert_with(|| array.calibrate(reading));
                 let est_expr = if est_c.is_finite() {
                     est_c / cfg.unit_concentration
                 } else {

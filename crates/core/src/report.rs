@@ -77,11 +77,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Renders as a GitHub-flavoured markdown table with a heading.
     pub fn to_markdown(&self) -> String {
         let mut out = format!("### {} — {}\n\n", self.id, self.title);

@@ -968,16 +968,6 @@ impl ShardPlan {
         &self.assignments[shard.0 as usize]
     }
 
-    /// Total scenarios across all shards.
-    pub fn len(&self) -> usize {
-        self.assignments.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the plan covers no scenarios at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Iterates `(shard id, indices)` pairs in shard order.
     pub fn iter(&self) -> impl Iterator<Item = (ShardId, &[usize])> {
         self.assignments.iter().enumerate().map(|(k, v)| {
@@ -2210,7 +2200,8 @@ mod tests {
         for shards in [2, 4] {
             let plan = ShardPlan::split(&batch, shards);
             assert_eq!(plan.shards(), shards);
-            assert_eq!(plan.len(), batch.len());
+            let covered: usize = plan.iter().map(|(_, v)| v.len()).sum();
+            assert_eq!(covered, batch.len());
             // Reversing the batch must not move any scenario to a
             // different shard: compare fingerprint sets per shard.
             let mut reversed = batch.clone();

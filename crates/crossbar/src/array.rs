@@ -92,11 +92,6 @@ impl CrossbarArray {
         self.rows
     }
 
-    /// Number of column (input) wires.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Injects a defect (testing/fault-injection hook).
     ///
     /// # Panics

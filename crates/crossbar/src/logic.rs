@@ -81,11 +81,6 @@ impl LogicFunction {
         LogicFunction::new(inputs, set.into_iter().map(ProductTerm).collect())
     }
 
-    /// Number of input columns.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// The product terms.
     pub fn terms(&self) -> &[ProductTerm] {
         &self.terms

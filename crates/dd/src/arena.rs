@@ -15,15 +15,17 @@
 //!   digests in every process. This is what keeps serial, in-process
 //!   sharded and child-process sweeps byte-identical.
 //!
-//! Arenas are expensive to warm up (table capacity, node storage), so the
-//! module also keeps a small per-thread recycling pool:
+//! Nodes are never freed: an arena only grows during a session, so its
+//! node count is also its peak and every [`Ref`] stays valid. Arenas are
+//! expensive to warm up (table capacity, node storage), so the module
+//! also keeps a small per-thread recycling pool between sessions:
 //! [`DdArena::recycled`] hands back a reset arena with its capacity
 //! intact, and [`DdArena::recycle`] returns one to the pool. A reset
 //! arena is indistinguishable from a fresh one apart from allocation
 //! capacity, so recycling can never leak state between sessions.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::node::{Node, Ref, Var};
 
@@ -59,23 +61,6 @@ const EMPTY_SLOT: CacheSlot = CacheSlot {
     result: 0,
 };
 
-/// Counter snapshot of an arena (see [`DdArena::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DdStats {
-    /// Live nodes, terminals included.
-    pub live_nodes: usize,
-    /// Peak live nodes observed so far.
-    pub peak_nodes: usize,
-    /// Unique-table (hash-consing) probes.
-    pub unique_lookups: u64,
-    /// Unique-table probes answered by an existing canonical node.
-    pub unique_hits: u64,
-    /// Computed-cache probes.
-    pub cache_lookups: u64,
-    /// Computed-cache probes answered from the memo.
-    pub cache_hits: u64,
-}
-
 /// Word-at-a-time FNV-1a with a final avalanche; cheap and well mixed for
 /// the small integer triples both tables hash.
 #[inline]
@@ -106,32 +91,20 @@ fn cache_hash(op: u32, a: Ref, b: Ref, c: Ref) -> u64 {
     ])
 }
 
-/// The arena: node storage, free list, unique table, computed cache and
-/// protection registry. Shared by the BDD and ZDD managers — only the
-/// reduction rule (applied before `DdArena::intern` by the
-/// caller) differs between the flavours.
+/// The arena: node storage, unique table and computed cache. Shared by
+/// the BDD and ZDD managers — only the reduction rule (applied before
+/// `DdArena::intern` by the caller) differs between the flavours.
 #[derive(Debug)]
-pub struct DdArena {
+pub(crate) struct DdArena {
     nodes: Vec<Node>,
-    free: Vec<u32>,
     /// Open-addressed unique table: buckets hold node slots, [`EMPTY`]
     /// marks a free bucket. Capacity is a power of two; grown at 3/4 load.
     table: Vec<u32>,
     /// Direct-mapped lossy computed cache.
     cache: Vec<CacheSlot>,
     cache_enabled: bool,
-    protected: HashMap<Ref, usize>,
-    peak_nodes: usize,
-    unique_lookups: u64,
-    unique_hits: u64,
     cache_lookups: u64,
     cache_hits: u64,
-}
-
-impl Default for DdArena {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 thread_local! {
@@ -140,7 +113,7 @@ thread_local! {
 
 impl DdArena {
     /// A fresh arena holding only the two terminals.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         // Slots 0 and 1 are reserved for the terminals; their contents are
         // never read (var = TERMINAL_VAR guards every recursion).
         let terminal = Node {
@@ -150,14 +123,9 @@ impl DdArena {
         };
         DdArena {
             nodes: vec![terminal, terminal],
-            free: Vec::new(),
             table: vec![EMPTY; INITIAL_TABLE],
             cache: vec![EMPTY_SLOT; INITIAL_CACHE],
             cache_enabled: true,
-            protected: HashMap::new(),
-            peak_nodes: 2,
-            unique_lookups: 0,
-            unique_hits: 0,
             cache_lookups: 0,
             cache_hits: 0,
         }
@@ -165,7 +133,7 @@ impl DdArena {
 
     /// Pops an arena from the per-thread recycling pool (reset, capacity
     /// retained) or creates a fresh one when the pool is empty.
-    pub fn recycled() -> Self {
+    pub(crate) fn recycled() -> Self {
         match POOL.with(|p| p.borrow_mut().pop()) {
             Some(mut a) => {
                 a.reset();
@@ -178,7 +146,7 @@ impl DdArena {
     /// Returns this arena to the per-thread recycling pool so the next
     /// [`recycled`](DdArena::recycled) session starts with warmed
     /// capacity. Silently drops the arena when the pool is full.
-    pub fn recycle(self) {
+    pub(crate) fn recycle(self) {
         POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < POOL_CAP {
@@ -190,16 +158,11 @@ impl DdArena {
     /// Restores the pristine post-`new` state while keeping every
     /// allocation: nodes truncate to the terminals, tables clear in
     /// place, stats zero.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.nodes.truncate(2);
-        self.free.clear();
         self.table.fill(EMPTY);
         self.cache.fill(EMPTY_SLOT);
         self.cache_enabled = true;
-        self.protected.clear();
-        self.peak_nodes = 2;
-        self.unique_lookups = 0;
-        self.unique_hits = 0;
         self.cache_lookups = 0;
         self.cache_hits = 0;
     }
@@ -216,7 +179,6 @@ impl DdArena {
     /// one slot. The caller must have applied the flavour-specific
     /// reduction rule already.
     pub(crate) fn intern(&mut self, var: Var, lo: Ref, hi: Ref) -> Ref {
-        self.unique_lookups += 1;
         let mask = self.table.len() - 1;
         let mut i = (node_hash(var, lo, hi) as usize) & mask;
         loop {
@@ -226,48 +188,33 @@ impl DdArena {
             }
             let n = self.nodes[slot as usize];
             if n.var == var && n.lo == lo && n.hi == hi {
-                self.unique_hits += 1;
                 return Ref(slot);
             }
             i = (i + 1) & mask;
         }
-        let node = Node { var, lo, hi };
-        let r = if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = node;
-            Ref(slot)
-        } else {
-            let idx = u32::try_from(self.nodes.len()).expect("node arena exceeds u32 indices");
-            assert!(idx != EMPTY, "node arena exhausted the u32 index space");
-            self.nodes.push(node);
-            Ref(idx)
-        };
-        self.table[i] = r.0;
-        self.peak_nodes = self.peak_nodes.max(self.live_count());
-        if self.live_count() * 4 >= self.table.len() * 3 {
+        let idx = u32::try_from(self.nodes.len()).expect("node arena exceeds u32 indices");
+        assert!(idx != EMPTY, "node arena exhausted the u32 index space");
+        self.nodes.push(Node { var, lo, hi });
+        self.table[i] = idx;
+        if self.nodes.len() * 4 >= self.table.len() * 3 {
             self.grow_table();
         }
-        r
+        Ref(idx)
     }
 
-    /// Doubles the unique table and rehashes every live node. Also grows
+    /// Doubles the unique table and rehashes every node. Also grows
     /// the computed cache in lock-step (clearing it — the cache is lossy
     /// by contract) so cache capacity tracks the working set.
     fn grow_table(&mut self) {
         let new_cap = self.table.len() * 2;
         let mask = new_cap - 1;
         let mut table = vec![EMPTY; new_cap];
-        let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        for slot in 2..self.nodes.len() {
-            let idx = slot as u32;
-            if free.contains(&idx) {
-                continue;
-            }
-            let n = self.nodes[slot];
+        for (slot, n) in self.nodes.iter().enumerate().skip(2) {
             let mut i = (node_hash(n.var, n.lo, n.hi) as usize) & mask;
             while table[i] != EMPTY {
                 i = (i + 1) & mask;
             }
-            table[i] = idx;
+            table[i] = slot as u32;
         }
         self.table = table;
         if self.cache.len() < new_cap && self.cache.len() < MAX_CACHE {
@@ -324,112 +271,26 @@ impl DdArena {
         (self.cache_lookups, self.cache_hits)
     }
 
-    /// Total allocated slots (live + freed); upper bound on any `Ref`
-    /// index, used to size slot-indexed scratch tables.
-    pub(crate) fn slot_count(&self) -> usize {
+    /// Number of nodes, terminals included. Nodes are never freed, so this
+    /// is also the peak, and an upper bound on any `Ref` index that sizes
+    /// slot-indexed scratch tables.
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Live node count (terminals included).
-    pub fn live_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
-    /// Peak live node count observed so far.
-    pub fn peak_count(&self) -> usize {
-        self.peak_nodes
-    }
-
-    /// Snapshot of every counter.
-    pub fn stats(&self) -> DdStats {
-        DdStats {
-            live_nodes: self.live_count(),
-            peak_nodes: self.peak_nodes,
-            unique_lookups: self.unique_lookups,
-            unique_hits: self.unique_hits,
-            cache_lookups: self.cache_lookups,
-            cache_hits: self.cache_hits,
-        }
-    }
-
-    pub(crate) fn protect(&mut self, r: Ref) {
-        *self.protected.entry(r).or_insert(0) += 1;
-    }
-
-    pub(crate) fn unprotect(&mut self, r: Ref) {
-        match self.protected.get_mut(&r) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.protected.remove(&r);
-            }
-            None => panic!("unprotect of a handle that was not protected: {r}"),
-        }
-    }
-
-    /// Mark-and-sweep over the protection registry plus `extra_roots`.
-    /// Clears the computed cache (reclaimed slots may be reused). Returns
-    /// the number of nodes reclaimed.
-    pub(crate) fn gc(&mut self, extra_roots: &[Ref]) -> usize {
-        self.clear_cache();
-        let mut marked = vec![false; self.nodes.len()];
-        marked[0] = true;
-        marked[1] = true;
-        let mut stack: Vec<Ref> = self.protected.keys().copied().collect();
-        stack.extend_from_slice(extra_roots);
-        while let Some(r) = stack.pop() {
-            let i = r.0 as usize;
-            if marked[i] {
-                continue;
-            }
-            marked[i] = true;
-            let n = self.nodes[i];
-            if n.var != crate::node::TERMINAL_VAR {
-                stack.push(n.lo);
-                stack.push(n.hi);
-            }
-        }
-        let already_free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        let mut reclaimed = 0;
-        for (i, live) in marked.iter().enumerate().skip(2) {
-            let idx = i as u32;
-            if !live && !already_free.contains(&idx) {
-                self.free.push(idx);
-                reclaimed += 1;
-            }
-        }
-        // Rebuild the unique table over live nodes only.
-        let mask = self.table.len() - 1;
-        self.table.fill(EMPTY);
-        for (i, live) in marked.iter().enumerate().skip(2) {
-            if *live {
-                let n = self.nodes[i];
-                let mut b = (node_hash(n.var, n.lo, n.hi) as usize) & mask;
-                while self.table[b] != EMPTY {
-                    b = (b + 1) & mask;
-                }
-                self.table[b] = i as u32;
-            }
-        }
-        reclaimed
-    }
-
     /// Structural invariant check for tests and differential suites:
-    /// every live node is reachable through the unique table exactly once
+    /// every node is reachable through the unique table exactly once
     /// (canonicity — no duplicate `(var, lo, hi)` triples) and every
-    /// table bucket points at a live slot.
-    pub fn check_unique_table(&self) -> Result<(), String> {
-        let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        let mut seen_triples = std::collections::HashSet::new();
-        let mut in_table = std::collections::HashSet::new();
+    /// table bucket points at a node.
+    pub(crate) fn check_unique_table(&self) -> Result<(), String> {
+        let mut seen_triples = HashSet::new();
+        let mut in_table = HashSet::new();
         for &slot in &self.table {
             if slot == EMPTY {
                 continue;
             }
             if slot < 2 || slot as usize >= self.nodes.len() {
                 return Err(format!("unique table points at invalid slot {slot}"));
-            }
-            if free.contains(&slot) {
-                return Err(format!("unique table points at freed slot {slot}"));
             }
             if !in_table.insert(slot) {
                 return Err(format!("slot {slot} appears twice in the unique table"));
@@ -442,10 +303,9 @@ impl DdArena {
                 ));
             }
         }
-        for i in 2..self.nodes.len() {
-            let idx = i as u32;
-            if !free.contains(&idx) && !in_table.contains(&idx) {
-                return Err(format!("live slot {idx} missing from the unique table"));
+        for i in 2..self.nodes.len() as u32 {
+            if !in_table.contains(&i) {
+                return Err(format!("slot {i} missing from the unique table"));
             }
         }
         Ok(())
@@ -462,8 +322,7 @@ mod tests {
         let x = a.intern(0, Ref::ZERO, Ref::ONE);
         let y = a.intern(0, Ref::ZERO, Ref::ONE);
         assert_eq!(x, y);
-        assert_eq!(a.live_count(), 3);
-        assert_eq!(a.stats().unique_hits, 1);
+        assert_eq!(a.node_count(), 3);
         a.check_unique_table().expect("canonical");
     }
 
@@ -494,58 +353,16 @@ mod tests {
     }
 
     #[test]
-    fn gc_reclaims_unprotected_and_reuses_slots() {
-        let mut a = DdArena::new();
-        let x = a.intern(0, Ref::ZERO, Ref::ONE);
-        let y = a.intern(1, Ref::ZERO, Ref::ONE);
-        a.protect(x);
-        let freed = a.gc(&[]);
-        assert_eq!(freed, 1);
-        assert_eq!(a.intern(0, Ref::ZERO, Ref::ONE), x);
-        let z = a.intern(2, Ref::ZERO, Ref::ONE);
-        assert_eq!(z, y, "freed slot should be reused");
-        a.check_unique_table().expect("canonical after gc");
-    }
-
-    #[test]
-    fn protect_is_counted() {
-        let mut a = DdArena::new();
-        let x = a.intern(0, Ref::ZERO, Ref::ONE);
-        a.protect(x);
-        a.protect(x);
-        a.unprotect(x);
-        assert_eq!(a.gc(&[]), 0, "still protected once");
-        a.unprotect(x);
-        assert_eq!(a.gc(&[]), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not protected")]
-    fn unprotect_unknown_panics() {
-        let mut a = DdArena::new();
-        a.unprotect(Ref(5));
-    }
-
-    #[test]
-    fn gc_keeps_descendants_of_roots() {
-        let mut a = DdArena::new();
-        let x = a.intern(1, Ref::ZERO, Ref::ONE);
-        let f = a.intern(0, x, Ref::ONE);
-        let freed = a.gc(&[f]);
-        assert_eq!(freed, 0, "x is reachable from f");
-        let _ = x;
-    }
-
-    #[test]
     fn reset_is_indistinguishable_from_new() {
         let mut a = DdArena::new();
         for v in 0..100u32 {
-            let _ = a.intern(v, Ref::ZERO, Ref::ONE);
+            let r = a.intern(v, Ref::ZERO, Ref::ONE);
+            a.cache_put(1, r, Ref::ZERO, Ref::ZERO, r);
+            assert_eq!(a.cache_get(1, r, Ref::ZERO, Ref::ZERO), Some(r));
         }
         a.reset();
-        let fresh = DdArena::new();
-        assert_eq!(a.live_count(), fresh.live_count());
-        assert_eq!(a.stats().unique_lookups, 0);
+        assert_eq!(a.node_count(), 2);
+        assert_eq!(a.cache_stats(), (0, 0));
         // Same operation sequence produces the same indices as on a
         // fresh arena — capacity is the only difference.
         let mut b = DdArena::new();
@@ -555,15 +372,19 @@ mod tests {
                 b.intern(v, Ref::ZERO, Ref::ONE)
             );
         }
+        a.check_unique_table().expect("canonical after reset");
     }
 
     #[test]
     fn recycling_round_trip() {
         let mut a = DdArena::recycled();
-        let _ = a.intern(3, Ref::ZERO, Ref::ONE);
+        let x = a.intern(3, Ref::ZERO, Ref::ONE);
+        a.cache_put(1, x, Ref::ZERO, Ref::ZERO, x);
+        assert_eq!(a.cache_get(1, x, Ref::ZERO, Ref::ZERO), Some(x));
         a.recycle();
-        let b = DdArena::recycled();
-        assert_eq!(b.live_count(), 2, "recycled arena starts clean");
-        assert_eq!(b.stats(), DdArena::new().stats());
+        let mut b = DdArena::recycled();
+        assert_eq!(b.node_count(), 2, "recycled arena starts clean");
+        assert_eq!(b.cache_stats(), (0, 0));
+        assert_eq!(b.cache_get(1, x, Ref::ZERO, Ref::ZERO), None);
     }
 }

@@ -1,13 +1,13 @@
 //! Reduced ordered binary decision diagrams.
 //!
 //! Like the ZDD flavour, the manager is a thin layer over [`DdArena`]:
-//! canonicity, the operation memo cache and garbage collection are the
-//! arena's job. Operation tags start at 16 to stay disjoint from the ZDD
-//! range in the shared computed cache.
+//! canonicity and the operation memo cache are the arena's job. Operation
+//! tags start at 16 to stay disjoint from the ZDD range in the shared
+//! computed cache.
 
 use std::collections::HashMap;
 
-use crate::arena::{DdArena, DdStats};
+use crate::arena::DdArena;
 use crate::node::{Ref, Var, TERMINAL_VAR};
 
 // Computed-cache operation tags (BDD range; ZDD uses 1..=7).
@@ -15,7 +15,6 @@ const OP_AND: u32 = 16;
 const OP_OR: u32 = 17;
 const OP_XOR: u32 = 18;
 const OP_NOT: u32 = 19;
-const OP_ITE: u32 = 20;
 
 /// A manager for reduced ordered BDDs over a fixed set of variables
 /// `0..num_vars` in natural order.
@@ -47,21 +46,6 @@ impl BddManager {
         }
     }
 
-    /// Creates a manager backed by a recycled arena from the per-thread
-    /// pool (same semantics as [`new`](BddManager::new), warmed
-    /// capacity). Pair with [`recycle`](BddManager::recycle).
-    pub fn recycled(num_vars: Var) -> Self {
-        BddManager {
-            arena: DdArena::recycled(),
-            num_vars,
-        }
-    }
-
-    /// Returns the backing arena to the per-thread recycling pool.
-    pub fn recycle(self) {
-        self.arena.recycle();
-    }
-
     /// Enables or disables the computed cache (ablation A1). Disabling also
     /// clears it, and disabled probes are not counted.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
@@ -73,20 +57,10 @@ impl BddManager {
         self.arena.cache_stats()
     }
 
-    /// Full counter snapshot of the backing arena.
-    pub fn stats(&self) -> DdStats {
-        self.arena.stats()
-    }
-
-    /// Peak live node count observed so far.
+    /// Peak node count, terminals included: nodes are never freed, so
+    /// this is the number the manager holds now.
     pub fn peak_nodes(&self) -> usize {
-        self.arena.peak_count()
-    }
-
-    /// Checks the unique-table invariants (canonicity, no stale buckets).
-    /// Intended for tests and differential suites.
-    pub fn check_unique_table(&self) -> Result<(), String> {
-        self.arena.check_unique_table()
+        self.arena.node_count()
     }
 
     /// The constant-true function.
@@ -141,11 +115,6 @@ impl BddManager {
         } else {
             (r, r)
         }
-    }
-
-    /// Clears the computed cache (handles stay valid).
-    pub fn clear_cache(&mut self) {
-        self.arena.clear_cache();
     }
 
     /// Conjunction `f ∧ g`.
@@ -224,33 +193,6 @@ impl BddManager {
     pub fn iff(&mut self, f: Ref, g: Ref) -> Ref {
         let x = self.xor(f, g);
         self.not(x)
-    }
-
-    /// If-then-else `ite(f, g, h) = (f ∧ g) ∨ (¬f ∧ h)`.
-    pub fn ite(&mut self, f: Ref, g: Ref, h: Ref) -> Ref {
-        match f {
-            Ref::ONE => return g,
-            Ref::ZERO => return h,
-            _ => {}
-        }
-        if g == h {
-            return g;
-        }
-        if g == Ref::ONE && h == Ref::ZERO {
-            return f;
-        }
-        if let Some(r) = self.arena.cache_get(OP_ITE, f, g, h) {
-            return r;
-        }
-        let v = self.level(f).min(self.level(g)).min(self.level(h));
-        let (f0, f1) = self.cofactors(f, v);
-        let (g0, g1) = self.cofactors(g, v);
-        let (h0, h1) = self.cofactors(h, v);
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
-        let r = self.make(v, lo, hi);
-        self.arena.cache_put(OP_ITE, f, g, h, r);
-        r
     }
 
     /// Existential quantification `∃ vars. f`. `vars` must be sorted
@@ -422,7 +364,7 @@ impl BddManager {
         // Slot-indexed scratch memo (NaN = unvisited): the memoized value
         // for a node is the count below its own level, so it is
         // independent of the level it is reached from.
-        let mut memo = vec![f64::NAN; self.arena.slot_count()];
+        let mut memo = vec![f64::NAN; self.arena.node_count()];
         self.sat_count_rec(f, 0, &mut memo)
     }
 
@@ -536,23 +478,6 @@ impl BddManager {
         }
     }
 
-    /// The set of variables `f` actually depends on, ascending.
-    pub fn support(&self, f: Ref) -> Vec<Var> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r) {
-                continue;
-            }
-            let n = self.arena.node(r);
-            vars.insert(n.var);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        vars.into_iter().collect()
-    }
-
     /// Number of distinct DAG nodes reachable from `f` (including
     /// terminals).
     pub fn dag_size(&self, f: Ref) -> usize {
@@ -569,30 +494,6 @@ impl BddManager {
             }
         }
         seen.len()
-    }
-
-    /// Protects `f` (and transitively its descendants) from [`gc`].
-    ///
-    /// [`gc`]: BddManager::gc
-    pub fn protect(&mut self, f: Ref) {
-        self.arena.protect(f);
-    }
-
-    /// Releases one protection of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is not currently protected.
-    pub fn unprotect(&mut self, f: Ref) {
-        self.arena.unprotect(f);
-    }
-
-    /// Mark-and-sweep garbage collection. Every handle not protected and
-    /// not transitively reachable from a protected handle is invalidated.
-    /// The computed cache is cleared. Returns the number of reclaimed
-    /// nodes.
-    pub fn gc(&mut self) -> usize {
-        self.arena.gc(&[])
     }
 }
 
@@ -638,22 +539,6 @@ mod tests {
             m.and(na, nb)
         };
         assert_eq!(de_morgan_l, de_morgan_r);
-    }
-
-    #[test]
-    fn ite_matches_definition() {
-        let mut m = mgr(3);
-        let f = m.var(0);
-        let g = m.var(1);
-        let h = m.var(2);
-        let ite = m.ite(f, g, h);
-        let expanded = {
-            let fg = m.and(f, g);
-            let nf = m.not(f);
-            let nfh = m.and(nf, h);
-            m.or(fg, nfh)
-        };
-        assert_eq!(ite, expanded);
     }
 
     #[test]
@@ -762,14 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn support_and_dag_size() {
+    fn dag_size_counts_reachable_nodes() {
         let mut m = mgr(4);
         let a = m.var(0);
         let c = m.var(2);
         let f = m.xor(a, c);
-        assert_eq!(m.support(f), vec![0, 2]);
-        assert_eq!(m.support(Ref::ONE), Vec::<Var>::new());
-        assert!(m.dag_size(f) >= 4);
+        // The root, the two cofactors c and ¬c, and both terminals.
+        assert_eq!(m.dag_size(f), 5);
+        assert_eq!(m.dag_size(Ref::ONE), 1);
     }
 
     #[test]
@@ -789,46 +674,6 @@ mod tests {
         assert_eq!(build(&mut m1), build(&mut m2));
         assert_eq!(m2.cache_stats().0, 0, "disabled cache records no lookups");
         assert!(m1.cache_stats().0 > 0);
-    }
-
-    #[test]
-    fn recycled_manager_behaves_like_fresh() {
-        let mut a = BddManager::recycled(3);
-        let x = a.var(0);
-        let y = a.var(1);
-        let f = a.and(x, y);
-        let count = a.sat_count(f);
-        a.recycle();
-        let mut b = BddManager::recycled(3);
-        assert_eq!(b.stats().live_nodes, 2, "recycled manager starts clean");
-        let x2 = b.var(0);
-        let y2 = b.var(1);
-        let f2 = b.and(x2, y2);
-        assert_eq!(b.sat_count(f2), count);
-    }
-
-    #[test]
-    fn gc_preserves_protected_function() {
-        let mut m = mgr(4);
-        let a = m.var(0);
-        let b = m.var(1);
-        let keep = m.and(a, b);
-        m.protect(keep);
-        // Build garbage.
-        for v in 0..4 {
-            let x = m.var(v);
-            let y = m.var((v + 1) % 4);
-            let _ = m.xor(x, y);
-        }
-        let live_before = m.stats().live_nodes;
-        let freed = m.gc();
-        assert!(freed > 0);
-        assert!(m.stats().live_nodes < live_before);
-        // Protected function still evaluates correctly.
-        assert!(m.eval(keep, &[true, true, false, false]));
-        assert!(!m.eval(keep, &[true, false, false, false]));
-        m.unprotect(keep);
-        m.check_unique_table().expect("canonical after gc");
     }
 
     #[test]

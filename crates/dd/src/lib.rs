@@ -12,12 +12,11 @@
 //!   maximal biclusters ("bi-clustering … solved with ZDD technology",
 //!   keynote slide 25).
 //!
-//! Both managers are thin flavour layers over one [`arena::DdArena`]: an
+//! Both managers are thin flavour layers over one shared arena: an
 //! index-based node arena with `u32` handles, an open-addressed unique
 //! table guaranteeing canonicity (hash consing), a direct-mapped lossy
 //! computed cache for operation memoization (can be disabled for the A1
-//! ablation), explicit mark-and-sweep garbage collection over a
-//! protection registry, and a per-thread arena recycling pool
+//! ablation), and a per-thread arena recycling pool
 //! ([`ZddManager::recycled`] / [`ZddManager::recycle`]) so repeated
 //! mining sessions reuse warmed capacity. All structures iterate in
 //! creation order, so identical operation sequences are byte-identical
@@ -26,10 +25,9 @@
 //!
 //! ## Handle validity
 //!
-//! [`Ref`] handles stay valid until [`BddManager::gc`] / [`ZddManager::gc`]
-//! runs; any handle not protected (directly or through a protected
-//! ancestor) at that point is invalidated. Collection never runs
-//! implicitly.
+//! A [`Ref`] stays valid for its manager's life: nodes are never freed,
+//! so a manager's node count is also its peak
+//! ([`ZddManager::peak_nodes`]).
 //!
 //! ## Example
 //!
@@ -46,13 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 mod bdd;
 pub mod naive;
 mod node;
 mod zdd;
 
-pub use arena::{DdArena, DdStats};
 pub use bdd::BddManager;
 pub use naive::NaiveFamily;
 pub use node::{Ref, Var};

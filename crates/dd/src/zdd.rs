@@ -5,12 +5,12 @@
 //! family collapses to its `lo` child) makes ZDDs canonical and compact for
 //! families of *sparse* sets — exactly the shape of bicluster column sets.
 //!
-//! The manager is a thin flavour layer over [`DdArena`]: hash consing, the
-//! operation memo cache and garbage collection all live in the arena and
-//! are shared with [`crate::BddManager`]. Operation tags below keep the
-//! two flavours' memo entries disjoint in the shared cache.
+//! The manager is a thin flavour layer over [`DdArena`]: hash consing and
+//! the operation memo cache live in the arena and are shared with
+//! [`crate::BddManager`]. Operation tags below keep the two flavours'
+//! memo entries disjoint in the shared cache.
 
-use crate::arena::{DdArena, DdStats};
+use crate::arena::DdArena;
 use crate::node::{Ref, Var, TERMINAL_VAR};
 
 // Computed-cache operation tags (ZDD range; BDD uses 16+).
@@ -74,15 +74,10 @@ impl ZddManager {
         self.arena.cache_stats()
     }
 
-    /// Full counter snapshot of the backing arena (unique table and
-    /// computed cache).
-    pub fn stats(&self) -> DdStats {
-        self.arena.stats()
-    }
-
-    /// Peak live node count observed so far.
+    /// Peak node count, terminals included: nodes are never freed, so
+    /// this is the number the manager holds now.
     pub fn peak_nodes(&self) -> usize {
-        self.arena.peak_count()
+        self.arena.node_count()
     }
 
     /// Checks the unique-table invariants (canonicity, no stale buckets).
@@ -94,11 +89,6 @@ impl ZddManager {
     /// The empty family ∅ (no sets at all).
     pub fn empty(&self) -> Ref {
         Ref::ZERO
-    }
-
-    /// The unit family {∅} containing just the empty set.
-    pub fn unit(&self) -> Ref {
-        Ref::ONE
     }
 
     fn make(&mut self, var: Var, lo: Ref, hi: Ref) -> Ref {
@@ -439,7 +429,7 @@ impl ZddManager {
     pub fn count(&self, f: Ref) -> f64 {
         // Slot-indexed scratch memo (NaN = unvisited): indexing beats
         // hashing on the count-heavy mining path.
-        let mut memo = vec![f64::NAN; self.arena.slot_count()];
+        let mut memo = vec![f64::NAN; self.arena.node_count()];
         self.count_rec(f, &mut memo)
     }
 
@@ -499,28 +489,6 @@ impl ZddManager {
         }
         seen.len()
     }
-
-    /// Protects `f` (and its descendants) from [`gc`].
-    ///
-    /// [`gc`]: ZddManager::gc
-    pub fn protect(&mut self, f: Ref) {
-        self.arena.protect(f);
-    }
-
-    /// Releases one protection of `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is not currently protected.
-    pub fn unprotect(&mut self, f: Ref) {
-        self.arena.unprotect(f);
-    }
-
-    /// Mark-and-sweep garbage collection; clears the computed cache.
-    /// Returns the number of reclaimed nodes.
-    pub fn gc(&mut self) -> usize {
-        self.arena.gc(&[])
-    }
 }
 
 #[cfg(test)]
@@ -542,8 +510,8 @@ mod tests {
     fn terminals() {
         let m = ZddManager::new(3);
         assert_eq!(m.count(m.empty()), 0.0);
-        assert_eq!(m.count(m.unit()), 1.0);
-        assert!(m.contains_empty(m.unit()));
+        assert_eq!(m.count(Ref::ONE), 1.0);
+        assert!(m.contains_empty(Ref::ONE));
         assert!(!m.contains_empty(m.empty()));
     }
 
@@ -606,12 +574,11 @@ mod tests {
     fn nonsubsets_nonsupersets_with_empty_set_member() {
         let mut m = ZddManager::new(3);
         let f = m.from_sets(&[&[], &[0], &[1, 2]]);
-        let g_unit = m.unit();
         // Only ∅ ⊆ ∅.
-        let r = m.nonsubsets(f, g_unit);
+        let r = m.nonsubsets(f, Ref::ONE);
         assert_eq!(to_family(&m, r), fam(&[&[0], &[1, 2]]));
         // ∅ ⊆ everything → nothing survives.
-        let r2 = m.nonsupersets(f, g_unit);
+        let r2 = m.nonsupersets(f, Ref::ONE);
         assert_eq!(m.count(r2), 0.0);
     }
 
@@ -750,26 +717,10 @@ mod tests {
         let sets_a = a.sets(fa);
         a.recycle();
         let mut b = ZddManager::recycled(4);
-        assert_eq!(b.stats().live_nodes, 2, "recycled manager starts clean");
+        assert_eq!(b.peak_nodes(), 2, "recycled manager starts clean");
         assert_eq!(b.cache_stats(), (0, 0));
         let fb = b.from_sets(&[&[0, 1], &[2]]);
         assert_eq!(b.sets(fb), sets_a);
-    }
-
-    #[test]
-    fn gc_with_protection() {
-        let mut m = ZddManager::new(4);
-        let keep = m.from_sets(&[&[0, 1], &[2]]);
-        m.protect(keep);
-        for i in 0..4u32 {
-            let _ = m.from_set(&[i]);
-        }
-        let freed = m.gc();
-        assert!(freed > 0);
-        assert!(m.contains(keep, &[0, 1]));
-        assert!(m.contains(keep, &[2]));
-        m.unprotect(keep);
-        m.check_unique_table().expect("canonical after gc");
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl TcpTransport {
         })
     }
 
-    /// The address workers connect back to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Drops what an earlier fleet, reaped by [`Transport::shutdown`],
     /// left behind: its connections still queued on the listener, and
     /// the events and writers of its reader threads. A new fleet reuses
@@ -250,7 +245,7 @@ mod tests {
     fn poll_returns_once_an_event_is_queued_and_waits_while_none_is() {
         let mut transport = TcpTransport::bind().expect("loopback listener");
         // A worker that connects and says hello, and then stays silent.
-        let mut worker = TcpStream::connect(transport.local_addr()).expect("connect");
+        let mut worker = TcpStream::connect(transport.addr).expect("connect");
         let hello = Message::Hello {
             worker: "w0".to_owned(),
         };
@@ -278,13 +273,13 @@ mod tests {
         };
         // A heartbeat, then garbage, then a hello: the connection is
         // dropped at its first frame, so even the hello never registers.
-        let mut impostor = TcpStream::connect(transport.local_addr()).expect("connect");
+        let mut impostor = TcpStream::connect(transport.addr).expect("connect");
         let w0 = "w0".to_owned();
         frame(&mut impostor, Message::Heartbeat { worker: w0.clone() });
         write_frame(&mut impostor, b"\xff garbage").expect("garbage frame");
         frame(&mut impostor, Message::Hello { worker: w0 });
         // A real worker connecting behind it still registers.
-        let mut worker = TcpStream::connect(transport.local_addr()).expect("connect");
+        let mut worker = TcpStream::connect(transport.addr).expect("connect");
         let w1 = "w1".to_owned();
         frame(&mut worker, Message::Hello { worker: w1.clone() });
         let events = transport.poll(Duration::from_secs(10));

@@ -19,13 +19,6 @@ pub struct ModuleSpec {
     pub duration: u32,
 }
 
-impl ModuleSpec {
-    /// Electrode area of the working region.
-    pub const fn area(&self) -> i32 {
-        self.width * self.height
-    }
-}
-
 /// The module library: which shapes can run which operation kinds.
 ///
 /// The default library follows the standard DMFB characterization:
@@ -166,9 +159,10 @@ mod tests {
     fn standard_library_is_area_time_tradeoff() {
         let lib = ModuleLibrary::standard();
         let mixers = lib.options(&OpKind::Mix);
+        let area = |m: &ModuleSpec| m.width * m.height;
         for pair in mixers.windows(2) {
             assert!(
-                pair[0].area() >= pair[1].area(),
+                area(&pair[0]) >= area(&pair[1]),
                 "fastest mixers come first and are larger"
             );
             assert!(pair[0].duration <= pair[1].duration);
@@ -193,7 +187,8 @@ mod tests {
     #[test]
     fn compact_library_has_single_mixer() {
         let lib = ModuleLibrary::compact();
-        assert_eq!(lib.options(&OpKind::Mix).len(), 1);
-        assert_eq!(lib.options(&OpKind::Mix)[0].area(), 4);
+        let mixers = lib.options(&OpKind::Mix);
+        assert_eq!(mixers.len(), 1);
+        assert_eq!(mixers[0].width * mixers[0].height, 4);
     }
 }

@@ -66,7 +66,7 @@ impl Reservation {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let grid = Grid::new(10, 10)?;
-/// let mut placer = Placer::new(grid);
+/// let mut placer = Placer::with_keepout(grid, Vec::new());
 /// let spec = ModuleSpec { width: 2, height: 3, duration: 6 };
 /// let a = placer.place(spec, 0, 6).expect("fits");
 /// let b = placer.place(spec, 0, 6).expect("fits elsewhere");
@@ -82,28 +82,14 @@ pub struct Placer {
 }
 
 impl Placer {
-    /// Creates a placer for `grid`.
-    pub fn new(grid: Grid) -> Self {
-        Placer {
-            grid,
-            reservations: Vec::new(),
-            keepout: Vec::new(),
-        }
-    }
-
-    /// Creates a placer that never covers any of the `keepout` cells — a
-    /// module cannot work on top of a faulty electrode.
+    /// Creates a placer for `grid` that never covers any of the `keepout`
+    /// cells — a module cannot work on top of a faulty electrode.
     pub fn with_keepout(grid: Grid, keepout: Vec<Cell>) -> Self {
         Placer {
             grid,
             reservations: Vec::new(),
             keepout,
         }
-    }
-
-    /// The grid being managed.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
     }
 
     /// All reservations made so far.
@@ -206,6 +192,10 @@ fn boundary(grid: Grid) -> impl Iterator<Item = Cell> {
 mod tests {
     use super::*;
 
+    fn placer(w: i32, h: i32) -> Placer {
+        Placer::with_keepout(Grid::new(w, h).unwrap(), Vec::new())
+    }
+
     fn spec(w: i32, h: i32) -> ModuleSpec {
         ModuleSpec {
             width: w,
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn placements_do_not_touch() {
-        let mut p = Placer::new(Grid::new(10, 10).unwrap());
+        let mut p = placer(10, 10);
         let a = p.place(spec(2, 2), 0, 10).unwrap();
         let b = p.place(spec(2, 2), 0, 10).unwrap();
         // Guard band: rectangles separated by at least one empty cell.
@@ -234,7 +224,7 @@ mod tests {
 
     #[test]
     fn time_disjoint_reservations_share_space() {
-        let mut p = Placer::new(Grid::new(6, 6).unwrap());
+        let mut p = placer(6, 6);
         let a = p.place(spec(4, 4), 0, 10).unwrap();
         // Same region free again after tick 10.
         let b = p.place(spec(4, 4), 10, 20).unwrap();
@@ -243,7 +233,7 @@ mod tests {
 
     #[test]
     fn congestion_returns_none() {
-        let mut p = Placer::new(Grid::new(6, 6).unwrap());
+        let mut p = placer(6, 6);
         assert!(p.place(spec(4, 4), 0, 10).is_some());
         // No second 4×4 region (plus guard) fits a 6×6 array.
         assert!(p.place(spec(4, 4), 5, 15).is_none());
@@ -251,7 +241,7 @@ mod tests {
 
     #[test]
     fn edge_placement_sticks_to_boundary() {
-        let mut p = Placer::new(Grid::new(8, 8).unwrap());
+        let mut p = placer(8, 8);
         for _ in 0..4 {
             let c = p.place_on_edge(spec(1, 1), 0, 100).unwrap();
             assert!(c.x == 0 || c.y == 0 || c.x == 7 || c.y == 7);

@@ -150,24 +150,9 @@ fn place_op(
     }
 }
 
-/// List-schedules `assay` onto `grid` using `library`.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if a module cannot be placed at all or the
-/// array stays congested forever.
-pub fn schedule(
-    assay: &Assay,
-    grid: &Grid,
-    library: &ModuleLibrary,
-    config: &ScheduleConfig,
-) -> Result<Schedule, ScheduleError> {
-    schedule_with_keepout(assay, grid, library, config, &[])
-}
-
-/// List-schedules `assay` like [`schedule`], but refuses to place any
-/// module over the `keepout` cells (faulty electrodes a module cannot
-/// actuate). With an empty keepout this is exactly [`schedule`].
+/// List-schedules `assay` onto `grid` using `library`, refusing to place
+/// any module over the `keepout` cells (faulty electrodes a module cannot
+/// actuate).
 ///
 /// # Errors
 ///
@@ -323,6 +308,16 @@ pub fn schedule_with_keepout(
 mod tests {
     use super::*;
     use crate::assay::{multiplex_immunoassay, serial_dilution, Assay};
+
+    /// Schedules on the pristine array: no keepout.
+    fn schedule(
+        assay: &Assay,
+        grid: &Grid,
+        library: &ModuleLibrary,
+        config: &ScheduleConfig,
+    ) -> Result<Schedule, ScheduleError> {
+        schedule_with_keepout(assay, grid, library, config, &[])
+    }
 
     fn simple_assay() -> Assay {
         let mut b = Assay::builder();

@@ -34,11 +34,6 @@ impl Attractor {
         self.states.len()
     }
 
-    /// Whether this is a steady state.
-    pub fn is_fixed_point(&self) -> bool {
-        self.states.len() == 1
-    }
-
     /// Smallest member state — a canonical identifier for comparisons.
     ///
     /// # Panics
@@ -322,7 +317,7 @@ mod tests {
         // Under async semantics the 2-cycle dissolves; only the two fixed
         // points remain.
         assert_eq!(atts.len(), 2);
-        assert!(atts.iter().all(Attractor::is_fixed_point));
+        assert!(atts.iter().all(|a| a.period() == 1));
     }
 
     #[test]
@@ -353,7 +348,7 @@ mod tests {
             assert_eq!(a.states[0], a.key());
         }
         // 000 and 111 fixed; two 3-cycles (001→010→100, 011→110→101).
-        assert_eq!(atts.iter().filter(|a| a.is_fixed_point()).count(), 2);
+        assert_eq!(atts.iter().filter(|a| a.period() == 1).count(), 2);
         assert_eq!(atts.iter().filter(|a| a.period() == 3).count(), 2);
     }
 

@@ -98,28 +98,6 @@ impl Expr {
         }
     }
 
-    /// Collects the set of gene indices this expression mentions,
-    /// ascending and deduplicated.
-    pub fn support(&self) -> Vec<usize> {
-        let mut set = std::collections::BTreeSet::new();
-        self.collect_support(&mut set);
-        set.into_iter().collect()
-    }
-
-    fn collect_support(&self, out: &mut std::collections::BTreeSet<usize>) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Var(i) => {
-                out.insert(*i);
-            }
-            Expr::Not(e) => e.collect_support(out),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_support(out);
-                b.collect_support(out);
-            }
-        }
-    }
-
     /// Parses rule text, resolving identifiers through `resolve`.
     ///
     /// # Errors
@@ -308,6 +286,31 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+impl Expr {
+    /// Collects the set of gene indices this expression mentions,
+    /// ascending and deduplicated.
+    pub(crate) fn support(&self) -> Vec<usize> {
+        let mut set = std::collections::BTreeSet::new();
+        self.collect_support(&mut set);
+        set.into_iter().collect()
+    }
+
+    fn collect_support(&self, out: &mut std::collections::BTreeSet<usize>) {
+        match self {
+            Expr::Const(_) => {}
+            Expr::Var(i) => {
+                out.insert(*i);
+            }
+            Expr::Not(e) => e.collect_support(out),
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                a.collect_support(out);
+                b.collect_support(out);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -350,13 +353,6 @@ mod tests {
         assert!(Expr::parse("unknown_gene", &resolve).is_err());
         assert!(Expr::parse("a ? b", &resolve).is_err());
         assert!(Expr::parse("a b", &resolve).is_err());
-    }
-
-    #[test]
-    fn support_collects_unique_sorted() {
-        let e = Expr::parse("c & a | a & !b", &resolve).unwrap();
-        assert_eq!(e.support(), vec![0, 1, 2]);
-        assert_eq!(Expr::Const(true).support(), Vec::<usize>::new());
     }
 
     #[test]

@@ -527,7 +527,7 @@ mod tests {
         let atts = sync_attractors(&net, Some(10)).unwrap();
         // A single fixed point: the quiescent G0 state with Rb, p27 and
         // Cdh1 active.
-        let fixed: Vec<_> = atts.iter().filter(|a| a.is_fixed_point()).collect();
+        let fixed: Vec<_> = atts.iter().filter(|a| a.period() == 1).collect();
         assert_eq!(fixed.len(), 1, "attractors: {atts:?}");
         let g0 = fixed[0].states[0];
         for gene in ["Rb", "p27", "Cdh1"] {
@@ -549,7 +549,7 @@ mod tests {
         // attractor is the cell-cycle oscillation (period 7 in the
         // published synchronous model).
         assert_eq!(atts.len(), 1, "attractors: {atts:?}");
-        assert!(!atts[0].is_fixed_point());
+        assert_ne!(atts[0].period(), 1);
         assert_eq!(atts[0].period(), 7, "published synchronous period");
         // Every phase gene toggles along the cycle.
         for gene in ["CycE", "CycA", "CycB", "Cdc20"] {

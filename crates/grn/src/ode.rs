@@ -79,11 +79,6 @@ impl OdeSystem {
         }
     }
 
-    /// The wrapped network.
-    pub fn network(&self) -> &BooleanNetwork {
-        &self.net
-    }
-
     fn hill(&self, x: f64) -> f64 {
         let n = self.config.hill_n;
         let k = self.config.hill_k;
@@ -122,7 +117,7 @@ impl OdeSystem {
     }
 
     /// One classic RK4 step of size `dt`.
-    pub fn rk4_step(&self, x: &[f64], dt: f64) -> Vec<f64> {
+    fn rk4_step(&self, x: &[f64], dt: f64) -> Vec<f64> {
         let k1 = self.derivative(x);
         let mid1: Vec<f64> = x.iter().zip(&k1).map(|(&a, &k)| a + 0.5 * dt * k).collect();
         let k2 = self.derivative(&mid1);
@@ -144,15 +139,6 @@ impl OdeSystem {
             x = self.rk4_step(&x, dt);
         }
         x
-    }
-
-    /// Thresholds a continuous state at 0.5 into a Boolean [`State`].
-    pub fn discretize(&self, x: &[f64]) -> State {
-        let mut s = State::ZERO;
-        for (i, &v) in x.iter().enumerate() {
-            s = s.set(i, v >= 0.5);
-        }
-        s
     }
 
     /// The continuous embedding of a Boolean state (0/1 coordinates).
@@ -198,11 +184,12 @@ mod tests {
     fn settles_to_biased_attractor() {
         let net = toggle_pair();
         let sys = OdeSystem::new(&net, OdeConfig::default());
+        let above_half = |x: &[f64]| x.iter().map(|&v| v >= 0.5).collect::<Vec<_>>();
         let end = sys.simulate(&[0.8, 0.2], 0.05, 2_000);
         assert!(sys.derivative(&end).iter().all(|v| v.abs() < 1e-6));
-        assert_eq!(sys.discretize(&end), State::from_bits(0b01));
+        assert_eq!(above_half(&end), [true, false]);
         let end2 = sys.simulate(&[0.2, 0.8], 0.05, 2_000);
-        assert_eq!(sys.discretize(&end2), State::from_bits(0b10));
+        assert_eq!(above_half(&end2), [false, true]);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl<E> Scheduler<E> {
         );
         self.pending.push((at, event));
     }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
 }
 
 /// Deterministic discrete-event engine.
@@ -112,16 +107,6 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             next_seq: 0,
         }
-    }
-
-    /// Current virtual time (time of the last dispatched event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events still waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Seeds an event before or between runs.
@@ -180,28 +165,6 @@ impl<E> Engine<E> {
         }
         count
     }
-
-    /// Dispatches exactly one event if one is pending. Returns `true` if an
-    /// event was dispatched.
-    pub fn step<M: Model<Event = E>>(&mut self, model: &mut M) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        let horizon = self.queue.peek().expect("non-empty queue").time;
-        // Dispatch only the single earliest event: temporarily pop it.
-        let QueuedEvent { time, event, .. } = self.queue.pop().expect("non-empty queue");
-        self.now = time;
-        let mut scheduler = Scheduler {
-            pending: Vec::new(),
-            now: time,
-        };
-        model.handle(time, event, &mut scheduler);
-        for (at, ev) in scheduler.pending {
-            self.push(at, ev);
-        }
-        let _ = horizon;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +221,7 @@ mod tests {
         e.schedule(SimTime::from_ticks(21), Ev::Tag(3));
         e.run_until(&mut m, SimTime::from_ticks(20));
         assert_eq!(m.seen, vec![(10, 1), (20, 2)]);
-        assert_eq!(e.pending(), 1);
+        assert_eq!(e.queue.len(), 1);
         // Resume to completion.
         e.run(&mut m);
         assert_eq!(m.seen.last(), Some(&(21, 3)));
@@ -285,21 +248,8 @@ mod tests {
         e.schedule(SimTime::ZERO, Ev::Tag(5));
         let dispatched = e.run(&mut m);
         assert_eq!(m.hops, 5);
-        assert_eq!(e.now().ticks(), 35);
+        assert_eq!(e.now.ticks(), 35);
         assert_eq!(dispatched, 6);
-    }
-
-    #[test]
-    fn step_dispatches_single_event() {
-        let mut m = Recorder { seen: Vec::new() };
-        let mut e = Engine::new();
-        e.schedule(SimTime::from_ticks(1), Ev::Tag(1));
-        e.schedule(SimTime::from_ticks(2), Ev::Tag(2));
-        assert!(e.step(&mut m));
-        assert_eq!(m.seen.len(), 1);
-        assert!(e.step(&mut m));
-        assert!(!e.step(&mut m));
-        assert_eq!(m.seen.len(), 2);
     }
 
     #[test]

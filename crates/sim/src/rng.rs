@@ -57,11 +57,6 @@ impl SeedStream {
         SeedStream { seed }
     }
 
-    /// The root seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives the substream named `label`.
     pub fn stream(&self, label: &str) -> ChaCha8Rng {
         let mut state = self.seed ^ hash_label(label);

@@ -4,7 +4,7 @@
 //! for mean/variance), so simulators can stream millions of observations
 //! without retaining them.
 
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
+/// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// ```
 /// use mns_sim::stats::Summary;
@@ -19,20 +19,12 @@ pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Records one observation.
@@ -41,8 +33,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations recorded.
@@ -68,16 +58,6 @@ impl Summary {
         }
     }
 
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Merges another accumulator into this one (parallel Welford merge).
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
@@ -94,8 +74,6 @@ impl Summary {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -201,18 +179,7 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for x in [3.0, -1.0, 7.5] {
-            s.record(x);
-        }
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(7.5));
+        assert_eq!(s, Summary::default());
     }
 
     #[test]

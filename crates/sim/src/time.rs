@@ -52,11 +52,6 @@ impl SimTime {
         );
         SimDuration(self.0 - earlier.0)
     }
-
-    /// Saturating addition of a duration, clamping at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -170,12 +165,6 @@ mod tests {
         let mut d = SimDuration::ZERO;
         d += SimDuration::from_ticks(2);
         assert_eq!((d + SimDuration::from_ticks(1)).ticks(), 3);
-    }
-
-    #[test]
-    fn saturating_add_clamps() {
-        let t = SimTime::MAX.saturating_add(SimDuration::from_ticks(10));
-        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]

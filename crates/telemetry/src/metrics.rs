@@ -53,15 +53,6 @@ impl Histogram {
         self.buckets[bucket.min(HISTOGRAM_BUCKETS - 1)] += 1;
     }
 
-    /// Arithmetic mean (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
@@ -258,7 +249,6 @@ mod tests {
         assert_eq!(h.sum, 1006);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1000);
-        assert!((h.mean() - 201.2).abs() < 1e-9);
         assert_eq!(h.buckets[0], 1); // the zero
         assert_eq!(h.buckets[1], 1); // 1
         assert_eq!(h.buckets[2], 2); // 2, 3
@@ -276,11 +266,6 @@ mod tests {
         assert_eq!(a.sum, 20);
         assert_eq!(a.min, 4);
         assert_eq!(a.max, 16);
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_nan() {
-        assert!(Histogram::default().mean().is_nan());
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Field {
         self.positions[i]
     }
 
-    /// Field side length.
-    pub fn side(&self) -> f64 {
-        self.side
-    }
-
     /// Distance from node `i` to the sink.
     pub fn to_sink(&self, i: usize) -> f64 {
         self.positions[i].distance(self.sink)

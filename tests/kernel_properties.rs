@@ -104,49 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn bdd_gc_preserves_protected_semantics(
-        seed_fns in proptest::collection::vec(0u64..256, 2..6),
-    ) {
-        // Build several functions, protect half, GC, and check the
-        // protected ones still evaluate exactly as before.
-        let mut m = BddManager::new(3);
-        let build = |m: &mut BddManager, tt: u64| -> Ref {
-            let mut f = m.zero();
-            for row in 0..8u64 {
-                if tt >> row & 1 == 1 {
-                    let mut term = m.one();
-                    for v in 0..3u32 {
-                        let lit = if row >> v & 1 == 1 { m.var(v) } else { m.nvar(v) };
-                        term = m.and(term, lit);
-                    }
-                    f = m.or(f, term);
-                }
-            }
-            f
-        };
-        let fns: Vec<(u64, Ref)> = seed_fns.iter().map(|&tt| (tt, build(&mut m, tt))).collect();
-        let protected: Vec<(u64, Ref)> = fns.iter().step_by(2).copied().collect();
-        for &(_, f) in &protected {
-            m.protect(f);
-        }
-        let _ = m.gc();
-        for &(tt, f) in &protected {
-            for row in 0..8u64 {
-                let assignment: Vec<bool> = (0..3).map(|v| row >> v & 1 == 1).collect();
-                prop_assert_eq!(m.eval(f, &assignment), tt >> row & 1 == 1);
-            }
-        }
-        // The manager keeps working after GC.
-        let a = m.var(0);
-        let b = m.var(1);
-        let fresh = m.and(a, b);
-        prop_assert_eq!(m.sat_count(fresh), 2.0);
-        for &(_, f) in &protected {
-            m.unprotect(f);
-        }
-    }
-
-    #[test]
     fn zdd_family_laws(
         fam_a in proptest::collection::btree_set(0u32..32, 0..8),
         fam_b in proptest::collection::btree_set(0u32..32, 0..8),
