@@ -672,6 +672,94 @@ mod tests {
     }
 
     #[test]
+    fn lifetime_runs_are_pinned_bit_for_bit() {
+        use mns_policy::{PolicyAssignment, PolicyExpr};
+        // No golden scenario runs the tree protocol or a non-aggregating
+        // cluster, and the harvesting pin below runs only aggregating
+        // protocols. This pins all five without harvesting, with and
+        // without failures and duty-gating policies: 0.05 J batteries
+        // empty well inside the 2,000 rounds, so nodes die of energy as
+        // well as of failures.
+        let f = small_field();
+        let protocols = [
+            Protocol::Direct,
+            Protocol::tree(45.0, true),
+            Protocol::tree(45.0, false),
+            Protocol::cluster(0.1, true),
+            Protocol::cluster(0.1, false),
+        ];
+        let mix = PolicyAssignment::RoundRobin(vec![
+            PolicyExpr::Fixed(1.0),
+            PolicyExpr::greedy(0.5, 1.0, 0.25).unwrap(),
+        ]);
+        let pins = [
+            (
+                0.0,
+                None,
+                [
+                    "48 114 434 5583 5583 3ff0000000000000 3fd2a2b91091f774 4000000000000038",
+                    "45 141 2000 17054 5888 3fd618ada61d0064 3fc8784230fcf834 3fff36e43b82302b",
+                    "13 148 2000 30764 3810 3fbfb45ffeef52ea 3fd29129888f8624 3ffa774481d69cef",
+                    "46 76 118 3088 3088 3ff0000000000000 3fe0cb6f46508dfe 3fffffffffffffe0",
+                    "10 47 117 2102 2102 3ff0000000000000 3fda2fc962fc9630 3fffffffffffffd3",
+                ],
+            ),
+            (
+                0.0,
+                Some(&mix),
+                [
+                    "53 175 1081 5583 5583 3ff0000000000000 3fce9c9c9c9c9c8f 400000000000002c",
+                    "45 141 2000 9165 4964 3fe154ff86703b71 3fc8784230fcf834 3fff36e43b82302b",
+                    "13 180 2000 23472 3794 3fc4b09990aa5152 3fd40aa64c2f8373 3ffaa97171968917",
+                    "47 101 262 3024 3024 3ff0000000000000 3fdbbcf97bcf97bf 3ffffffffffffff8",
+                    "11 73 226 2052 2052 3ff0000000000000 3fd5b8ac5081f12c 3ffffffffffffff0",
+                ],
+            ),
+            (
+                0.002,
+                None,
+                [
+                    "14 107 434 5453 5453 3ff0000000000000 3fd26b9cf3869c0a 3ffedc93eecacf94",
+                    "14 130 1806 10578 5068 3fdea9b2d8bee61b 3fc3dc7a27b0fac1 3ffb0856abe8d980",
+                    "13 114 1847 10578 3480 3fd50e15c7f338c7 3fc5d3efdd3efdcd 3ff94c07b173407e",
+                    "46 69 153 3012 3012 3ff0000000000000 3fda0e5604189376 3fff11bdeff7e5f6",
+                    "7 50 104 2127 2127 3ff0000000000000 3fdd7a17a17a17a1 3ffffffffffffff8",
+                ],
+            ),
+            (
+                0.002,
+                Some(&mix),
+                [
+                    "14 145 516 4780 4780 3ff0000000000000 3fd6bf406ee8362e 3ffd1f43637feb98",
+                    "14 130 1806 8058 4416 3fe1896f82f45f4f 3fc3dc7a27b0fac1 3ffb0856abe8d980",
+                    "13 117 2000 8254 3486 3fdb07a137a431df 3fc244523f67f4cc 3ff9a8e21769db53",
+                    "50 100 242 2890 2890 3ff0000000000000 3fdb3f1773f1773f 3ffebc45b5efcfcc",
+                    "13 62 236 2029 2029 3ff0000000000000 3fd51d5acb6f464f 3fff536978ee1025",
+                ],
+            ),
+        ];
+        for (failure_rate, policies, want) in pins {
+            let cfg = LifetimeConfig {
+                initial_energy: 0.05,
+                max_rounds: 2_000,
+                failure_rate,
+                policies: policies.cloned(),
+                ..LifetimeConfig::default()
+            };
+            for (protocol, want) in protocols.into_iter().zip(want) {
+                let s = simulate_lifetime(&f, protocol, &cfg);
+                assert_eq!(
+                    stat_bits(&s),
+                    want,
+                    "{} at {failure_rate}, policies {}",
+                    protocol.label(),
+                    policies.is_some()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn harvesting_runs_with_policies_are_pinned_bit_for_bit() {
         use mns_policy::{PolicyAssignment, PolicyExpr};
         // No golden scenario harvests in a lifetime run, so this pins
