@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 
 use mns_policy::{Evaluator, Policy, PolicyAssignment, SlotCtx};
 
-use crate::field::{CoverageTally, Field};
+use crate::field::{CoverageTally, Field, Position};
 use crate::harvest::{SolarModel, SolarTrace};
 use crate::protocol::Protocol;
 use crate::radio::RadioModel;
@@ -124,10 +124,19 @@ pub fn simulate_lifetime(
         .map(|(model, _, _)| SolarTrace::new(model, config.seed));
     let mut coverage = CoverageTally::new(field, config.sensing_radius);
 
-    // Cached BFS routing tree for the Tree protocol, rebuilt only when
-    // the live set changes (tree construction is O(live²) distance
-    // checks — the hot spot of long runs).
-    type TreeCache = (Vec<usize>, Vec<Option<usize>>, Vec<u64>, Vec<usize>);
+    // Per-run node constants: each position, the cost of one packet
+    // straight to the sink, and the cost of receiving one packet.
+    let pos: Vec<Position> = (0..n).map(|i| field.position(i)).collect();
+    let sink_tx: Vec<f64> = (0..n).map(|i| config.radio.tx(field.to_sink(i))).collect();
+    let rx = config.radio.rx();
+
+    // Cached BFS routing tree for the Tree protocol: the live count it
+    // was built for, each node's parent and depth, and the attached
+    // nodes deepest first. `live` only ever loses nodes, so an equal
+    // count means an equal live set, and the tree is rebuilt only when a
+    // node dies or fails (tree construction is O(live²) distance checks —
+    // the hot spot of long runs).
+    type TreeCache = (usize, Vec<Option<usize>>, Vec<u64>, Vec<usize>);
     let mut tree_cache: Option<TreeCache> = None;
 
     let mut first_death = None;
@@ -141,16 +150,29 @@ pub fn simulate_lifetime(
 
     let alive = |battery: &[f64], failed: &[bool], i: usize| battery[i] > 0.0 && !failed[i];
 
+    // Round buffers, allocated once. `live` holds the live nodes in index
+    // order: failed nodes leave it after the failure draws, emptied ones
+    // after the bill, and none comes back, because income goes only to
+    // live batteries. Only live entries of the others are read: each
+    // duty decision rewrites `active` (all true without policies), the
+    // tree rewrites `carrying`, the bill takes `spend` back to zero, and
+    // the heads' pass clears `members` and `is_head`.
+    let mut live: Vec<usize> = (0..n).filter(|&i| alive(&battery, &failed, i)).collect();
+    let mut active = vec![true; n];
+    let mut spend = vec![0.0f64; n];
+    let mut carrying = vec![0u64; n];
+    let mut members = vec![0u64; n];
+    let mut heads: Vec<usize> = Vec::new();
+    let mut is_head = vec![false; n];
+
     while round < config.max_rounds {
-        // Exogenous failures.
+        // Exogenous failures: one draw per live node, in index order.
         if config.failure_rate > 0.0 {
-            for (i, f) in failed.iter_mut().enumerate() {
-                if !*f && battery[i] > 0.0 && rng.gen_bool(config.failure_rate) {
-                    *f = true;
-                }
-            }
+            live.retain(|&i| {
+                failed[i] = rng.gen_bool(config.failure_rate);
+                !failed[i]
+            });
         }
-        let live: Vec<usize> = (0..n).filter(|&i| alive(&battery, &failed, i)).collect();
         if live.is_empty() {
             break;
         }
@@ -167,7 +189,6 @@ pub fn simulate_lifetime(
         // (pre-income, like the harvest reference loop) and its duty
         // accumulator decides whether it sources a sample this round.
         // Idle nodes still relay for their neighbours.
-        let mut active = vec![true; n];
         if let Some(evals) = evaluators.as_mut() {
             let t = round as f64 * round_seconds;
             let capacity = config.initial_energy;
@@ -176,9 +197,6 @@ pub fn simulate_lifetime(
                 _ => 0.0,
             };
             for &i in &live {
-                // Reference power scale for EWMA-family policies: the
-                // cost rate of this node reporting directly every round.
-                let active_power = config.radio.tx(field.to_sink(i)) / round_seconds;
                 let ctx = SlotCtx {
                     slot: round,
                     slot_of_day: round % rounds_per_day,
@@ -193,30 +211,31 @@ pub fn simulate_lifetime(
                         0.0
                     },
                     harvest_power,
-                    active_power,
+                    // Reference power scale for EWMA-family policies: the
+                    // cost rate of this node reporting directly every
+                    // round.
+                    active_power: sink_tx[i] / round_seconds,
                     sleep_power: 0.0,
                     discharged: discharged[i],
                 };
                 let duty = evals[i].duty(&ctx);
                 policy_evals += 1;
                 duty_acc[i] += duty;
-                if duty_acc[i] >= 1.0 {
+                active[i] = duty_acc[i] >= 1.0;
+                if active[i] {
                     duty_acc[i] -= 1.0;
-                } else {
-                    active[i] = false;
                 }
             }
         }
         sensed += live.iter().filter(|&&i| active[i]).count() as u64;
 
         // Energy bookkeeping for this round.
-        let mut spend = vec![0.0f64; n];
         let mut reached = 0u64;
         match protocol {
             Protocol::Direct => {
                 for &i in &live {
                     if active[i] {
-                        spend[i] += config.radio.tx(field.to_sink(i));
+                        spend[i] += sink_tx[i];
                         reached += 1;
                     }
                 }
@@ -227,11 +246,7 @@ pub fn simulate_lifetime(
             } => {
                 // BFS tree rooted at the sink over ≤ radio_range links,
                 // reused across rounds until a node dies or fails.
-                let rebuild = match &tree_cache {
-                    Some((cached_live, _, _, _)) => cached_live != &live,
-                    None => true,
-                };
-                if rebuild {
+                if tree_cache.as_ref().map(|cache| cache.0) != Some(live.len()) {
                     mns_telemetry::counter_add("wsn.tree_rebuilds", 1);
                     let mut parent: Vec<Option<usize>> = vec![None; n]; // None = unattached
                     let mut depth: Vec<u64> = vec![u64::MAX; n];
@@ -248,9 +263,7 @@ pub fn simulate_lifetime(
                         let mut next = Vec::new();
                         for &p in &frontier {
                             for &c in &live {
-                                if !visited[c]
-                                    && field.position(c).distance(field.position(p)) <= radio_range
-                                {
+                                if !visited[c] && pos[c].distance(pos[p]) <= radio_range {
                                     visited[c] = true;
                                     depth[c] = depth[p] + 1;
                                     parent[c] = Some(p);
@@ -261,35 +274,31 @@ pub fn simulate_lifetime(
                         order.extend(&next);
                         frontier = next;
                     }
-                    tree_cache = Some((live.clone(), parent, depth, order));
+                    // Leaf-to-root accumulation processes deepest first.
+                    order.sort_by_key(|&i| std::cmp::Reverse(depth[i]));
+                    tree_cache = Some((live.len(), parent, depth, order));
                 }
-                let (_, parent, depth, order) =
+                let (_, parent, depth, by_depth) =
                     tree_cache.as_ref().expect("tree cache just (re)built");
-                // Leaf-to-root accumulation: process deepest first.
-                let mut carrying: Vec<u64> = vec![0; n];
                 for &i in &live {
-                    if depth[i] != u64::MAX && active[i] {
-                        carrying[i] += 1; // own sample
-                    }
+                    // Each attached active node carries its own sample.
                     // Unattached nodes sense but cannot deliver; idle
                     // nodes relay without sourcing a sample.
+                    carrying[i] = u64::from(depth[i] != u64::MAX && active[i]);
                 }
-                let mut by_depth = order.clone();
-                by_depth.sort_by_key(|&i| std::cmp::Reverse(depth[i]));
-                for &i in &by_depth {
+                for &i in by_depth {
                     let packets = if aggregate { 1 } else { carrying[i] };
                     if packets == 0 {
                         continue;
                     }
                     match parent[i] {
                         Some(p) => {
-                            let d = field.position(i).distance(field.position(p));
+                            let d = pos[i].distance(pos[p]);
                             spend[i] += config.radio.tx(d) * packets as f64;
-                            spend[p] += config.radio.rx() * packets as f64;
+                            spend[p] += rx * packets as f64;
                             if aggregate {
                                 spend[p] += config.radio.aggregate() * packets as f64;
-                            }
-                            if !aggregate {
+                            } else {
                                 carrying[p] += carrying[i];
                             }
                         }
@@ -297,7 +306,7 @@ pub fn simulate_lifetime(
                             // Directly attached to the sink. (With
                             // aggregation, `reached` is recomputed below
                             // as the attached-node count.)
-                            spend[i] += config.radio.tx(field.to_sink(i)) * packets as f64;
+                            spend[i] += sink_tx[i] * packets as f64;
                             reached += carrying[i];
                         }
                     }
@@ -306,12 +315,12 @@ pub fn simulate_lifetime(
                     // With aggregation each attached *active* node's
                     // sample is represented in some root aggregate
                     // (every attached node when no policies gate duty).
-                    reached = order.iter().filter(|&&i| active[i]).count() as u64;
+                    reached = by_depth.iter().filter(|&&i| active[i]).count() as u64;
                 }
             }
             Protocol::Cluster { p, aggregate } => {
                 let period = (1.0 / p).ceil() as i64;
-                let mut heads: Vec<usize> = Vec::new();
+                heads.clear();
                 for &i in &live {
                     let eligible = round as i64 - last_head[i] >= period;
                     if eligible && rng.gen_bool(p) {
@@ -333,41 +342,43 @@ pub fn simulate_lifetime(
                     heads.push(i);
                     last_head[i] = round as i64;
                 }
-                // Members join the nearest head. Idle members have no
-                // sample to report this round, so they stay silent.
-                let mut members: Vec<u64> = vec![0; n];
+                for &h in &heads {
+                    is_head[h] = true;
+                }
+                // Members join the nearest head: the first strict minimum
+                // over the heads, so a tie goes to the earlier-elected
+                // head, and its distance is the one billed. Idle members
+                // have no sample to report this round, so they stay
+                // silent.
                 for &i in &live {
-                    if heads.contains(&i) || !active[i] {
+                    if is_head[i] || !active[i] {
                         continue;
                     }
-                    let h = *heads
-                        .iter()
-                        .min_by(|&&a, &&b| {
-                            field
-                                .position(i)
-                                .distance(field.position(a))
-                                .partial_cmp(&field.position(i).distance(field.position(b)))
-                                .expect("finite distances")
-                        })
-                        .expect("at least one head");
-                    let d = field.position(i).distance(field.position(h));
+                    let (mut h, mut d) = (heads[0], pos[i].distance(pos[heads[0]]));
+                    for &c in &heads[1..] {
+                        let dc = pos[i].distance(pos[c]);
+                        if dc < d {
+                            (h, d) = (c, dc);
+                        }
+                    }
                     spend[i] += config.radio.tx(d);
-                    spend[h] += config.radio.rx();
+                    spend[h] += rx;
                     members[h] += 1;
                 }
                 for &h in &heads {
-                    let cluster_packets = members[h] + u64::from(active[h]);
+                    is_head[h] = false;
+                    let joined = std::mem::take(&mut members[h]);
+                    let cluster_packets = joined + u64::from(active[h]);
                     if cluster_packets == 0 {
                         continue;
                     }
                     if aggregate {
-                        spend[h] += config.radio.aggregate() * members[h] as f64;
-                        spend[h] += config.radio.tx(field.to_sink(h));
-                        reached += cluster_packets;
+                        spend[h] += config.radio.aggregate() * joined as f64;
+                        spend[h] += sink_tx[h];
                     } else {
-                        spend[h] += config.radio.tx(field.to_sink(h)) * cluster_packets as f64;
-                        reached += cluster_packets;
+                        spend[h] += sink_tx[h] * cluster_packets as f64;
                     }
+                    reached += cluster_packets;
                 }
             }
         }
@@ -379,26 +390,27 @@ pub fn simulate_lifetime(
         {
             let t = round as f64 * round_seconds;
             let income = solar.power(t) * panel_scale * round_seconds;
-            for (i, b) in battery.iter_mut().enumerate() {
-                if *b > 0.0 && !failed[i] {
-                    *b = (*b + income).min(config.initial_energy);
-                }
+            for &i in &live {
+                battery[i] = (battery[i] + income).min(config.initial_energy);
             }
         }
-        for i in 0..n {
-            if spend[i] > 0.0 {
+        // The bill, in index order; the nodes it empties leave `live`.
+        live.retain(|&i| {
+            let bill = std::mem::take(&mut spend[i]);
+            if bill > 0.0 {
                 // A node can only draw the charge it actually holds: in its
                 // death round the radio bill is truncated by the battery
                 // running dry, so total spend never exceeds total capacity.
-                let drawn = spend[i].min(battery[i].max(0.0));
+                let drawn = bill.min(battery[i].max(0.0));
                 energy_spent += drawn;
                 discharged[i] += drawn;
-                battery[i] -= spend[i];
+                battery[i] -= bill;
             }
-        }
+            battery[i] > 0.0
+        });
 
         round += 1;
-        let dead = (0..n).filter(|&i| !alive(&battery, &failed, i)).count();
+        let dead = n - live.len();
         if dead > 0 && first_death.is_none() {
             first_death = Some(round);
         }
