@@ -1,9 +1,9 @@
 //! Virtual time for discrete-event simulation.
 //!
 //! [`SimTime`] is a monotone tick counter with no fixed physical unit: the
-//! NoC simulator interprets one tick as one router cycle, the WSN simulator
-//! as one millisecond. Keeping time integral makes event ordering exact and
-//! the simulation deterministic — no floating-point comparison hazards.
+//! NoC simulator interprets one tick as one router cycle. Keeping time
+//! integral makes event ordering exact and the simulation deterministic —
+//! no floating-point comparison hazards.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
