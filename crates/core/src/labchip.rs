@@ -15,8 +15,6 @@
 //! router is useless if sensing noise destroys the downstream clustering,
 //! which is precisely the keynote's argument for co-design.
 
-use std::collections::HashMap;
-
 use mns_bicluster::discretize::{binarize_with_threshold, BinaryMatrix};
 use mns_bicluster::score::{score, MatchScores};
 use mns_bicluster::zdd_miner::{enumerate_maximal, MinedBiclusters, MinerConfig};
@@ -29,7 +27,7 @@ use mns_fluidics::compiler::{CompileError, CompileStats, CompilerConfig};
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
 
-use crate::memo::{self, CompileKey};
+use crate::memo::{self, CalibrationKey, CompileKey};
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -188,32 +186,33 @@ impl LabChipPipeline {
         let dataset: SyntheticDataset = generate(&cfg.dataset, seed);
         let truth_matrix = &dataset.matrix;
         let array = SensorArray::uniform(cfg.dataset.genes, cfg.kinetics, cfg.sensor);
-        let mut measured = Matrix::zeros(cfg.dataset.genes, cfg.dataset.samples);
-        let mut err_acc = 0.0;
+        let readings: Vec<f64> = (0..cfg.dataset.samples)
+            .flat_map(|s| {
+                let concentrations: Vec<f64> = (0..cfg.dataset.genes)
+                    .map(|g| truth_matrix.get(g, s).max(0.0) * cfg.unit_concentration)
+                    .collect();
+                let measure_seed = seed ^ 0x5E45_0001_0000_0000 ^ (s as u64);
+                array.measure(&concentrations, measure_seed)
+            })
+            .collect();
         // Every probe shares the array's one chemistry, so calibration
         // depends on the reading alone: each distinct reading is
-        // calibrated once per sense.
-        let mut calibrated: HashMap<u64, f64> = HashMap::new();
-        for s in 0..cfg.dataset.samples {
-            let concentrations: Vec<f64> = (0..cfg.dataset.genes)
-                .map(|g| truth_matrix.get(g, s).max(0.0) * cfg.unit_concentration)
-                .collect();
-            let measure_seed = seed ^ 0x5E45_0001_0000_0000 ^ (s as u64);
-            let readings = array.measure(&concentrations, measure_seed);
-            for (g, &reading) in readings.iter().enumerate() {
-                // Calibrate back to expression units.
-                let est_c = *calibrated
-                    .entry(reading.to_bits())
-                    .or_insert_with(|| array.calibrate(reading));
-                let est_expr = if est_c.is_finite() {
-                    est_c / cfg.unit_concentration
-                } else {
-                    // Saturated reading: clamp to the top of the scale.
-                    cfg.dataset.background + cfg.dataset.boost * 2.0
-                };
-                measured.set(g, s, est_expr);
-                err_acc += (est_expr - truth_matrix.get(g, s)).abs();
-            }
+        // calibrated once per memo.
+        let key = CalibrationKey::new(cfg.kinetics, &cfg.sensor);
+        let calibrated = memo::calibrated(key, &readings, |r| array.calibrate(r));
+        let mut measured = Matrix::zeros(cfg.dataset.genes, cfg.dataset.samples);
+        let mut err_acc = 0.0;
+        for (k, &est_c) in calibrated.iter().enumerate() {
+            let (s, g) = (k / cfg.dataset.genes, k % cfg.dataset.genes);
+            // Calibrate back to expression units.
+            let est_expr = if est_c.is_finite() {
+                est_c / cfg.unit_concentration
+            } else {
+                // Saturated reading: clamp to the top of the scale.
+                cfg.dataset.background + cfg.dataset.boost * 2.0
+            };
+            measured.set(g, s, est_expr);
+            err_acc += (est_expr - truth_matrix.get(g, s)).abs();
         }
         let sensing_error = err_acc / (cfg.dataset.genes * cfg.dataset.samples) as f64;
         drop(_sense_span);

@@ -38,7 +38,9 @@
 //! worker) consults the same memo. Lab-on-chip scenarios that share a
 //! biology seed sense it once per runner, and scenarios that compile the
 //! same chip (a fluidics compile and lab-chip runs of any seed) compile
-//! it once per runner, across batches and workers.
+//! it once per runner, across batches and workers. Each GRN model's
+//! knockouts share one engine per runner, and each sensor chemistry's
+//! readings are calibrated once per runner, whatever the biology seed.
 //! [`Runner::clear_cache`] drops outcomes only. Outside a runner,
 //! `Scenario::run` consults a memo private to its thread.
 //!
@@ -70,8 +72,10 @@ use std::time::Duration;
 use mns_fluidics::compiler::CompilerConfig;
 use mns_fluidics::faults::{FaultConfig, FaultModel};
 use mns_fluidics::geometry::Grid;
-use mns_grn::models::{arabidopsis, organ_fates, repertoire, t_helper, th_fates, FloralInputs};
-use mns_grn::{BooleanNetwork, Perturbation};
+use mns_grn::models::{
+    arabidopsis, classify_organ, classify_th, repertoire, t_helper, FloralInputs, Organ,
+};
+use mns_grn::{BooleanNetwork, State};
 use mns_noc::graph::CommGraph;
 use mns_noc::power::{area_proxy, PowerModel};
 use mns_noc::routing::compute_routes;
@@ -83,7 +87,7 @@ use mns_wsn::protocol::Protocol;
 use mns_wsn::sim::{simulate_lifetime, LifetimeConfig};
 
 use crate::labchip::{LabChipPipeline, PipelineConfig};
-use crate::memo::{compile_stats, CompileKey, StageMemo};
+use crate::memo::{compile_stats, knockout_fixed_points, CompileKey, StageMemo};
 
 pub use mns_fluidics::assay::AssayKind;
 
@@ -239,7 +243,7 @@ impl HarvestScenario {
 }
 
 /// Which published gene-regulatory model a knockout scenario perturbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GrnModel {
     /// The T-helper differentiation network (Mendoza 2006).
     THelper,
@@ -256,7 +260,7 @@ impl GrnModel {
     /// # Panics
     ///
     /// Panics if an Arabidopsis whorl is 4 or more.
-    fn network(self) -> BooleanNetwork {
+    pub(crate) fn network(self) -> BooleanNetwork {
         match self {
             GrnModel::THelper => t_helper(),
             GrnModel::Arabidopsis { whorl } => arabidopsis(FloralInputs::whorls()[whorl]),
@@ -324,7 +328,10 @@ impl Scenario {
     /// crosses biology seeds (a fluidics compile and lab-chip runs of any
     /// seed can compile one chip), and a `ShardPlan` does not group by
     /// it: scenarios that share only a compile may land on different
-    /// shards and each compile it there.
+    /// shards and each compile it there. The same holds for a GRN
+    /// model's knockout engine and a chemistry's calibration table: each
+    /// shard that runs a model's knockouts, or senses with a chemistry,
+    /// builds its own.
     fn stage_key(&self, fingerprint: u64) -> StageKey {
         match self {
             Scenario::LabChip(s) => StageKey::BiologySeed(s.seed),
@@ -634,32 +641,23 @@ impl Scenario {
                 }
             }
             Scenario::Knockout(s) => {
-                let net = s.model.network();
-                let net = match &s.knockout {
-                    None => net,
-                    Some(g) => net
-                        .with_perturbation(&Perturbation::knock_out(g))
-                        .expect("knockout gene exists in model"),
-                };
-                // One fixed-point analysis yields both the bits and the
-                // labels.
-                let (mut bits, labels): (Vec<u64>, Vec<String>) = match s.model {
-                    GrnModel::THelper => {
-                        let fates = th_fates(&net).expect("fate analysis");
-                        (
-                            fates.iter().map(|(st, _)| st.bits()).collect(),
-                            fates.iter().map(|(_, f)| format!("{f:?}")).collect(),
-                        )
-                    }
+                let (model, states) = knockout_fixed_points(s.model, s.knockout.as_deref());
+                // The states come sorted. The wild-type network classifies
+                // them: it has the mutant's gene names.
+                let bits: Vec<u64> = states.iter().map(|st| st.bits()).collect();
+                let labels: Vec<String> = match s.model {
+                    GrnModel::THelper => states
+                        .iter()
+                        .map(|&st| format!("{:?}", classify_th(&model.net, st)))
+                        .collect(),
                     GrnModel::Arabidopsis { .. } => {
-                        let fates = organ_fates(&net).expect("organ analysis");
-                        (
-                            fates.iter().map(|(st, _)| st.bits()).collect(),
-                            repertoire(&fates).iter().map(ToString::to_string).collect(),
-                        )
+                        let fates: Vec<(State, Organ)> = states
+                            .iter()
+                            .map(|&st| (st, classify_organ(&model.net, st)))
+                            .collect();
+                        repertoire(&fates).iter().map(ToString::to_string).collect()
                     }
                 };
-                bits.sort_unstable();
                 ScenarioOutcome::Knockout {
                     fixed_points: bits,
                     annotation: labels.join("/"),
@@ -1401,8 +1399,9 @@ pub fn default_workers() -> usize {
 pub struct Runner {
     workers: usize,
     cache: OutcomeCache,
-    /// The stage memo (lab-chip senses and chip compiles) every thread
-    /// of this runner evaluates under, for the runner's whole life.
+    /// The stage memo (lab-chip senses, chip compiles, GRN knockout
+    /// engines and sensor calibrations) every thread of this runner
+    /// evaluates under, for the runner's whole life.
     memo: Arc<StageMemo>,
 }
 
@@ -1431,11 +1430,12 @@ impl Runner {
         self.workers
     }
 
-    /// Drops every memoized outcome. Stage results (the lab-chip senses
-    /// and the chip compiles of the stage memo) live as long as the
-    /// runner, so the next batch re-evaluates every scenario but skips
-    /// sensing a biology seed, or compiling a chip, that this runner has
-    /// already sensed or compiled.
+    /// Drops every memoized outcome. Stage results (the lab-chip senses,
+    /// chip compiles, GRN knockout engines and sensor calibrations of the
+    /// stage memo) live as long as the runner, so the next batch
+    /// re-evaluates every scenario but skips sensing a biology seed,
+    /// compiling a chip, building a model's engine or calibrating a
+    /// reading that this runner has already done.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }

@@ -55,16 +55,18 @@ pub enum ScreenKind {
 }
 
 /// Runs a single-gene perturbation screen using symbolic fixed-point
-/// analysis (fast enough for every model in this workspace).
+/// analysis (fast enough for every model in this workspace). One engine
+/// answers the wild type and every entry
+/// ([`SymbolicDynamics::perturbed_fixed_point_states`]).
 ///
 /// # Errors
 ///
-/// Propagates [`NetworkError`] from perturbation application (cannot occur
+/// Propagates [`NetworkError`] from the perturbation query (cannot occur
 /// for genes taken from the network itself; kept for API stability).
 pub fn single_gene_screen(net: &BooleanNetwork, kind: ScreenKind) -> Result<Screen, NetworkError> {
     let _screen_span = mns_telemetry::span("grn.screen");
-    let mut wild_sym = SymbolicDynamics::new(net);
-    let wild_type = wild_sym.fixed_point_states();
+    let mut sym = SymbolicDynamics::new(net);
+    let wild_type = sym.fixed_point_states();
 
     let mut perturbations = Vec::new();
     if matches!(kind, ScreenKind::KnockOuts | ScreenKind::Both) {
@@ -78,9 +80,7 @@ pub fn single_gene_screen(net: &BooleanNetwork, kind: ScreenKind) -> Result<Scre
     for p in perturbations {
         let _perturbation_span = mns_telemetry::span("grn.perturbation");
         mns_telemetry::counter_add("grn.perturbations", 1);
-        let mutant = net.with_perturbation(&p)?;
-        let mut sym = SymbolicDynamics::new(&mutant);
-        let fixed_points = sym.fixed_point_states();
+        let fixed_points = sym.perturbed_fixed_point_states(&p)?;
         let preserved = fixed_points
             .iter()
             .filter(|s| wild_type.contains(s))

@@ -13,7 +13,7 @@ use mns_dd::{BddManager, Ref, Var};
 
 use crate::dynamics::Attractor;
 use crate::expr::Expr;
-use crate::network::{BooleanNetwork, State};
+use crate::network::{BooleanNetwork, NetworkError, Perturbation, PerturbationKind, State};
 
 /// How current/next-state variables are laid out in the BDD order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,6 +29,11 @@ pub enum VariableOrder {
 
 /// Symbolic engine for one network: owns a BDD manager over `2n`
 /// interleaved variables plus the per-gene update functions.
+///
+/// One engine answers the network's fixed points and those of each of its
+/// single-gene perturbations
+/// ([`perturbed_fixed_point_states`](Self::perturbed_fixed_point_states)):
+/// all of them share the prefix products of the fixed-point terms.
 ///
 /// ```
 /// use mns_grn::{symbolic::SymbolicDynamics, BooleanNetwork};
@@ -52,6 +57,9 @@ pub struct SymbolicDynamics {
     transition: Option<Ref>,
     async_transition: Option<Ref>,
     order: VariableOrder,
+    /// `prefixes[i]` is `P_i = t_0 ∧ … ∧ t_{i−1}` of the fixed-point terms
+    /// `t_j = (x_j ↔ f_j)`, extended only as far as a query has needed.
+    prefixes: Vec<Ref>,
 }
 
 impl SymbolicDynamics {
@@ -74,6 +82,7 @@ impl SymbolicDynamics {
             .collect();
         SymbolicDynamics {
             net: net.clone(),
+            prefixes: vec![mgr.one()],
             mgr,
             updates,
             transition: None,
@@ -110,17 +119,29 @@ impl SymbolicDynamics {
         (0..self.net.len()).map(|i| self.nxt(i)).collect()
     }
 
-    /// The characteristic function of all synchronous fixed points,
-    /// `∧ᵢ (xᵢ ↔ fᵢ(x))`, over current-state variables.
-    pub fn fixed_point_set(&mut self) -> Ref {
-        let mut acc = self.mgr.one();
-        for i in 0..self.net.len() {
-            let x = self.mgr.var(self.cur(i));
-            let u = self.updates[i];
-            let eq = self.mgr.iff(x, u);
-            acc = self.mgr.and(acc, eq);
+    /// The fixed-point term `t_i = (x_i ↔ f_i)` of gene `i`.
+    fn fixed_point_term(&mut self, i: usize) -> Ref {
+        let x = self.mgr.var(self.cur(i));
+        self.mgr.iff(x, self.updates[i])
+    }
+
+    /// The prefix product `P_i` of the terms of genes `0..i`, extending
+    /// the cached prefixes as far as `i`.
+    fn prefix(&mut self, i: usize) -> Ref {
+        while self.prefixes.len() <= i {
+            let j = self.prefixes.len() - 1;
+            let term = self.fixed_point_term(j);
+            let product = self.mgr.and(self.prefixes[j], term);
+            self.prefixes.push(product);
         }
-        acc
+        self.prefixes[i]
+    }
+
+    /// The characteristic function of all synchronous fixed points,
+    /// `∧ᵢ (xᵢ ↔ fᵢ(x))`, over current-state variables: the prefix product
+    /// `P_n`, kept after the first call.
+    pub fn fixed_point_set(&mut self) -> Ref {
+        self.prefix(self.net.len())
     }
 
     /// Number of synchronous fixed points.
@@ -134,6 +155,41 @@ impl SymbolicDynamics {
         let _span = mns_telemetry::span("grn.fixed_points");
         let fps = self.fixed_point_set();
         self.states_of(fps)
+    }
+
+    /// Materializes the fixed points of this network with `perturbation`
+    /// applied: for gene `g`, the states of
+    /// `P_g ∧ ¬x_g ∧ t_{g+1} ∧ … ∧ t_{n−1}` (`x_g` for an over-expression),
+    /// conjoined in gene order. That is the conjunction
+    /// [`fixed_point_set`](Self::fixed_point_set) builds for the network
+    /// [`BooleanNetwork::with_perturbation`] returns. In one manager a BDD
+    /// is canonical, so the states equal those of a fresh engine of the
+    /// perturbed network, while every query shares the prefix products.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetworkError::UnknownGene`] if the target is not a gene of
+    /// this network.
+    pub fn perturbed_fixed_point_states(
+        &mut self,
+        perturbation: &Perturbation,
+    ) -> Result<Vec<State>, NetworkError> {
+        let g = self
+            .net
+            .gene_index(perturbation.gene())
+            .ok_or_else(|| NetworkError::UnknownGene(perturbation.gene().to_owned()))?;
+        let _span = mns_telemetry::span("grn.fixed_points");
+        let stuck = match perturbation.kind() {
+            PerturbationKind::KnockOut => self.mgr.nvar(self.cur(g)),
+            PerturbationKind::OverExpress => self.mgr.var(self.cur(g)),
+        };
+        let prefix = self.prefix(g);
+        let mut acc = self.mgr.and(prefix, stuck);
+        for i in g + 1..self.net.len() {
+            let term = self.fixed_point_term(i);
+            acc = self.mgr.and(acc, term);
+        }
+        Ok(self.states_of(acc))
     }
 
     /// Number of states in a set over current-state variables (primed
@@ -475,6 +531,17 @@ mod tests {
         let explicit = dynamics::fixed_points(&net, None).unwrap();
         assert_eq!(symbolic, explicit);
         assert_eq!(sym.fixed_point_count(), 2.0);
+    }
+
+    #[test]
+    fn perturbing_an_unknown_gene_is_an_error() {
+        let mut sym = SymbolicDynamics::new(&toggle_pair());
+        assert_eq!(
+            sym.perturbed_fixed_point_states(&Perturbation::knock_out("c")),
+            Err(NetworkError::UnknownGene("c".to_owned()))
+        );
+        let a_off = sym.perturbed_fixed_point_states(&Perturbation::knock_out("a"));
+        assert_eq!(a_off, Ok(vec![State::from_bits(0b10)]));
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! Property-based tests on gene-network analysis: the explicit and
-//! implicit (BDD) engines must agree on every random network, the
-//! continuous abstraction must be consistent with the Boolean one, and
-//! the runner's knockout screen must match a two-pass oracle on every
-//! single-gene knockout of both case-study models.
+//! implicit (BDD) engines must agree on every random network, one engine
+//! must answer every single-gene perturbation as a fresh engine of the
+//! perturbed network does, the continuous abstraction must be consistent
+//! with the Boolean one, and the runner's knockout screen must match a
+//! two-pass oracle on every single-gene knockout of both case-study
+//! models.
 
 use micronano::core::runner::{GrnModel, KnockoutScenario, Scenario, ScenarioOutcome};
 use micronano::grn::dynamics::{fixed_points, sync_attractors};
 use micronano::grn::models::{arabidopsis, classify_organ, t_helper, th_fates, FloralInputs};
 use micronano::grn::ode::{OdeConfig, OdeSystem};
 use micronano::grn::random::{random_network, RandomNetworkConfig};
+use micronano::grn::screen::{single_gene_screen, Screen, ScreenEntry, ScreenKind};
 use micronano::grn::symbolic::SymbolicDynamics;
-use micronano::grn::{Perturbation, State};
+use micronano::grn::{BooleanNetwork, Perturbation, State};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 fn net_for(seed: u64, genes: usize, regulators: usize) -> micronano::grn::BooleanNetwork {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -111,6 +115,88 @@ proptest! {
                 prop_assert!(v.abs() < 0.05, "|dx/dt| = {} at Boolean fixed point", v.abs());
             }
         }
+    }
+}
+
+/// The fixed points of `net` under `perturbation` (the wild type's for
+/// `None`) from a fresh engine of the perturbed network.
+fn per_mutant_fixed_points(
+    net: &BooleanNetwork,
+    perturbation: Option<&Perturbation>,
+) -> Vec<State> {
+    let mutant = match perturbation {
+        None => net.clone(),
+        Some(p) => net.with_perturbation(p).expect("gene exists"),
+    };
+    SymbolicDynamics::new(&mutant).fixed_point_states()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    // Differential: one engine answers the wild type and every knock-out
+    // and over-expression, shuffled and with repeats, exactly as a fresh
+    // engine of each perturbed network does.
+    #[test]
+    fn one_engine_answers_every_perturbation_like_a_fresh_one(
+        seed in 0u64..10_000,
+        genes in 2usize..14,
+        regulators in 1usize..4,
+        order in any::<u64>(),
+    ) {
+        let net = net_for(seed, genes, regulators.min(genes));
+        let mut queries: Vec<Option<Perturbation>> = std::iter::once(None)
+            .chain(net.genes().iter().flat_map(|g| {
+                [Some(Perturbation::knock_out(g)), Some(Perturbation::over_express(g))]
+            }))
+            .collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(order);
+        let repeats: Vec<Option<Perturbation>> = (0..queries.len() / 2)
+            .map(|_| queries[rng.gen_range(0..queries.len())].clone())
+            .collect();
+        queries.extend(repeats);
+        queries.shuffle(&mut rng);
+        let mut shared = SymbolicDynamics::new(&net);
+        for query in &queries {
+            let answer = match query {
+                None => shared.fixed_point_states(),
+                Some(p) => shared.perturbed_fixed_point_states(p).expect("gene exists"),
+            };
+            prop_assert_eq!(answer, per_mutant_fixed_points(&net, query.as_ref()), "{:?}", query);
+        }
+    }
+}
+
+#[test]
+fn screens_on_one_engine_match_per_mutant_engines() {
+    let mut nets = vec![t_helper()];
+    nets.extend(FloralInputs::whorls().into_iter().map(arabidopsis));
+    for net in nets {
+        let wild_type = per_mutant_fixed_points(&net, None);
+        let knock_outs = net.genes().iter().map(|g| Perturbation::knock_out(g));
+        let over_expressions = net.genes().iter().map(|g| Perturbation::over_express(g));
+        let entries = knock_outs
+            .chain(over_expressions)
+            .map(|perturbation| {
+                let fixed_points = per_mutant_fixed_points(&net, Some(&perturbation));
+                let preserved = fixed_points
+                    .iter()
+                    .filter(|s| wild_type.contains(s))
+                    .count();
+                ScreenEntry {
+                    perturbation,
+                    novel: fixed_points.len() - preserved,
+                    fixed_points,
+                    preserved,
+                }
+            })
+            .collect();
+        assert_eq!(
+            single_gene_screen(&net, ScreenKind::Both).expect("genes of the network"),
+            Screen { wild_type, entries },
+            "{:?}",
+            net.genes()
+        );
     }
 }
 

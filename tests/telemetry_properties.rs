@@ -28,6 +28,7 @@ use micronano::core::runner::{
     conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
     LabChipScenario, NocScenario, Runner, Scenario, ScenarioOutcome, WsnScenario,
 };
+use micronano::grn::models::t_helper;
 use micronano::noc::graph::CommGraph;
 use micronano::policy::PolicyExpr;
 use micronano::telemetry;
@@ -250,11 +251,17 @@ fn labchip_rounds() -> [Vec<Scenario>; 2] {
 /// Runs `f` with telemetry on; returns the `labchip.interpret_cache_hits`
 /// it recorded next to its result.
 fn sense_hits<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    counted("labchip.interpret_cache_hits", f)
+}
+
+/// Runs `f` with telemetry on; returns the value it left in `counter`
+/// next to its result.
+fn counted<T>(counter: &str, f: impl FnOnce() -> T) -> (u64, T) {
     telemetry::reset();
     telemetry::enable(Arc::new(telemetry::VirtualClock::default()));
     let out = f();
     telemetry::disable();
-    let hits = telemetry::snapshot().counter("labchip.interpret_cache_hits");
+    let hits = telemetry::snapshot().counter(counter);
     telemetry::reset();
     (hits, out)
 }
@@ -399,6 +406,47 @@ fn the_runner_owns_the_compile_memo_and_compile_twins_share_it() {
         });
         assert_eq!(hits, 1, "two bare runs of the twins on a fresh thread");
         assert_eq!(outcomes.to_vec(), reference);
+    });
+}
+
+#[test]
+fn the_runner_owns_the_model_engines_and_knockouts_share_them() {
+    isolated(|| {
+        let screen: Vec<Scenario> = std::iter::once(None)
+            .chain(t_helper().genes().iter().cloned().map(Some))
+            .map(|knockout| {
+                Scenario::Knockout(KnockoutScenario {
+                    model: GrnModel::THelper,
+                    knockout,
+                })
+            })
+            .collect();
+        assert_eq!(screen.len(), 24);
+
+        // A serial runner builds the engine for the first point and
+        // fetches it for the other 23; after `clear_cache`, for all 24.
+        let mut serial = Runner::serial();
+        let (hits, reference) = counted("grn.model_hits", || serial.run(&screen).outcomes);
+        assert_eq!(hits, 23, "a serial runner, first run");
+        serial.clear_cache();
+        let (hits, outcomes) = counted("grn.model_hits", || serial.run(&screen).outcomes);
+        assert_eq!(hits, 24, "clear_cache keeps the model engines");
+        assert_eq!(outcomes, reference);
+
+        // Two workers can both miss the model, so hits are pinned only
+        // serially; outcomes are pinned at every count.
+        for workers in [1usize, 2, 8] {
+            let mut runner = Runner::with_workers(workers);
+            for round in 0..2 {
+                assert_eq!(
+                    runner.run(&screen).outcomes,
+                    reference,
+                    "{workers} workers, round {}",
+                    round + 1
+                );
+                runner.clear_cache();
+            }
+        }
     });
 }
 
